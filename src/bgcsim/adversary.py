@@ -48,65 +48,117 @@ class DisagreementSet:
     indices: tuple
 
 
-@dataclass
 class ClaimedGradientTable:
-    """Per-worker claimed values for every gradient the worker is assigned.
+    """What every worker claims: a reference truth plus sparse per-worker deviations.
 
-    ``claims[j-1]`` is worker j's (block_size, d) view of its own group's
-    block; values outside a worker's block are simply not representable,
-    matching the assignment structure.
+    ``deviations[j]`` maps a global gradient index in worker j's block to the
+    (d,) vector j claims there instead of the truth; a worker with no
+    deviations is honest.  Values outside a worker's block are not
+    representable, matching the assignment structure.  The truth array is
+    shared with the caller and only ever read.
     """
 
-    params: SchemeParams
-    claims: np.ndarray  # (n, block_size, d) int64
+    def __init__(self, params: SchemeParams, truth: np.ndarray):
+        self.params = params
+        self.truth = np.asarray(truth, dtype=np.int64)
+        self.deviations = {}
+        self._block_sums = {}  # group -> truth block sum mod q, computed on first use
 
-    def _local(self, worker: int, index: int) -> int:
-        g = self.params.group_of_worker(worker)
-        block = self.params.block_of_group(g)
-        if index not in block:
+    def _block(self, worker: int, index: int = None) -> range:
+        block = self.params.block_of_group(self.params.group_of_worker(worker))
+        if index is not None and index not in block:
             raise ValueError(f"gradient {index} is not assigned to worker {worker}")
-        return index - block.start
+        return block
+
+    def set(self, worker: int, index: int, vector) -> None:
+        """Make ``worker`` claim ``vector`` (reduced mod q) at global ``index``."""
+        self._block(worker, index)
+        vec = np.asarray(vector, dtype=np.int64) % self.params.q
+        if vec.shape != (self.params.d,):
+            raise ValueError(f"claimed vector must have shape ({self.params.d},): got {vec.shape}")
+        own = self.deviations.setdefault(worker, {})
+        if np.array_equal(vec, self.truth[index - 1]):
+            own.pop(index, None)
+        else:
+            own[index] = vec
 
     def value(self, worker: int, index: int) -> np.ndarray:
-        return self.claims[worker - 1, self._local(worker, index)]
+        self._block(worker, index)
+        return self.deviations.get(worker, {}).get(index, self.truth[index - 1])
 
     def z0(self, worker: int) -> np.ndarray:
-        return self.claims[worker - 1].sum(axis=0) % self.params.q
+        """The worker's initial response: its claimed block sum mod q."""
+        g = self.params.group_of_worker(worker)
+        total = self._block_sums.get(g)
+        if total is None:
+            block = self.params.block_of_group(g)
+            total = self.truth[block.start - 1 : block.stop - 1].sum(axis=0) % self.params.q
+            total.setflags(write=False)
+            self._block_sums[g] = total
+        own = self.deviations.get(worker)
+        if not own:
+            return total
+        for index, vec in own.items():
+            total = total + vec - self.truth[index - 1]
+        return total % self.params.q
 
     def label(self, worker: int, lo: int, hi: int, coord: int) -> int:
-        block = self.claims[worker - 1]
-        return int(block[lo - 1 : hi - 1, coord - 1].sum() % self.params.q)
+        """Claimed sum at ``coord`` over block positions [lo, hi) (1-based), mod q."""
+        block = self._block(worker)
+        if not 1 <= lo < hi <= len(block) + 1 or not 1 <= coord <= self.params.d:
+            raise ValueError(f"no label for range [{lo}, {hi}) at coordinate {coord}")
+        first, stop = block.start + lo - 1, block.start + hi - 1  # global, half-open
+        total = int(self.truth[first - 1 : stop - 1, coord - 1].sum())
+        for index, vec in self.deviations.get(worker, {}).items():
+            if first <= index < stop:
+                total += int(vec[coord - 1]) - int(self.truth[index - 1, coord - 1])
+        return total % self.params.q
+
+    def answer(self, worker: int, query):
+        """The response ``worker`` sends to ``query`` under these claims."""
+        if isinstance(query, InitialQuery):
+            return self.z0(worker)
+        if isinstance(query, LabelQuery):
+            return self.label(worker, query.lo, query.hi, query.coord)
+        if isinstance(query, CommitQuery):
+            return int(self.value(worker, query.index)[query.coord - 1]) == query.value
+        raise TypeError(f"unknown query type: {type(query).__name__}")
+
+    def differs_from(self, worker: int, truth: np.ndarray) -> bool:
+        """Whether ``worker`` claims anything other than ``truth`` on its block."""
+        block = self._block(worker)
+        own = self.deviations.get(worker, {})
+        if any(not np.array_equal(vec, truth[index - 1]) for index, vec in own.items()):
+            return True
+        span = slice(block.start - 1, block.stop - 1)
+        moved = np.nonzero((self.truth[span] != truth[span]).any(axis=1))[0] + block.start
+        return any(int(index) not in own for index in moved)
+
+    def to_bytes(self) -> bytes:
+        """Canonical encoding: the reference truth, then every deviation in (worker, index) order."""
+        parts = [self.truth.tobytes()]
+        for worker in sorted(self.deviations):
+            for index, vec in sorted(self.deviations[worker].items()):
+                parts.append(np.array([worker, index], dtype=np.int64).tobytes() + vec.tobytes())
+        return b"".join(parts)
 
     def identical_to(self, other: "ClaimedGradientTable") -> bool:
-        return self.claims.tobytes() == other.claims.tobytes()
-
-    def copy(self) -> "ClaimedGradientTable":
-        return ClaimedGradientTable(self.params, self.claims.copy())
+        return self.params == other.params and self.to_bytes() == other.to_bytes()
 
 
 def honest_table(params: SchemeParams, truth: np.ndarray) -> ClaimedGradientTable:
     """Table in which every worker claims the true values of its block."""
-    truth = np.asarray(truth, dtype=np.int64)
-    claims = np.empty((params.n, params.block_size, params.d), dtype=np.int64)
-    for j in range(1, params.n + 1):
-        block = params.block_of_group(params.group_of_worker(j))
-        claims[j - 1] = truth[block.start - 1 : block.stop - 1]
-    return ClaimedGradientTable(params, claims)
+    return ClaimedGradientTable(params, truth)
 
 
-def _deviated(vec: np.ndarray, q: int, rng: np.random.Generator, all_coords: bool) -> np.ndarray:
-    """Copy of ``vec`` altered to a uniform value != the original.
+def _deviated(vec: np.ndarray, q: int, rng: np.random.Generator) -> np.ndarray:
+    """Copy of ``vec`` with one uniformly chosen coordinate altered to a uniform other value.
 
-    Default behaviour alters one uniformly chosen coordinate; the protocol
-    compares single coordinates, so one is enough to plant a dispute.
+    The protocol compares single coordinates, so one is enough to plant a dispute.
     """
     out = vec.copy()
-    if all_coords:
-        for k in range(out.shape[0]):
-            out[k] = (out[k] + 1 + rng.integers(q - 1)) % q
-    else:
-        k = int(rng.integers(out.shape[0]))
-        out[k] = (out[k] + 1 + rng.integers(q - 1)) % q
+    k = int(rng.integers(out.shape[0]))
+    out[k] = (out[k] + 1 + rng.integers(q - 1)) % q
     return out
 
 
@@ -117,7 +169,6 @@ def symmetrization_attack(
     rng: np.random.Generator,
     mode: str = "per-index",
     leftover_mimic: bool = False,
-    deviate_all_coords: bool = False,
 ):
     """Consistent claimed-gradient table for the symmetrization attack.
 
@@ -166,21 +217,21 @@ def symmetrization_attack(
 
     if mode == "per-index":
         for chunk, index in enumerate(indices):
-            wrong = _deviated(truth[index - 1], params.q, rng, deviate_all_coords)
+            wrong = _deviated(truth[index - 1], params.q, rng)
             for j in malicious[chunk * params.u : (chunk + 1) * params.u]:
-                table.claims[j - 1, index - 1] = wrong
+                table.set(j, index, wrong)
         leftovers = malicious[n_dev * params.u :]
         if leftovers and leftover_mimic:
             pick = int(rng.integers(n_dev + 1))
             if pick < n_dev:  # mimic subset `pick`; the last option is mimicking honesty
-                model = malicious[pick * params.u]
+                wrong = table.value(malicious[pick * params.u], indices[pick])
                 for j in leftovers:
-                    table.claims[j - 1] = table.claims[model - 1]
+                    table.set(j, indices[pick], wrong)
     else:
         index = int(rng.choice(np.asarray(indices)))
-        wrong = _deviated(truth[index - 1], params.q, rng, deviate_all_coords)
+        wrong = _deviated(truth[index - 1], params.q, rng)
         for j in malicious:
-            table.claims[j - 1, index - 1] = wrong
+            table.set(j, index, wrong)
 
     return table, DisagreementSet(group=1, indices=indices)
 
@@ -205,24 +256,15 @@ def flip_world(params: SchemeParams, truth: np.ndarray, table: ClaimedGradientTa
     is unchanged, which is the whole point.
     """
     truth = np.asarray(truth, dtype=np.int64)
-    g = 1
+    group = params.workers_of_group(1)
     deviators = [
-        j
-        for j in params.workers_of_group(g)
-        if not np.array_equal(table.value(j, index), truth[index - 1])
+        j for j in group if not np.array_equal(table.value(j, index), truth[index - 1])
     ]
     if not deviators:
         raise ValueError(f"no competing value planted at index {index}")
     flipped = truth.copy()
     flipped[index - 1] = table.value(deviators[0], index)
-    malicious = frozenset(
-        j
-        for j in params.workers_of_group(g)
-        if not np.array_equal(
-            table.claims[j - 1],
-            flipped[params.block_of_group(g).start - 1 : params.block_of_group(g).stop - 1],
-        )
-    )
+    malicious = frozenset(j for j in group if table.differs_from(j, flipped))
     return World(truth=flipped, table=table, malicious=malicious)
 
 
@@ -275,14 +317,7 @@ class TableResponder:
     def respond(self, worker, query):
         if worker not in self.malicious:
             raise ValueError(f"worker {worker} is not controlled by this adversary")
-        if isinstance(query, InitialQuery):
-            return self.table.z0(worker)
-        if isinstance(query, LabelQuery):
-            return self.table.label(worker, query.lo, query.hi, query.coord)
-        if isinstance(query, CommitQuery):
-            value = self.table.value(worker, query.index)[query.coord - 1]
-            return int(value) == query.value
-        raise TypeError(f"unknown query type: {type(query).__name__}")
+        return self.table.answer(worker, query)
 
 
 class FlipFlopResponder:
@@ -346,10 +381,7 @@ class TableAdversary:
             raise ValueError("table was built for different parameters")
         truth = np.asarray(truth, dtype=np.int64)
         for j in range(1, params.n + 1):
-            if j in self.malicious:
-                continue
-            block = params.block_of_group(params.group_of_worker(j))
-            if not np.array_equal(self.table.claims[j - 1], truth[block.start - 1 : block.stop - 1]):
+            if j not in self.malicious and self.table.differs_from(j, truth):
                 raise ValueError(f"honest worker {j} has claims differing from the truth")
         return TableResponder(self.malicious, self.table)
 
@@ -360,7 +392,6 @@ class SymmetrizationAdversary:
 
     mode: str = "per-index"
     leftover_mimic: bool = False
-    deviate_all_coords: bool = False
 
     def instantiate(self, params, truth, rng):
         malicious = frozenset(range(1, params.s + 1))
@@ -371,7 +402,6 @@ class SymmetrizationAdversary:
             rng,
             mode=self.mode,
             leftover_mimic=self.leftover_mimic,
-            deviate_all_coords=self.deviate_all_coords,
         )
         return TableResponder(malicious, table, disagreement=disagreement)
 
@@ -400,8 +430,3 @@ class CallbackAdversary:
 
     def instantiate(self, params, truth, rng):
         return CallbackResponder(self.malicious, self.fn, rng)
-
-
-def answer_query(responder, worker, query):
-    """Route one query to a malicious worker's responder (errors for honest ids)."""
-    return responder.respond(worker, query)

@@ -121,6 +121,31 @@ def check_compliance(params: SchemeParams, metrics: Metrics, transcript: Transcr
     return problems
 
 
+def verify_run(params: SchemeParams, truth, malicious, ghat, transcript: Transcript) -> list:
+    """Breaches of the per-run contract; an empty list means the run is correct.
+
+    The contract: the decoded gradient is the exact full gradient, no honest
+    worker is eliminated, and every oracle call eliminates at least u
+    workers for backing a wrong value at the computed index.
+    """
+    problems = []
+    if ghat is None or not np.array_equal(ghat, full_gradient(truth, params.q)):
+        problems.append("decode mismatch")
+    framed = transcript.eliminated_workers() - set(malicious)
+    if framed:
+        problems.append(f"honest workers eliminated: {sorted(framed)}")
+    for call in transcript.oracle_calls:
+        wiped = sum(
+            len(event.workers)
+            for event in transcript.eliminations
+            if (event.t, event.group, event.index, event.reason)
+            == (call.t, call.group, call.index, "wrong_value")
+        )
+        if wiped < params.u:
+            problems.append(f"oracle call at index {call.index} eliminated {wiped} < u workers")
+    return problems
+
+
 def disagreement_coverage_check(transcript: Transcript, disagreement, table=None) -> bool:
     """True when every actually-disputed planted index was settled.
 
@@ -177,7 +202,7 @@ def decoder_input(table, transcript: Transcript) -> bytes:
         "computed": transcript.computed_indices(),
         "values": [v.tolist() for v in transcript.oracle_values],
     }
-    return table.claims.tobytes() + json.dumps(payload, separators=(",", ":")).encode()
+    return table.to_bytes() + json.dumps(payload, separators=(",", ":")).encode()
 
 
 def indistinguishability_check(params: SchemeParams, budget: int, seed=0) -> Witness:

@@ -25,9 +25,9 @@ from .adversary import (
     TableAdversary,
     honest_table,
 )
-from .bounds import BoundsReport, check_compliance
-from .core import SchemeParams, full_gradient, random_gradients
-from .protocol import run_scheme
+from .bounds import BoundsReport, check_compliance, verify_run
+from .core import SchemeParams, random_gradients
+from .protocol import ProtocolRun
 
 ADVERSARIES = ("none", "symmetrization", "symmetrization-collusive", "flipflop")
 FIGURES = ("fig1", "appendixF-ratio", "appendixF-convergence")
@@ -191,8 +191,8 @@ def expand_sweep(config: ExperimentConfig):
 def load_table_adversary(path, params: SchemeParams) -> "_TableFileAdversary":
     """Claimed-table adversary from JSON: {"malicious": [...], "claims": {"j": [[...]...]}}.
 
-    Each claims entry is the worker's full (p/m) x d block; omitted workers
-    claim the truth.
+    Each claims entry is the worker's full (p/m) x d block, diffed against
+    the truth when a run binds it; omitted workers claim the truth.
     """
     spec = json.loads(Path(path).read_text())
     malicious = frozenset(int(j) for j in spec.get("malicious", []))
@@ -215,7 +215,9 @@ class _TableFileAdversary:
     def instantiate(self, params, truth, rng):
         table = honest_table(params, truth)
         for j, block in self.overrides.items():
-            table.claims[j - 1] = block % params.q
+            start = params.block_of_group(params.group_of_worker(j)).start
+            for offset, row in enumerate(block):
+                table.set(j, start + offset, row)
         return TableAdversary(table, self.malicious).instantiate(params, truth, rng)
 
 
@@ -240,8 +242,9 @@ class CorrectnessFailure(RuntimeError):
 def run_experiments(config: ExperimentConfig):
     """Execute every (sweep point, trial); return aggregated result rows.
 
-    Any decoding mismatch aborts immediately with the reproduction handle
-    (point, trial, master seed) in the exception message.
+    Any breach of the per-run contract (``bounds.verify_run``) aborts
+    immediately with the reproduction handle (point, trial, master seed) in
+    the exception message; bound violations only clear ``bounds_ok``.
     """
     points = expand_sweep(config)
     dump_dir = None
@@ -258,10 +261,12 @@ def run_experiments(config: ExperimentConfig):
             truth_rng = np.random.default_rng([config.seed, point_idx, trial, 0])
             adv_rng = np.random.default_rng([config.seed, point_idx, trial, 1])
             truth = random_gradients(params, truth_rng)
-            ghat, metrics, transcript = run_scheme(params, truth, adversary, rng=adv_rng)
-            if not np.array_equal(ghat, full_gradient(truth, params.q)):
+            responder = adversary.instantiate(params, truth, adv_rng)
+            ghat, metrics, transcript = ProtocolRun(params, truth, responder, rng=adv_rng).execute()
+            problems = verify_run(params, truth, responder.malicious, ghat, transcript)
+            if problems:
                 raise CorrectnessFailure(
-                    f"decode mismatch at point={point_idx} trial={trial} seed={config.seed}"
+                    f"{'; '.join(problems)} at point={point_idx} trial={trial} seed={config.seed}"
                 )
             if check_compliance(params, metrics, transcript):
                 bounds_ok = False

@@ -15,8 +15,9 @@ from fractions import Fraction
 
 import numpy as np
 
-# int64 slice sums accumulate up to block_size * (q - 1) with block sizes up
-# to 2**20, so the alphabet is capped well below the overflow point.
+# Block sums and label slice sums are taken in int64 before reducing mod q and
+# reach block_size * (q - 1); SchemeParams rejects configurations where that
+# is 2**63 or more, whatever the alphabet.
 MAX_ALPHABET = 2**32
 
 
@@ -56,6 +57,10 @@ class SchemeParams:
             raise ValueError(f"m must divide p: got p={self.p}, m={self.m}")
         if self.p // self.m < 2:
             raise ValueError(f"p/m must be >= 2: got p/m={self.p // self.m}")
+        if self.block_size * (self.q - 1) >= 2**63:
+            raise ValueError(
+                f"p/m * (q-1) must be below 2**63 for int64 sums: got p/m={self.block_size}, q={self.q}"
+            )
 
     @property
     def group_size(self) -> int:
@@ -102,14 +107,6 @@ def replication_factor(assignment: np.ndarray) -> Fraction:
     if a.ndim != 2:
         raise ValueError("assignment must be a 2-D 0/1 matrix")
     return Fraction(int(a.sum()), a.shape[0])
-
-
-def add_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    return (np.asarray(a, dtype=np.int64) + np.asarray(b, dtype=np.int64)) % q
-
-
-def sub_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    return (np.asarray(a, dtype=np.int64) - np.asarray(b, dtype=np.int64)) % q
 
 
 def full_gradient(gradients, q: int) -> np.ndarray:

@@ -28,8 +28,11 @@ Accounting rules:
   - c counts distinct gradient indices fetched from the local oracle.  A
     leaf that was already settled is decided from the cached value without
     touching the oracle again.
-  - a response of the wrong shape or outside the alphabet incriminates its
-    sender, who is eliminated on the spot.
+  - a response of the wrong shape or type, or outside the alphabet,
+    incriminates its sender, who is eliminated on the spot (reasons
+    malformed_initial, malformed_label and malformed_commit).  A commit bit
+    must be a bool; anything else is not counted as a vote, and its sender,
+    the representative included, leaves its subset.
 """
 
 from __future__ import annotations
@@ -42,16 +45,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .adversary import CommitQuery, InitialQuery, LabelQuery
+from .adversary import CommitQuery, InitialQuery, LabelQuery, honest_table
 from .core import SchemeParams
-from .matchtree import children, root_range
 
 
 class Message(NamedTuple):
     t: int
     group: int
-    worker: int
-    direction: str  # worker-to-main traffic only; kept explicit for the export format
+    worker: int  # every message is worker-to-main traffic
     kind: str  # "initial" | "label" | "commit"
     symbols: int
     bits: int
@@ -119,7 +120,7 @@ class Transcript:
                         "t": m.t,
                         "group": m.group,
                         "worker": m.worker,
-                        "direction": m.direction,
+                        "direction": "to_main",
                         "kind": m.kind,
                         "symbols": m.symbols,
                         "bits": m.bits,
@@ -202,16 +203,13 @@ class ProtocolRun:
         )
         self._gvalues = {}  # settled gradient index -> full truth vector
         self._resolved = {}  # group -> surviving value, shape (d,)
-        self._honest_z0 = {}
-        for g in range(1, params.m + 1):
-            block = params.block_of_group(g)
-            self._honest_z0[g] = truth[block.start - 1 : block.stop - 1].sum(axis=0) % params.q
+        self._honest = honest_table(params, truth)
 
     # -- plumbing ----------------------------------------------------------
 
     def _log(self, t, group, worker, kind, symbols=0, bits=0):
         self.transcript.messages.append(
-            Message(t, group, worker, "to_main", kind, symbols, bits)
+            Message(t, group, worker, kind, symbols, bits)
         )
 
     def _eliminate(self, t, group, workers, reason, index=0):
@@ -223,19 +221,7 @@ class ProtocolRun:
     def _respond(self, worker, query):
         if worker in self.responder.malicious:
             return self.responder.respond(worker, query)
-        return self._honest_answer(worker, query)
-
-    def _honest_answer(self, worker, query):
-        g = self.params.group_of_worker(worker)
-        if isinstance(query, InitialQuery):
-            return self._honest_z0[g]
-        if isinstance(query, LabelQuery):
-            base = self.params.block_of_group(g).start - 1
-            sl = self.truth[base + query.lo - 1 : base + query.hi - 1, query.coord - 1]
-            return int(sl.sum() % self.params.q)
-        if isinstance(query, CommitQuery):
-            return int(self.truth[query.index - 1, query.coord - 1]) == query.value
-        raise TypeError(f"unknown query type: {type(query).__name__}")
+        return self._honest.answer(worker, query)
 
     def _as_vector(self, resp):
         try:
@@ -329,12 +315,12 @@ class ProtocolRun:
         q = self.params.q
         claim1 = int(sub1.value[coord - 1])
         claim2 = int(sub2.value[coord - 1])
-        node = root_range(self.params.block_size)
-        while not node.is_leaf:
-            left, right = children(node)
+        lo, hi = 1, self.params.block_size + 1  # the disputed range, local and half-open
+        while hi - lo > 1:
+            mid = lo + (hi - lo + 1) // 2  # the left child takes the ceiling half
             self.transcript.group_rounds[group] += 1
             t = self.transcript.group_rounds[group]
-            query = LabelQuery(group=group, lo=left.lo, hi=left.hi, coord=coord)
+            query = LabelQuery(group=group, lo=lo, hi=mid, coord=coord)
             raw1 = self._respond(rep1, query)
             self._log(t, group, rep1, "label", symbols=1)
             raw2 = self._respond(rep2, query)
@@ -349,28 +335,37 @@ class ProtocolRun:
             if a1 == a2:
                 claim1 = (claim1 - a1) % q
                 claim2 = (claim2 - a2) % q
-                node = right
+                lo = mid
             else:
                 claim1, claim2 = a1, a2
-                node = left
-        index = self.params.block_of_group(group).start + node.leaf_index - 1
+                hi = mid
+        index = self.params.block_of_group(group).start + lo - 1
         return index, coord, claim1, claim2
 
     def commit_round(self, group: int, subset: ConsistentSubset, index: int, coord: int, value: int) -> set:
         """One bit per member endorsing the representative's leaf claim.
 
-        The representative is always counted as committed: the claim is its
-        own, sent during the match.  Its bit is still transmitted (and
-        charged) like everyone else's.
+        The representative is counted as committed: the claim is its own,
+        sent during the match.  Its bit is still transmitted (and charged)
+        like everyone else's.  A member whose bit is not a bool, the
+        representative included, is eliminated, left out of the votes and
+        dropped from the subset.
         """
         t = self.transcript.group_rounds[group]
         committed = {subset.representative}
+        malformed = []
         query = CommitQuery(group=group, index=index, coord=coord, value=value)
         for j in subset.workers:
             bit = self._respond(j, query)
             self._log(t, group, j, "commit", bits=1)
-            if bit:
+            if not isinstance(bit, (bool, np.bool_)):
+                malformed.append(j)
+            elif bit:
                 committed.add(j)
+        if malformed:
+            self._eliminate(t, group, malformed, "malformed_commit", index)
+            subset.workers = [j for j in subset.workers if j not in malformed]
+            committed.difference_update(malformed)
         return committed
 
     def local_compute(self, group: int, index: int, coord: int) -> int:

@@ -8,7 +8,6 @@ from bgcsim.adversary import (
     LabelQuery,
     SymmetrizationAdversary,
     TableAdversary,
-    answer_query,
     flip_world,
     honest_table,
     symmetrization_attack,
@@ -24,6 +23,12 @@ def _attack(params, seed=0, **kwargs):
         params, truth, list(range(1, params.s + 1)), rng, **kwargs
     )
     return truth, table, dis
+
+
+def _row(params, table, j):
+    """Worker j's claimed block as a dense (p/m, d) array."""
+    block = params.block_of_group(params.group_of_worker(j))
+    return np.array([table.value(j, i) for i in block])
 
 
 def _deviating_workers(params, truth, table, index):
@@ -46,7 +51,7 @@ def test_per_index_shape_smallest():
         deviators.update(who)
     assert deviators <= {1, 2}
     # the honest worker's row is the truth
-    assert np.array_equal(table.claims[2], truth[0:4])
+    assert np.array_equal(_row(params, table, 3), truth[0:4])
 
 
 def test_s_zero_table_is_truth():
@@ -67,7 +72,7 @@ def test_leftover_workers_claim_truth():
         assert who == [2 * chunk + 1, 2 * chunk + 2]
         # both members of the pair plant the same value
         assert np.array_equal(table.value(who[0], index), table.value(who[1], index))
-    assert np.array_equal(table.claims[4], truth[0:8])  # worker 5 is the leftover
+    assert np.array_equal(_row(params, table, 5), truth[0:8])  # worker 5 is the leftover
 
 
 def test_leftover_mimic_option():
@@ -78,10 +83,10 @@ def test_leftover_mimic_option():
         table, dis = symmetrization_attack(
             params, truth, [1, 2, 3, 4, 5], np.random.default_rng(seed), leftover_mimic=True
         )
-        row = table.claims[4]
+        row = _row(params, table, 5)
         if not np.array_equal(row, truth[0:8]):
             # must be a byte-for-byte copy of one deviating pair's row
-            assert any(np.array_equal(row, table.claims[j - 1]) for j in (1, 3))
+            assert any(np.array_equal(row, _row(params, table, j)) for j in (1, 3))
             copies += 1
     assert 0 < copies < 30  # both branches of the mimic choice occur
 
@@ -148,7 +153,7 @@ def test_attack_confined_to_first_group():
     truth, table, dis = _attack(params, seed=4)
     for j in params.workers_of_group(2):
         block = params.block_of_group(2)
-        assert np.array_equal(table.claims[j - 1], truth[block.start - 1 : block.stop - 1])
+        assert np.array_equal(_row(params, table, j), truth[block.start - 1 : block.stop - 1])
 
 
 def test_attack_rejects_bad_malicious_sets():
@@ -223,13 +228,13 @@ def test_table_responder_answers_from_table():
     rng = np.random.default_rng(22)
     table, dis = symmetrization_attack(params, truth, [1, 2], rng)
     responder = SymmetrizationAdversary().instantiate(params, truth, np.random.default_rng(22))
-    z0 = answer_query(responder, 1, InitialQuery(group=1))
+    z0 = responder.respond(1, InitialQuery(group=1))
     assert np.array_equal(z0, responder.table.z0(1))
-    label = answer_query(responder, 1, LabelQuery(group=1, lo=1, hi=3, coord=2))
+    label = responder.respond(1, LabelQuery(group=1, lo=1, hi=3, coord=2))
     assert label == responder.table.label(1, 1, 3, 2)
     index = dis.indices[0] if dis.indices else 1
     value = int(responder.table.value(1, index)[0])
-    assert answer_query(responder, 1, CommitQuery(group=1, index=index, coord=1, value=value))
+    assert responder.respond(1, CommitQuery(group=1, index=index, coord=1, value=value))
 
 
 def test_honest_worker_routed_to_adversary_errors():
@@ -237,7 +242,7 @@ def test_honest_worker_routed_to_adversary_errors():
     truth = random_gradients(params, 0)
     responder = SymmetrizationAdversary().instantiate(params, truth, np.random.default_rng(0))
     with pytest.raises(ValueError, match="not controlled"):
-        answer_query(responder, 2, InitialQuery(group=1))
+        responder.respond(2, InitialQuery(group=1))
 
 
 def test_flipflop_is_inconsistent():
@@ -246,7 +251,7 @@ def test_flipflop_is_inconsistent():
     responder = FlipFlopAdversary().instantiate(params, truth, np.random.default_rng(0))
     worker = sorted(responder.malicious)[0]
     query = LabelQuery(group=1, lo=1, hi=5, coord=1)
-    answers = {answer_query(responder, worker, query) for _ in range(32)}
+    answers = {responder.respond(worker, query) for _ in range(32)}
     assert len(answers) > 1  # same query, different rounds, different answers
 
 
@@ -261,7 +266,7 @@ def test_table_adversary_validates_honest_rows():
     params = SchemeParams(s=1, u=1, m=1, p=4, d=1, q=2**16)
     truth = random_gradients(params, 5)
     table = honest_table(params, truth)
-    table.claims[1, 0] = (table.claims[1, 0] + 1) % params.q  # worker 2 altered...
+    table.set(2, 1, truth[0] + 1)  # worker 2 altered...
     with pytest.raises(ValueError, match="honest worker"):
         TableAdversary(table, frozenset({1})).instantiate(  # ...but only 1 is malicious
             params, truth, None

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import bgcsim.bounds as bounds
 import bgcsim.cli as cli
 from bgcsim.cli import (
     CorrectnessFailure,
@@ -14,6 +15,7 @@ from bgcsim.cli import (
     parse_config,
     run_experiments,
 )
+from bgcsim.protocol import ProtocolRun
 
 
 def test_parse_flagship_configuration():
@@ -164,16 +166,7 @@ def test_exit_code_zero_iff_all_pass(tmp_path):
 
 
 def test_correctness_failure_aborts_with_seed(monkeypatch, capsys):
-    def broken(params, truth, adversary, rng=None, **kwargs):
-        ghat = np.zeros(params.d, dtype=np.int64) - 1
-        from bgcsim.protocol import ProtocolRun
-
-        responder = adversary.instantiate(params, truth, rng)
-        run = ProtocolRun(params, truth, responder)
-        _, metrics, transcript = run.execute()
-        return ghat, metrics, transcript
-
-    monkeypatch.setattr(cli, "run_scheme", broken)
+    monkeypatch.setattr(ProtocolRun, "decode", lambda self: np.full(self.params.d, -1))
     code = main(["--s", "1", "--u", "1", "--p", "4", "--d", "1", "--seed", "99", "--trials", "1"])
     assert code == 1
     err = capsys.readouterr().err
@@ -241,8 +234,21 @@ def test_format_rows_json_round_trip():
 
 def test_run_experiments_raises_typed_failure(monkeypatch):
     config = ExperimentConfig(s=1, u=1, p=4, d=1, trials=1, seed=0)
-    monkeypatch.setattr(
-        cli, "full_gradient", lambda truth, q: np.array([123456], dtype=np.int64)
-    )
-    with pytest.raises(CorrectnessFailure, match="seed=0"):
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            bounds, "full_gradient", lambda truth, q: np.array([123456], dtype=np.int64)
+        )
+        with pytest.raises(CorrectnessFailure, match="decode mismatch.*seed=0"):
+            run_experiments(config)
+
+    class Framing(ProtocolRun):
+        """Eliminates honest worker 2 after an otherwise correct run."""
+
+        def execute(self):
+            out = super().execute()
+            self._eliminate(0, 1, (2,), "framed")
+            return out
+
+    monkeypatch.setattr(cli, "ProtocolRun", Framing)
+    with pytest.raises(CorrectnessFailure, match=r"honest workers eliminated: \[2\].*seed=0"):
         run_experiments(config)

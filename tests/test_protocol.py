@@ -24,7 +24,7 @@ Q16 = 2**16
 def _liar_table(params, truth):
     """Worker 1 claims -4 for the last gradient, shifting its block sum to 2."""
     table = honest_table(params, truth)
-    table.claims[0, 3] = (4 - 8) % params.q
+    table.set(1, 4, [4 - 8])
     return table
 
 
@@ -170,9 +170,9 @@ def test_repeated_leaf_dispute_served_from_cache(run_and_check):
     params = SchemeParams(s=3, u=1, m=1, p=4, d=1, q=Q16)
     truth = random_gradients(params, 19)
     table = honest_table(params, truth)
-    table.claims[0, 1] = (truth[1, 0] + 1) % params.q
-    table.claims[2, 1] = (truth[1, 0] + 2) % params.q
-    table.claims[1, 2] = (truth[2, 0] + 3) % params.q
+    table.set(1, 2, truth[1] + 1)
+    table.set(3, 2, truth[1] + 2)
+    table.set(2, 3, truth[2] + 3)
     _, metrics, transcript, _ = run_and_check(
         params, truth, TableAdversary(table, frozenset({1, 2, 3}))
     )
@@ -206,6 +206,33 @@ def test_undersupported_commit_eliminates_backers(run_and_check):
     assert metrics.c == 0
     under = [e for e in transcript.eliminations if e.reason == "undersupported_commit"]
     assert under and under[0].workers == (1,)
+
+
+@pytest.mark.parametrize(
+    "bit", [np.array([1, 2]), "no", 2.5], ids=["array", "string", "float"]
+)
+def test_malformed_commit_eliminated(run_and_check, bit):
+    # Three consistent liars answer every commit with something that is not
+    # a bool.  None of it counts as a vote: all three, the representative
+    # included, are eliminated as malformed and no oracle call is needed.
+    params = SchemeParams(s=3, u=2, m=1, p=16, d=1, q=Q16)
+    truth = random_gradients(params, 59)
+    wrong = truth.copy()
+    wrong[5, 0] = (wrong[5, 0] + 1) % params.q
+
+    def garbled(worker, query, rng):
+        if isinstance(query, InitialQuery):
+            return wrong.sum(axis=0) % params.q
+        if isinstance(query, LabelQuery):
+            return int(wrong[query.lo - 1 : query.hi - 1, 0].sum() % params.q)
+        return bit
+
+    _, metrics, transcript, _ = run_and_check(
+        params, truth, CallbackAdversary(frozenset({1, 2, 3}), garbled)
+    )
+    assert metrics.c == 0
+    assert {event.reason for event in transcript.eliminations} == {"malformed_commit"}
+    assert transcript.eliminated_workers() == {1, 2, 3}
 
 
 def test_consistent_backers_all_vote(run_and_check):
@@ -367,7 +394,10 @@ def test_hammer_arbitrary_tables(run_and_check):
         for j in malicious:
             mask = rng.integers(0, 2, size=(block, params.d)).astype(bool)
             noise = rng.integers(0, params.q, size=(block, params.d))
-            table.claims[j - 1] = np.where(mask, noise, table.claims[j - 1])
+            start = params.block_of_group(params.group_of_worker(j)).start
+            rows = np.where(mask, noise, truth[start - 1 : start - 1 + block])
+            for offset, row in enumerate(rows):
+                table.set(j, start + offset, row)
         run_and_check(params, truth, TableAdversary(table, malicious))
 
 
