@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import SchemeParams, full_gradient
+from .core import SchemeParams
 
 
 class InitialQuery(NamedTuple):
@@ -244,9 +244,6 @@ class World:
     table: ClaimedGradientTable
     malicious: frozenset
 
-    def full_gradient(self) -> np.ndarray:
-        return full_gradient(self.truth, self.table.params.q)
-
 
 def flip_world(params: SchemeParams, truth: np.ndarray, table: ClaimedGradientTable, index: int) -> World:
     """Alternative world where the truth at ``index`` is the planted wrong value.
@@ -299,64 +296,29 @@ def two_case_worlds(params: SchemeParams, rng, flip_index: int = None):
 # responders (per-run adversary state)
 
 
-class _NullResponder:
-    malicious = frozenset()
+class Responder:
+    """The workers one run's adversary controls and how each answers a query.
 
-    def respond(self, worker, query):
-        raise ValueError(f"worker {worker} is not controlled by this adversary")
-
-
-class TableResponder:
-    """Answers every query by evaluating a fixed claimed-gradient table."""
-
-    def __init__(self, malicious, table: ClaimedGradientTable, disagreement=None):
-        self.malicious = frozenset(malicious)
-        self.table = table
-        self.disagreement = disagreement
-
-    def respond(self, worker, query):
-        if worker not in self.malicious:
-            raise ValueError(f"worker {worker} is not controlled by this adversary")
-        return self.table.answer(worker, query)
-
-
-class FlipFlopResponder:
-    """Answers every query with fresh uniform noise; nothing is consistent.
-
-    One RNG substream per group keeps responses independent of the order in
-    which group tournaments are executed.
+    ``answer(worker, query)`` is only ever called for a controlled worker.
+    Responders that answer from a claimed-gradient table also expose it as
+    ``table``.
     """
 
-    def __init__(self, malicious, params: SchemeParams, rng: np.random.Generator):
+    def __init__(self, malicious, answer: Callable):
         self.malicious = frozenset(malicious)
-        self.params = params
-        self._group_rng = dict(zip(range(1, params.m + 1), rng.spawn(params.m)))
+        self._answer = answer
 
     def respond(self, worker, query):
         if worker not in self.malicious:
             raise ValueError(f"worker {worker} is not controlled by this adversary")
-        rng = self._group_rng[query.group]
-        if isinstance(query, InitialQuery):
-            return rng.integers(0, self.params.q, size=self.params.d, dtype=np.int64)
-        if isinstance(query, LabelQuery):
-            return int(rng.integers(self.params.q))
-        if isinstance(query, CommitQuery):
-            return bool(rng.integers(2))
-        raise TypeError(f"unknown query type: {type(query).__name__}")
+        return self._answer(worker, query)
 
 
-class CallbackResponder:
-    """Arbitrary message-level behaviour supplied as a callback (tests use this)."""
-
-    def __init__(self, malicious, fn: Callable, rng: np.random.Generator = None):
-        self.malicious = frozenset(malicious)
-        self._fn = fn
-        self._rng = rng
-
-    def respond(self, worker, query):
-        if worker not in self.malicious:
-            raise ValueError(f"worker {worker} is not controlled by this adversary")
-        return self._fn(worker, query, self._rng)
+def _table_responder(malicious, table: ClaimedGradientTable) -> Responder:
+    """Answers every query by evaluating a fixed claimed-gradient table."""
+    responder = Responder(malicious, table.answer)
+    responder.table = table
+    return responder
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +328,7 @@ class CallbackResponder:
 @dataclass(frozen=True)
 class NoAdversary:
     def instantiate(self, params, truth, rng):
-        return _NullResponder()
+        return Responder(frozenset(), None)  # controls nobody, so never answers
 
 
 @dataclass(frozen=True)
@@ -383,7 +345,7 @@ class TableAdversary:
         for j in range(1, params.n + 1):
             if j not in self.malicious and self.table.differs_from(j, truth):
                 raise ValueError(f"honest worker {j} has claims differing from the truth")
-        return TableResponder(self.malicious, self.table)
+        return _table_responder(self.malicious, self.table)
 
 
 @dataclass(frozen=True)
@@ -395,7 +357,7 @@ class SymmetrizationAdversary:
 
     def instantiate(self, params, truth, rng):
         malicious = frozenset(range(1, params.s + 1))
-        table, disagreement = symmetrization_attack(
+        table, _ = symmetrization_attack(
             params,
             truth,
             sorted(malicious),
@@ -403,12 +365,17 @@ class SymmetrizationAdversary:
             mode=self.mode,
             leftover_mimic=self.leftover_mimic,
         )
-        return TableResponder(malicious, table, disagreement=disagreement)
+        return _table_responder(malicious, table)
 
 
 @dataclass(frozen=True)
 class FlipFlopAdversary:
-    """Uniformly random responder on a seeded set of workers (s by default)."""
+    """Uniformly random responder on a seeded set of workers (s by default).
+
+    Every query gets fresh uniform noise, so nothing is consistent.  One RNG
+    substream per group keeps responses independent of the order in which
+    group tournaments are executed.
+    """
 
     count: int = None  # type: ignore[assignment]
 
@@ -418,7 +385,19 @@ class FlipFlopAdversary:
             raise ValueError(f"cannot control {count} workers with budget s={params.s}")
         picks = rng.choice(params.n, size=count, replace=False)
         malicious = frozenset(int(j) + 1 for j in picks)
-        return FlipFlopResponder(malicious, params, rng)
+        group_rng = dict(zip(range(1, params.m + 1), rng.spawn(params.m)))
+
+        def answer(worker, query):
+            stream = group_rng[query.group]
+            if isinstance(query, InitialQuery):
+                return stream.integers(0, params.q, size=params.d, dtype=np.int64)
+            if isinstance(query, LabelQuery):
+                return int(stream.integers(params.q))
+            if isinstance(query, CommitQuery):
+                return bool(stream.integers(2))
+            raise TypeError(f"unknown query type: {type(query).__name__}")
+
+        return Responder(malicious, answer)
 
 
 @dataclass(frozen=True)
@@ -429,4 +408,4 @@ class CallbackAdversary:
     fn: Callable
 
     def instantiate(self, params, truth, rng):
-        return CallbackResponder(self.malicious, self.fn, rng)
+        return Responder(self.malicious, lambda worker, query: self.fn(worker, query, rng))

@@ -146,27 +146,21 @@ def verify_run(params: SchemeParams, truth, malicious, ghat, transcript: Transcr
     return problems
 
 
-def disagreement_coverage_check(transcript: Transcript, disagreement, table=None) -> bool:
+def disagreement_coverage_check(transcript: Transcript, disagreement, table) -> bool:
     """True when every actually-disputed planted index was settled.
 
     An index is disputed when two workers of the attacked group claim
-    different values for it (derived from the table when given, otherwise
-    every planted index is assumed disputed).  Settling means the index was
+    different values for it in ``table``.  Settling means the index was
     computed locally or its backers were wiped out by an undersized commit.
     """
-    indices = set(disagreement.indices)
-    if table is not None:
-        disputed = set()
-        params = table.params
-        for index in indices:
-            seen = {
-                table.value(j, index).tobytes()
-                for j in params.workers_of_group(disagreement.group)
-            }
-            if len(seen) > 1:
-                disputed.add(index)
-    else:
-        disputed = indices
+    disputed = set()
+    for index in disagreement.indices:
+        seen = {
+            table.value(j, index).tobytes()
+            for j in table.params.workers_of_group(disagreement.group)
+        }
+        if len(seen) > 1:
+            disputed.add(index)
     settled = set(transcript.computed_indices())
     settled.update(
         event.index
@@ -200,7 +194,7 @@ def decoder_input(table, transcript: Transcript) -> bytes:
     payload = {
         "messages": [list(m) for m in transcript.messages],
         "computed": transcript.computed_indices(),
-        "values": [v.tolist() for v in transcript.oracle_values],
+        "values": [v.tolist() for v in transcript.oracle_values.values()],
     }
     return table.to_bytes() + json.dumps(payload, separators=(",", ":")).encode()
 

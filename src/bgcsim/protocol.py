@@ -28,11 +28,15 @@ Accounting rules:
   - c counts distinct gradient indices fetched from the local oracle.  A
     leaf that was already settled is decided from the cached value without
     touching the oracle again.
-  - a response of the wrong shape or type, or outside the alphabet,
+  - every query goes through one ask path that charges its message
+    (initial d symbols, label 1 symbol, commit 1 bit) whatever comes back.
+    A response of the wrong shape or type, or outside the alphabet,
     incriminates its sender, who is eliminated on the spot (reasons
-    malformed_initial, malformed_label and malformed_commit).  A commit bit
-    must be a bool; anything else is not counted as a vote, and its sender,
-    the representative included, leaves its subset.
+    malformed_initial, malformed_label and malformed_commit); so is a
+    malicious responder that raises instead of answering.  A commit bit
+    must be a bool; anything else is not counted as a vote.
+  - eliminated workers, representatives included, leave their consistent
+    subsets once per tournament iteration, after the match and its votes.
 """
 
 from __future__ import annotations
@@ -47,6 +51,9 @@ import numpy as np
 
 from .adversary import CommitQuery, InitialQuery, LabelQuery, honest_table
 from .core import SchemeParams
+
+
+_KIND = {InitialQuery: "initial", LabelQuery: "label", CommitQuery: "commit"}
 
 
 class Message(NamedTuple):
@@ -88,7 +95,7 @@ class Transcript:
     params: SchemeParams
     messages: list = field(default_factory=list)
     oracle_calls: list = field(default_factory=list)
-    oracle_values: list = field(default_factory=list)  # full vectors, aligned with oracle_calls
+    oracle_values: dict = field(default_factory=dict)  # gradient index -> full vector, in call order
     eliminations: list = field(default_factory=list)
     group_rounds: dict = field(default_factory=dict)
     truncated: bool = False
@@ -152,7 +159,7 @@ def metrics_from_transcript(params: SchemeParams, transcript: Transcript) -> Met
     return Metrics(
         T=max(transcript.group_rounds.values(), default=0),
         c=len(transcript.oracle_calls),
-        r=Fraction(params.s + params.u),
+        r=Fraction(params.group_size),
         kappa=kappa,
         total_comm=params.n * params.d + kappa,
     )
@@ -201,46 +208,58 @@ class ProtocolRun:
         self.transcript = Transcript(
             params=params, group_rounds={g: 0 for g in range(1, params.m + 1)}
         )
-        self._gvalues = {}  # settled gradient index -> full truth vector
         self._resolved = {}  # group -> surviving value, shape (d,)
+        self._eliminated = set()  # every worker eliminated so far, in any group
         self._honest = honest_table(params, truth)
+        self._cost = {"initial": (params.d, 0), "label": (1, 0), "commit": (0, 1)}  # (symbols, bits)
 
     # -- plumbing ----------------------------------------------------------
-
-    def _log(self, t, group, worker, kind, symbols=0, bits=0):
-        self.transcript.messages.append(
-            Message(t, group, worker, kind, symbols, bits)
-        )
 
     def _eliminate(self, t, group, workers, reason, index=0):
         if workers:
             self.transcript.eliminations.append(
                 EliminationEvent(t, group, tuple(sorted(workers)), reason, index)
             )
+            self._eliminated.update(workers)
 
-    def _respond(self, worker, query):
+    def _ask(self, t, group, worker, query):
+        """Send ``query`` to ``worker``, charge the message and check the answer.
+
+        Returns the answer as the engine uses it (an int64 vector, a symbol
+        or a bool), or None after eliminating the sender as
+        malformed_<kind>.  Anything a malicious responder raises counts as
+        a malformed answer; the honest table is not guarded, so a bug there
+        still propagates.
+        """
+        kind = _KIND[type(query)]
         if worker in self.responder.malicious:
-            return self.responder.respond(worker, query)
-        return self._honest.answer(worker, query)
+            try:
+                value = self._validate(kind, self.responder.respond(worker, query))
+            except Exception:
+                value = None
+        else:
+            value = self._validate(kind, self._honest.answer(worker, query))
+        self.transcript.messages.append(Message(t, group, worker, kind, *self._cost[kind]))
+        if value is None:
+            index = query.index if kind == "commit" else 0
+            self._eliminate(t, group, (worker,), f"malformed_{kind}", index)
+        return value
 
-    def _as_vector(self, resp):
-        try:
-            arr = np.asarray(resp)
-        except Exception:
-            return None
-        if arr.shape != (self.params.d,) or not np.issubdtype(arr.dtype, np.integer):
+    def _validate(self, kind, answer):
+        """``answer`` in canonical form, or None when it is malformed for ``kind``."""
+        if kind == "commit":
+            return answer if isinstance(answer, (bool, np.bool_)) else None
+        if kind == "label":
+            if isinstance(answer, bool) or not isinstance(answer, (int, np.integer)):
+                return None
+            value = int(answer)
+            return value if 0 <= value < self.params.q else None
+        arr = np.asarray(answer)
+        if arr.shape != (self.params.d,) or arr.dtype.kind not in "iu":  # signed or unsigned ints
             return None
         if not ((arr >= 0) & (arr < self.params.q)).all():
             return None
         return arr.astype(np.int64)
-
-    def _as_symbol(self, resp):
-        if isinstance(resp, bool) or not isinstance(resp, (int, np.integer)):
-            return None
-        value = int(resp)
-        if not 0 <= value < self.params.q:
-            return None
-        return value
 
     # -- protocol stages ----------------------------------------------------
 
@@ -249,12 +268,8 @@ class ProtocolRun:
         z0 = {}
         for j in range(1, self.params.n + 1):
             g = self.params.group_of_worker(j)
-            resp = self._respond(j, InitialQuery(group=g))
-            self._log(0, g, j, "initial", symbols=self.params.d)
-            vec = self._as_vector(resp)
-            if vec is None:
-                self._eliminate(0, g, (j,), "malformed_initial")
-            else:
+            vec = self._ask(0, g, j, InitialQuery(group=g))
+            if vec is not None:
                 z0[j] = vec
         return z0
 
@@ -305,7 +320,8 @@ class ProtocolRun:
         or inferred) claims is always reached, whatever the answers are.
 
         Returns (global_index, coord, claim1, claim2), or None if a rep sent
-        garbage and was eliminated mid-match.
+        garbage and was eliminated mid-match.  Both reps are asked at every
+        level, even when the first answer is already malformed.
         """
         rep1, rep2 = sub1.representative, sub2.representative
         differing = np.nonzero(sub1.value != sub2.value)[0]
@@ -321,16 +337,9 @@ class ProtocolRun:
             self.transcript.group_rounds[group] += 1
             t = self.transcript.group_rounds[group]
             query = LabelQuery(group=group, lo=lo, hi=mid, coord=coord)
-            raw1 = self._respond(rep1, query)
-            self._log(t, group, rep1, "label", symbols=1)
-            raw2 = self._respond(rep2, query)
-            self._log(t, group, rep2, "label", symbols=1)
-            a1, a2 = self._as_symbol(raw1), self._as_symbol(raw2)
+            a1 = self._ask(t, group, rep1, query)
+            a2 = self._ask(t, group, rep2, query)
             if a1 is None or a2 is None:
-                for rep, answer, sub in ((rep1, a1, sub1), (rep2, a2, sub2)):
-                    if answer is None:
-                        self._eliminate(t, group, (rep,), "malformed_label")
-                        sub.workers.remove(rep)
                 return None
             if a1 == a2:
                 claim1 = (claim1 - a1) % q
@@ -347,25 +356,18 @@ class ProtocolRun:
 
         The representative is counted as committed: the claim is its own,
         sent during the match.  Its bit is still transmitted (and charged)
-        like everyone else's.  A member whose bit is not a bool, the
-        representative included, is eliminated, left out of the votes and
-        dropped from the subset.
+        like everyone else's.  A member whose bit is malformed, the
+        representative included, is eliminated and left out of the votes.
         """
         t = self.transcript.group_rounds[group]
         committed = {subset.representative}
-        malformed = []
         query = CommitQuery(group=group, index=index, coord=coord, value=value)
         for j in subset.workers:
-            bit = self._respond(j, query)
-            self._log(t, group, j, "commit", bits=1)
-            if not isinstance(bit, (bool, np.bool_)):
-                malformed.append(j)
+            bit = self._ask(t, group, j, query)
+            if bit is None:
+                committed.discard(j)
             elif bit:
                 committed.add(j)
-        if malformed:
-            self._eliminate(t, group, malformed, "malformed_commit", index)
-            subset.workers = [j for j in subset.workers if j not in malformed]
-            committed.difference_update(malformed)
         return committed
 
     def local_compute(self, group: int, index: int, coord: int) -> int:
@@ -374,21 +376,20 @@ class ProtocolRun:
         The full vector is computed and cached; calling again for an index
         already in the computed list is a protocol bug.
         """
-        if index in self._gvalues:
+        if index in self.transcript.oracle_values:
             raise ValueError(f"gradient {index} was already computed locally")
         if self.oracle_budget is not None and len(self.transcript.oracle_calls) >= self.oracle_budget:
             self.transcript.truncated = True
             raise _BudgetExhausted
         t = self.transcript.group_rounds[group]
         vec = self.truth[index - 1].copy()
-        self._gvalues[index] = vec
         self.transcript.oracle_calls.append(OracleCall(t, group, index, coord))
-        self.transcript.oracle_values.append(vec)
+        self.transcript.oracle_values[index] = vec
         return int(vec[coord - 1])
 
     def _settle(self, group: int, index: int, coord: int) -> int:
-        if index in self._gvalues:
-            return int(self._gvalues[index][coord - 1])
+        if index in self.transcript.oracle_values:
+            return int(self.transcript.oracle_values[index][coord - 1])
         return self.local_compute(group, index, coord)
 
     def elimination_tournament(self, group: int, subsets: list) -> ConsistentSubset:
@@ -396,8 +397,9 @@ class ProtocolRun:
 
         A commit set smaller than u incriminates exactly its members; when
         both claims have at least u backers the leaf is settled locally and
-        every backer of a wrong value is removed.  Subsets falling below u
-        members drop out.
+        every backer of a wrong value is removed.  Eliminated workers leave
+        their subsets at the end of each iteration, and subsets falling
+        below u members drop out.
         """
         u = self.params.u
         while len(subsets) > 1:
@@ -410,28 +412,22 @@ class ProtocolRun:
             outcome = self.match(group, sub1, sub2)
             if outcome is not None:
                 index, coord, claim1, claim2 = outcome
+                sides = ((sub1, claim1), (sub2, claim2))
                 if u == 1:  # a lone backer settles it; no vote needed
-                    votes1 = {sub1.representative}
-                    votes2 = {sub2.representative}
+                    votes = [{sub.representative} for sub, _ in sides]
                 else:
-                    votes1 = self.commit_round(group, sub1, index, coord, claim1)
-                    votes2 = self.commit_round(group, sub2, index, coord, claim2)
+                    votes = [self.commit_round(group, sub, index, coord, claim) for sub, claim in sides]
                 t = self.transcript.group_rounds[group]
-                small1, small2 = len(votes1) < u, len(votes2) < u
-                if small1:
-                    self._eliminate(t, group, votes1, "undersupported_commit", index)
-                    sub1.workers = [j for j in sub1.workers if j not in votes1]
-                if small2:
-                    self._eliminate(t, group, votes2, "undersupported_commit", index)
-                    sub2.workers = [j for j in sub2.workers if j not in votes2]
-                if not small1 and not small2:
+                short = [backers for backers in votes if len(backers) < u]
+                for backers in short:
+                    self._eliminate(t, group, backers, "undersupported_commit", index)
+                if not short:
                     true_value = self._settle(group, index, coord)
-                    if claim1 != true_value:
-                        self._eliminate(t, group, votes1, "wrong_value", index)
-                        sub1.workers = [j for j in sub1.workers if j not in votes1]
-                    if claim2 != true_value:
-                        self._eliminate(t, group, votes2, "wrong_value", index)
-                        sub2.workers = [j for j in sub2.workers if j not in votes2]
+                    for backers, claim in zip(votes, (claim1, claim2)):
+                        if claim != true_value:
+                            self._eliminate(t, group, backers, "wrong_value", index)
+            for sub in subsets:
+                sub.workers = [j for j in sub.workers if j not in self._eliminated]
             subsets = [sub for sub in subsets if len(sub.workers) >= u]
         if not subsets:
             raise ProtocolError(f"group {group} lost every consistent subset")

@@ -37,7 +37,12 @@ from bgcsim.bounds import (
     scheme_upper_bounds,
 )
 from bgcsim.cli import ExperimentConfig, main, run_experiments
-from bgcsim.core import SchemeParams, random_gradients
+from bgcsim.core import (
+    SchemeParams,
+    build_fractional_repetition,
+    random_gradients,
+    replication_factor,
+)
 
 Q16 = 2**16
 
@@ -81,18 +86,21 @@ def _grid_params(entry):
 
 def test_criterion_1_exact_recovery(run_and_check):
     """1000 seeded trials per configuration and adversary: decode is always
-    the true full gradient and no honest worker is ever eliminated."""
+    the true full gradient and no honest worker is ever eliminated.  Every
+    run reports the replication factor of the assignment matrix."""
     trials = 1000
     started = time.time()
     with criterion(1, "exact recovery, honest safety"):
         for entry in GRID:
             params = _grid_params(entry)
+            r = replication_factor(build_fractional_repetition(params))
             for name, adversary in ADVERSARIES.items():
                 for seed in range(trials):
                     truth = random_gradients(params, np.random.default_rng([seed, 0]))
-                    run_and_check(
+                    _, metrics, _, _ = run_and_check(
                         params, truth, adversary, np.random.default_rng([seed, 1])
                     )
+                    assert metrics.r == r
     elapsed = time.time() - started
     print(f"        {len(GRID) * len(ADVERSARIES) * trials} runs in {elapsed:.1f}s")
 

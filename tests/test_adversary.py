@@ -13,7 +13,7 @@ from bgcsim.adversary import (
     symmetrization_attack,
     two_case_worlds,
 )
-from bgcsim.core import SchemeParams, random_gradients
+from bgcsim.core import SchemeParams, full_gradient, random_gradients
 
 
 def _attack(params, seed=0, **kwargs):
@@ -174,7 +174,9 @@ def test_two_case_worlds_small_grid():
             params = SchemeParams(s=s, u=u, m=1, p=8, d=1, q=2**16)
             w1, w2 = two_case_worlds(params, 1000 + 10 * s + u)
             assert w1.table.identical_to(w2.table)
-            assert not np.array_equal(w1.full_gradient(), w2.full_gradient())
+            assert not np.array_equal(
+                full_gradient(w1.truth, params.q), full_gradient(w2.truth, params.q)
+            )
             assert len(w1.malicious) <= s and len(w2.malicious) <= s
 
 
@@ -187,7 +189,9 @@ def test_two_case_worlds_random_params():
         params = SchemeParams(s=s, u=u, m=1, p=block, d=int(rng.integers(1, 4)), q=2**16)
         w1, w2 = two_case_worlds(params, rng)
         assert w1.table.identical_to(w2.table)
-        assert not np.array_equal(w1.full_gradient(), w2.full_gradient())
+        assert not np.array_equal(
+            full_gradient(w1.truth, params.q), full_gradient(w2.truth, params.q)
+        )
 
 
 def test_two_case_worlds_requires_a_dispute():

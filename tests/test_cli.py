@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -122,6 +123,47 @@ def test_byte_identical_reruns(tmp_path):
         )
         outputs.append((out.read_bytes(), transcripts))
     assert outputs[0] == outputs[1]
+
+
+# Output digests recorded before the engine's ask path and responders were
+# rewritten.  A change that only restructures code must leave them as they are.
+GOLDEN_CSV = [
+    (
+        ["--s", "3", "--u", "2", "--m", "2", "--p", "16", "--d", "2", "--seed", "7",
+         "--trials", "60", "--adversary", "flipflop"],
+        "602073e9963293397d8411d780eacefb52bd460a4f1a320b51069680aa548c36",
+    ),
+    (
+        ["--s", "4", "--u", "1", "--p", "16", "--d", "2", "--seed", "3", "--trials", "30",
+         "--adversary", "symmetrization", "--sweep", "u=1..5"],
+        "7da9349eb687a011bd5a4d145c8e1019ffcda577d201c1b0070a49fe22a93a26",
+    ),
+]
+GOLDEN_DUMP = (
+    ["--s", "3", "--u", "1", "--m", "3", "--p", "24", "--d", "2", "--seed", "11",
+     "--trials", "20", "--adversary", "flipflop"],
+    "5d5561a8e59e566899a59c807df0134e815d15be46243fbb2de5d9a3b24a0ed9",
+)
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_CSV, ids=["flipflop-m2", "sweep-u"])
+def test_golden_csv_bytes(tmp_path, argv, digest):
+    out = tmp_path / "rows.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_golden_transcript_dump(tmp_path):
+    argv, digest = GOLDEN_DUMP
+    dump = tmp_path / "dump"
+    assert main(argv + ["--out", str(tmp_path / "rows.csv"), "--dump-transcripts", str(dump)]) == 0
+    files = sorted(dump.iterdir())
+    assert len(files) == 20
+    h = hashlib.sha256()
+    for path in files:  # names and bytes, in sorted order
+        h.update(path.name.encode())
+        h.update(path.read_bytes())
+    assert h.hexdigest() == digest
 
 
 def test_csv_round_trip_recovers_numbers(tmp_path):

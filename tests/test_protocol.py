@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bgcsim.adversary import (
     CallbackAdversary,
@@ -15,6 +17,7 @@ from bgcsim.adversary import (
     TableAdversary,
     honest_table,
 )
+from bgcsim.bounds import check_compliance, verify_run
 from bgcsim.core import SchemeParams, full_gradient, random_gradients
 from bgcsim.protocol import ProtocolRun, metrics_from_transcript, run_scheme
 
@@ -95,16 +98,19 @@ def test_replication_in_metrics():
 
 
 def test_malformed_initial_response_eliminated(run_and_check):
+    asked = []
+
     def garbage(worker, query, rng):
-        if isinstance(query, InitialQuery):
-            return np.zeros(5, dtype=np.int64)  # wrong length
-        raise AssertionError("a malformed worker should never be queried again")
+        asked.append(query)
+        return np.zeros(5, dtype=np.int64)  # wrong length
 
     params = SchemeParams(s=1, u=1, m=1, p=4, d=2, q=Q16)
     truth = random_gradients(params, 7)
     _, metrics, transcript, _ = run_and_check(
         params, truth, CallbackAdversary(frozenset({1}), garbage)
     )
+    # a malformed worker is never queried again
+    assert asked == [InitialQuery(group=1)]
     assert metrics.T == 0 and metrics.c == 0
     assert transcript.eliminations[0].reason == "malformed_initial"
     assert transcript.eliminations[0].workers == (1,)
@@ -190,6 +196,7 @@ def test_undersupported_commit_eliminates_backers(run_and_check):
     truth = random_gradients(params, 23)
     wrong = truth[0:4].copy()
     wrong[1, 0] = (wrong[1, 0] + 9) % params.q
+    unknown = []
 
     def cagey(worker, query, rng):
         if isinstance(query, InitialQuery):
@@ -198,11 +205,12 @@ def test_undersupported_commit_eliminates_backers(run_and_check):
             return int(wrong[query.lo - 1 : query.hi - 1, 0].sum() % params.q)
         if isinstance(query, CommitQuery):
             return False
-        raise AssertionError
+        unknown.append(query)
 
     _, metrics, transcript, _ = run_and_check(
         params, truth, CallbackAdversary(frozenset({1, 2}), cagey)
     )
+    assert not unknown
     assert metrics.c == 0
     under = [e for e in transcript.eliminations if e.reason == "undersupported_commit"]
     assert under and under[0].workers == (1,)
@@ -233,6 +241,34 @@ def test_malformed_commit_eliminated(run_and_check, bit):
     assert metrics.c == 0
     assert {event.reason for event in transcript.eliminations} == {"malformed_commit"}
     assert transcript.eliminated_workers() == {1, 2, 3}
+
+
+@pytest.mark.parametrize("kind", ["initial", "label", "commit"])
+def test_raising_responder_is_malformed(run_and_check, kind):
+    # Three consistent liars raise instead of answering one kind of query.
+    # The exception never leaves the engine: it counts as a malformed
+    # answer, and no oracle call is needed to get rid of the liars.
+    params = SchemeParams(s=3, u=2, m=1, p=16, d=1, q=Q16)
+    truth = random_gradients(params, 61)
+    wrong = truth.copy()
+    wrong[5, 0] = (wrong[5, 0] + 1) % params.q
+    raising = {"initial": InitialQuery, "label": LabelQuery, "commit": CommitQuery}[kind]
+
+    def brittle(worker, query, rng):
+        if isinstance(query, raising):
+            raise RuntimeError(f"worker {worker} will not answer")
+        if isinstance(query, InitialQuery):
+            return wrong.sum(axis=0) % params.q
+        if isinstance(query, LabelQuery):
+            return int(wrong[query.lo - 1 : query.hi - 1, 0].sum() % params.q)
+        return True
+
+    _, metrics, transcript, _ = run_and_check(
+        params, truth, CallbackAdversary(frozenset({1, 2, 3}), brittle)
+    )
+    assert metrics.c == 0
+    assert {event.reason for event in transcript.eliminations} == {f"malformed_{kind}"}
+    assert 1 in transcript.eliminated_workers()
 
 
 def test_consistent_backers_all_vote(run_and_check):
@@ -405,6 +441,7 @@ def test_hammer_hostile_message_level(run_and_check):
     # Message-level chaos: wrong-shape initial vectors, garbage and
     # out-of-alphabet labels, random commits, all mixed per query.
     rng = np.random.default_rng(99)
+    unknown = []
     for trial in range(400):
         s = int(rng.integers(1, 7))
         u = int(rng.integers(1, s + 2))
@@ -439,9 +476,10 @@ def test_hammer_hostile_message_level(run_and_check):
                 return int(local.integers(params.q))
             if isinstance(query, CommitQuery):
                 return bool(local.integers(2))
-            raise AssertionError
+            unknown.append(query)
 
         run_and_check(params, truth, CallbackAdversary(malicious, nasty))
+        assert not unknown
 
 
 def test_metrics_match_transcript_totals():
@@ -454,3 +492,82 @@ def test_metrics_match_transcript_totals():
     assert rebuilt == metrics
     assert metrics.T == max(transcript.group_rounds.values())
     assert metrics.c == len(transcript.oracle_calls)
+
+
+class _Raise:
+    """Drawn in place of a response: the responder raises instead of answering."""
+
+
+def _responses(params, query, honest):
+    """Every kind of answer a malicious worker might send to ``query``."""
+    q, d = params.q, params.d
+    junk = st.sampled_from([None, "7", "", 2.5, float("nan"), [], object()])
+    raising = st.just(_Raise)
+    if isinstance(query, InitialQuery):
+        valid = st.lists(st.integers(0, q - 1), min_size=d, max_size=d)
+        return st.one_of(
+            st.just(honest),  # the honest block sum, so liars can join the honest subset
+            valid.map(lambda v: np.array(v, dtype=np.int64)),
+            valid,  # a plain list of ints is a valid vector too
+            valid.map(lambda v: np.array(v, dtype=np.float64)),  # wrong dtype
+            valid.map(lambda v: np.array([v], dtype=np.int64)),  # wrong shape
+            st.integers(0, d + 2).filter(lambda k: k != d).map(lambda k: np.zeros(k, dtype=np.int64)),
+            st.sampled_from([-1, q, 2**63, 2**64]).map(lambda x: [x] * d),  # out of the alphabet
+            valid.map(lambda v: [bool(x % 2) for x in v]),  # bools where symbols belong
+            junk,
+            raising,
+        )
+    if isinstance(query, LabelQuery):
+        valid = st.integers(0, q - 1)
+        return st.one_of(
+            st.just(honest),
+            valid,
+            valid.map(np.int64),
+            valid.map(np.uint64),
+            st.integers(min_value=q, max_value=2**70),  # out of the alphabet
+            st.integers(max_value=-1),
+            st.booleans(),  # a bool is not a label
+            st.booleans().map(np.bool_),
+            valid.map(lambda x: np.array([x])),  # wrong shape
+            st.floats(),
+            junk,
+            raising,
+        )
+    return st.one_of(
+        st.booleans(),
+        st.booleans().map(np.bool_),
+        st.integers(0, 1),  # an int is not a commit bit
+        st.just(np.array([True])),
+        junk,
+        raising,
+    )
+
+
+# Acceptance-grid points (s, u, m, p/m, d, q) with commit votes, several
+# groups and both alphabets.
+_FUZZ_GRID = [(2, 1, 1, 8, 2, Q16), (3, 2, 1, 8, 1, 2), (4, 2, 3, 4, 1, Q16), (5, 3, 1, 8, 4, Q16)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), point=st.sampled_from(_FUZZ_GRID), seed=st.integers(0, 2**16))
+def test_arbitrary_response_streams_never_break_a_run(data, point, seed):
+    """Whatever a malicious worker sends or raises, the run decodes exactly,
+    spares every honest worker and stays within the T/c/kappa bounds."""
+    s, u, m, block, d, q = point
+    params = SchemeParams(s=s, u=u, m=m, p=m * block, d=d, q=q)
+    truth = random_gradients(params, seed)
+    malicious = data.draw(
+        st.sets(st.integers(1, params.n), max_size=params.s), label="malicious"
+    )
+    honest = honest_table(params, truth)
+
+    def stream(worker, query, rng):
+        answer = data.draw(_responses(params, query, honest.answer(worker, query)))
+        if answer is _Raise:
+            raise RuntimeError("responder failed")
+        return answer
+
+    responder = CallbackAdversary(frozenset(malicious), stream).instantiate(params, truth, None)
+    ghat, metrics, transcript = ProtocolRun(params, truth, responder).execute()
+    assert verify_run(params, truth, responder.malicious, ghat, transcript) == []
+    assert check_compliance(params, metrics, transcript) == []
