@@ -62,10 +62,15 @@ class ClaimedGradientTable:
         self.params = params
         self.truth = np.asarray(truth, dtype=np.int64)
         self.deviations = {}
-        self._block_sums = {}  # group -> truth block sum mod q, computed on first use
+        self._block_sums = {}  # block start -> truth block sum mod q, computed on first use
+        blocks = [params.block_of_group(g) for g in range(1, params.m + 1)]
+        self._blocks = [None] + [blocks[(j - 1) // params.group_size] for j in range(1, params.n + 1)]
 
     def _block(self, worker: int, index: int = None) -> range:
-        block = self.params.block_of_group(self.params.group_of_worker(worker))
+        """The global gradient indices of ``worker``'s block (checking ``index`` is one)."""
+        if not 1 <= worker <= self.params.n:
+            raise ValueError(f"worker id out of range: {worker}")
+        block = self._blocks[worker]
         if index is not None and index not in block:
             raise ValueError(f"gradient {index} is not assigned to worker {worker}")
         return block
@@ -77,7 +82,7 @@ class ClaimedGradientTable:
         if vec.shape != (self.params.d,):
             raise ValueError(f"claimed vector must have shape ({self.params.d},): got {vec.shape}")
         own = self.deviations.setdefault(worker, {})
-        if np.array_equal(vec, self.truth[index - 1]):
+        if vec.tolist() == self.truth[index - 1].tolist():
             own.pop(index, None)
         else:
             own[index] = vec
@@ -88,13 +93,12 @@ class ClaimedGradientTable:
 
     def z0(self, worker: int) -> np.ndarray:
         """The worker's initial response: its claimed block sum mod q."""
-        g = self.params.group_of_worker(worker)
-        total = self._block_sums.get(g)
+        block = self._block(worker)
+        total = self._block_sums.get(block.start)
         if total is None:
-            block = self.params.block_of_group(g)
             total = self.truth[block.start - 1 : block.stop - 1].sum(axis=0) % self.params.q
             total.setflags(write=False)
-            self._block_sums[g] = total
+            self._block_sums[block.start] = total
         own = self.deviations.get(worker)
         if not own:
             return total

@@ -140,6 +140,10 @@ def parse_config(argv) -> ExperimentConfig:
         if merged.get(key) is None:
             parser.error(f"missing required parameter: --{key}")
     config = ExperimentConfig(**merged)
+    if config.trials < 1:
+        parser.error(f"--trials must be at least 1: got {config.trials}")
+    if config.seed < 0:
+        parser.error(f"--seed must be non-negative: got {config.seed}")
     if config.adversary not in ADVERSARIES and not config.adversary.startswith("table:"):
         parser.error(f"unknown adversary: {config.adversary!r}")
     if config.sweep is not None:
@@ -188,20 +192,34 @@ def expand_sweep(config: ExperimentConfig):
     return out
 
 
+class TableFileError(ValueError):
+    """A ``table:<file>`` adversary that cannot be read or does not fit the configuration."""
+
+
 def load_table_adversary(path, params: SchemeParams) -> "_TableFileAdversary":
     """Claimed-table adversary from JSON: {"malicious": [...], "claims": {"j": [[...]...]}}.
 
     Each claims entry is the worker's full (p/m) x d block, diffed against
-    the truth when a run binds it; omitted workers claim the truth.
+    the truth when a run binds it; omitted workers claim the truth.  Raises
+    TableFileError when the file cannot be read or does not fit ``params``.
     """
-    spec = json.loads(Path(path).read_text())
-    malicious = frozenset(int(j) for j in spec.get("malicious", []))
-    overrides = {int(j): np.asarray(v, dtype=np.int64) for j, v in spec.get("claims", {}).items()}
+    try:
+        spec = json.loads(Path(path).read_text())
+        malicious = frozenset(int(j) for j in spec.get("malicious", []))
+        overrides = {
+            int(j): np.asarray(v, dtype=np.int64) for j, v in spec.get("claims", {}).items()
+        }
+    except (OSError, ValueError, TypeError, AttributeError) as exc:
+        raise TableFileError(f"cannot read table file {path}: {exc}") from exc
+    if not all(1 <= j <= params.n for j in malicious):
+        raise TableFileError(f"malicious worker ids must be in 1..{params.n}: got {sorted(malicious)}")
+    if len(malicious) > params.s:
+        raise TableFileError(f"{len(malicious)} malicious workers exceed the budget s={params.s}")
     for j, block in overrides.items():
         if j not in malicious:
-            raise ValueError(f"claims given for worker {j} not listed as malicious")
+            raise TableFileError(f"claims given for worker {j} not listed as malicious")
         if block.shape != (params.block_size, params.d):
-            raise ValueError(
+            raise TableFileError(
                 f"claims for worker {j} must have shape {(params.block_size, params.d)}"
             )
     return _TableFileAdversary(malicious, overrides)
@@ -247,13 +265,13 @@ def run_experiments(config: ExperimentConfig):
     the exception message; bound violations only clear ``bounds_ok``.
     """
     points = expand_sweep(config)
+    adversaries = [make_adversary(config.adversary, params) for params in points]
     dump_dir = None
     if config.dump_transcripts is not None:
         dump_dir = Path(config.dump_transcripts)
         dump_dir.mkdir(parents=True, exist_ok=True)
     rows = []
-    for point_idx, params in enumerate(points):
-        adversary = make_adversary(config.adversary, params)
+    for point_idx, (params, adversary) in enumerate(zip(points, adversaries)):
         report = BoundsReport.from_params(params)
         t_vals, c_vals, kappa_vals, comm_vals = [], [], [], []
         bounds_ok = True
@@ -403,6 +421,9 @@ def main(argv=None) -> int:
         except CorrectnessFailure as exc:
             print(f"FAILED: {exc}", file=sys.stderr)
             return 1
+        except TableFileError as exc:
+            print(f"bgcsim: error: {exc}", file=sys.stderr)
+            return 2
         columns = RESULT_COLUMNS
         all_ok = all(row["bounds_ok"] and row["correct"] for row in rows)
     text = format_rows(columns, rows, config.format)

@@ -28,9 +28,14 @@ Accounting rules:
   - c counts distinct gradient indices fetched from the local oracle.  A
     leaf that was already settled is decided from the cached value without
     touching the oracle again.
-  - every query goes through one ask path that charges its message
-    (initial d symbols, label 1 symbol, commit 1 bit) whatever comes back.
-    A response of the wrong shape or type, or outside the alphabet,
+  - every message is charged in one place (initial d symbols, label 1
+    symbol, commit 1 bit) whatever comes back; the charge appends it to the
+    message log and adds its t >= 1 symbols and bits to exact counters,
+    which kappa is computed from.
+  - honest workers are answered straight from the honest table, which
+    reduces every answer mod q, so their answers are not checked.  Only
+    adversary input goes through the ask path, which validates it: a
+    response of the wrong shape or type, or outside the alphabet,
     incriminates its sender, who is eliminated on the spot (reasons
     malformed_initial, malformed_label and malformed_commit); so is a
     malicious responder that raises instead of answering.  A commit bit
@@ -88,12 +93,22 @@ class _BudgetExhausted(Exception):
     pass
 
 
+def _kappa(q: int, symbols: int, bits: int) -> float:
+    """Overhead in alphabet symbols: symbols plus bits at 1/log2(q) symbols each."""
+    kappa = float(symbols)
+    if bits:
+        kappa += bits / math.log2(q)
+    return kappa
+
+
 @dataclass
 class Transcript:
     """Everything a run transmitted, computed and decided, in order."""
 
     params: SchemeParams
     messages: list = field(default_factory=list)
+    kappa_symbols: int = 0  # symbols and bits of the t >= 1 messages, counted as charged
+    kappa_bits: int = 0
     oracle_calls: list = field(default_factory=list)
     oracle_values: dict = field(default_factory=dict)  # gradient index -> full vector, in call order
     eliminations: list = field(default_factory=list)
@@ -107,10 +122,7 @@ class Transcript:
         """Protocol overhead in alphabet symbols, recomputed from the raw log."""
         symbols = sum(m.symbols for m in self.messages if m.t >= 1)
         bits = sum(m.bits for m in self.messages if m.t >= 1)
-        kappa = float(symbols)
-        if bits:
-            kappa += bits / math.log2(self.params.q)
-        return kappa
+        return _kappa(self.params.q, symbols, bits)
 
     def eliminated_workers(self) -> set:
         out = set()
@@ -155,7 +167,7 @@ class Metrics:
 
 
 def metrics_from_transcript(params: SchemeParams, transcript: Transcript) -> Metrics:
-    kappa = transcript.kappa()
+    kappa = _kappa(params.q, transcript.kappa_symbols, transcript.kappa_bits)
     return Metrics(
         T=max(transcript.group_rounds.values(), default=0),
         c=len(transcript.oracle_calls),
@@ -222,24 +234,31 @@ class ProtocolRun:
             )
             self._eliminated.update(workers)
 
-    def _ask(self, t, group, worker, query):
-        """Send ``query`` to ``worker``, charge the message and check the answer.
+    def _charge(self, t, group, worker, kind):
+        """Log one worker-to-main message and count its cost towards kappa."""
+        symbols, bits = self._cost[kind]
+        transcript = self.transcript
+        transcript.messages.append(Message(t, group, worker, kind, symbols, bits))
+        if t >= 1:
+            transcript.kappa_symbols += symbols
+            transcript.kappa_bits += bits
 
-        Returns the answer as the engine uses it (an int64 vector, a symbol
-        or a bool), or None after eliminating the sender as
-        malformed_<kind>.  Anything a malicious responder raises counts as
-        a malformed answer; the honest table is not guarded, so a bug there
-        still propagates.
+    def _ask(self, t, group, worker, query):
+        """Send ``query`` to malicious ``worker``, charge the message and check the answer.
+
+        This is the only path adversary input takes.  Returns the answer as
+        the engine uses it (an int64 vector, a symbol or a bool), or None
+        after eliminating the sender as malformed_<kind>.  Anything the
+        responder raises counts as a malformed answer.  Honest workers never
+        come here: the stages read their answers from the honest table and
+        charge them directly.
         """
         kind = _KIND[type(query)]
-        if worker in self.responder.malicious:
-            try:
-                value = self._validate(kind, self.responder.respond(worker, query))
-            except Exception:
-                value = None
-        else:
-            value = self._validate(kind, self._honest.answer(worker, query))
-        self.transcript.messages.append(Message(t, group, worker, kind, *self._cost[kind]))
+        try:
+            value = self._validate(kind, self.responder.respond(worker, query))
+        except Exception:
+            value = None
+        self._charge(t, group, worker, kind)
         if value is None:
             index = query.index if kind == "commit" else 0
             self._eliminate(t, group, (worker,), f"malformed_{kind}", index)
@@ -257,7 +276,8 @@ class ProtocolRun:
         arr = np.asarray(answer)
         if arr.shape != (self.params.d,) or arr.dtype.kind not in "iu":  # signed or unsigned ints
             return None
-        if not ((arr >= 0) & (arr < self.params.q)).all():
+        values = arr.tolist()  # d is small: Python ints beat numpy's per-call cost here
+        if min(values) < 0 or max(values) >= self.params.q:
             return None
         return arr.astype(np.int64)
 
@@ -266,10 +286,18 @@ class ProtocolRun:
     def initial_round(self) -> dict:
         """t=0: every worker sends its claimed block sum (d symbols, not in kappa)."""
         z0 = {}
-        for j in range(1, self.params.n + 1):
-            g = self.params.group_of_worker(j)
-            vec = self._ask(0, g, j, InitialQuery(group=g))
-            if vec is not None:
+        malicious = self.responder.malicious
+        for g in range(1, self.params.m + 1):
+            workers = self.params.workers_of_group(g)
+            block_sum = self._honest.z0(workers[0])  # what every honest member sends
+            for j in workers:
+                if j in malicious:
+                    vec = self._ask(0, g, j, InitialQuery(group=g))
+                    if vec is None:
+                        continue
+                else:
+                    vec = block_sum
+                    self._charge(0, g, j, "initial")
                 z0[j] = vec
         return z0
 
@@ -323,7 +351,8 @@ class ProtocolRun:
         garbage and was eliminated mid-match.  Both reps are asked at every
         level, even when the first answer is already malformed.
         """
-        rep1, rep2 = sub1.representative, sub2.representative
+        reps = (sub1.representative, sub2.representative)
+        malicious = self.responder.malicious
         differing = np.nonzero(sub1.value != sub2.value)[0]
         if differing.size == 0:
             raise ProtocolError("match requires representatives with differing responses")
@@ -336,9 +365,14 @@ class ProtocolRun:
             mid = lo + (hi - lo + 1) // 2  # the left child takes the ceiling half
             self.transcript.group_rounds[group] += 1
             t = self.transcript.group_rounds[group]
-            query = LabelQuery(group=group, lo=lo, hi=mid, coord=coord)
-            a1 = self._ask(t, group, rep1, query)
-            a2 = self._ask(t, group, rep2, query)
+            answers = []
+            for rep in reps:
+                if rep in malicious:
+                    answers.append(self._ask(t, group, rep, LabelQuery(group, lo, mid, coord)))
+                else:
+                    answers.append(self._honest.label(rep, lo, mid, coord))
+                    self._charge(t, group, rep, "label")
+            a1, a2 = answers
             if a1 is None or a2 is None:
                 return None
             if a1 == a2:
@@ -361,9 +395,13 @@ class ProtocolRun:
         """
         t = self.transcript.group_rounds[group]
         committed = {subset.representative}
-        query = CommitQuery(group=group, index=index, coord=coord, value=value)
+        malicious = self.responder.malicious
         for j in subset.workers:
-            bit = self._ask(t, group, j, query)
+            if j in malicious:
+                bit = self._ask(t, group, j, CommitQuery(group, index, coord, value))
+            else:
+                bit = int(self._honest.value(j, index)[coord - 1]) == value
+                self._charge(t, group, j, "commit")
             if bit is None:
                 committed.discard(j)
             elif bit:

@@ -87,7 +87,9 @@ def _grid_params(entry):
 def test_criterion_1_exact_recovery(run_and_check):
     """1000 seeded trials per configuration and adversary: decode is always
     the true full gradient and no honest worker is ever eliminated.  Every
-    run reports the replication factor of the assignment matrix."""
+    run reports the replication factor of the assignment matrix, and its
+    kappa, counted as messages were charged, equals kappa recomputed from
+    the message log exactly."""
     trials = 1000
     started = time.time()
     with criterion(1, "exact recovery, honest safety"):
@@ -97,10 +99,11 @@ def test_criterion_1_exact_recovery(run_and_check):
             for name, adversary in ADVERSARIES.items():
                 for seed in range(trials):
                     truth = random_gradients(params, np.random.default_rng([seed, 0]))
-                    _, metrics, _, _ = run_and_check(
+                    _, metrics, transcript, _ = run_and_check(
                         params, truth, adversary, np.random.default_rng([seed, 1])
                     )
                     assert metrics.r == r
+                    assert metrics.kappa == transcript.kappa()  # counters match the log exactly
     elapsed = time.time() - started
     print(f"        {len(GRID) * len(ADVERSARIES) * trials} runs in {elapsed:.1f}s")
 

@@ -50,6 +50,21 @@ def test_invalid_params_reported_with_key(capsys):
     assert "divide p" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_trials_below_one_is_usage_error(capsys, trials):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--s", "2", "--u", "1", "--p", "8", "--d", "2", "--trials", trials])
+    assert exit_info.value.code == 2
+    assert "--trials must be at least 1" in capsys.readouterr().err
+
+
+def test_negative_seed_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--s", "2", "--u", "1", "--p", "8", "--d", "2", "--seed", "-1"])
+    assert exit_info.value.code == 2
+    assert "--seed must be non-negative" in capsys.readouterr().err
+
+
 def test_sweep_expansion_recomputes_n():
     config = parse_config(
         ["--s", "10", "--u", "1", "--p", "16", "--d", "1", "--sweep", "u=1..11"]
@@ -144,6 +159,31 @@ GOLDEN_DUMP = (
      "--trials", "20", "--adversary", "flipflop"],
     "5d5561a8e59e566899a59c807df0134e815d15be46243fbb2de5d9a3b24a0ed9",
 )
+# Runs with commit rounds against table-backed adversaries: (argv, CSV digest,
+# transcript dump digest), recorded before honest answers stopped going
+# through the ask path.
+GOLDEN_COMMIT_RUNS = [
+    (
+        ["--s", "5", "--u", "2", "--p", "16", "--d", "2", "--q", "2", "--trials", "20",
+         "--adversary", "symmetrization"],
+        "48a3a759697dc74d84c91da6e5966f29bb97173d7fbc69bdf12b215eccb6f421",
+        "7066734be1cccf7d24d51fc0c8448bd786d1ac0b67f2c59b8a93a495d4835670",
+    ),
+    (
+        ["--s", "4", "--u", "2", "--m", "2", "--p", "16", "--d", "1", "--trials", "20",
+         "--adversary", "symmetrization-collusive"],
+        "893735a3a159a1604add88c7fa9486499887102a7dc58dbd42ab6ba6b19b7b54",
+        "edab34c4f81ccd05a9ebc061266e83aaa926775ad1d335ee6c47cf418a656e29",
+    ),
+]
+
+
+def _dump_digest(dump):
+    h = hashlib.sha256()
+    for path in sorted(dump.iterdir()):  # names and bytes, in sorted order
+        h.update(path.name.encode())
+        h.update(path.read_bytes())
+    return h.hexdigest()
 
 
 @pytest.mark.parametrize("argv, digest", GOLDEN_CSV, ids=["flipflop-m2", "sweep-u"])
@@ -157,13 +197,19 @@ def test_golden_transcript_dump(tmp_path):
     argv, digest = GOLDEN_DUMP
     dump = tmp_path / "dump"
     assert main(argv + ["--out", str(tmp_path / "rows.csv"), "--dump-transcripts", str(dump)]) == 0
-    files = sorted(dump.iterdir())
-    assert len(files) == 20
-    h = hashlib.sha256()
-    for path in files:  # names and bytes, in sorted order
-        h.update(path.name.encode())
-        h.update(path.read_bytes())
-    assert h.hexdigest() == digest
+    assert len(list(dump.iterdir())) == 20
+    assert _dump_digest(dump) == digest
+
+
+@pytest.mark.parametrize(
+    "argv, csv_digest, dump_digest", GOLDEN_COMMIT_RUNS, ids=["per-index-q2", "collusive-m2"]
+)
+def test_golden_commit_rounds(tmp_path, argv, csv_digest, dump_digest):
+    out, dump = tmp_path / "rows.csv", tmp_path / "dump"
+    assert main(argv + ["--out", str(out), "--dump-transcripts", str(dump)]) == 0
+    assert any(b'"kind":"commit"' in path.read_bytes() for path in dump.iterdir())
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_digest
+    assert _dump_digest(dump) == dump_digest
 
 
 def test_csv_round_trip_recovers_numbers(tmp_path):
@@ -242,6 +288,25 @@ def test_table_file_validation(tmp_path):
     path.write_text(json.dumps({"malicious": [1], "claims": {"1": [[0], [0]]}}))
     with pytest.raises(ValueError, match="shape"):
         cli.load_table_adversary(path, params)
+
+
+def test_bad_table_file_is_one_line_error(tmp_path, capsys):
+    argv = ["--s", "1", "--u", "1", "--p", "4", "--d", "1", "--trials", "1", "--adversary"]
+    missing = tmp_path / "missing.json"
+    assert main(argv + [f"table:{missing}"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "cannot read table file" in err and "missing.json" in err
+
+    wrong_shape = tmp_path / "short.json"
+    wrong_shape.write_text(json.dumps({"malicious": [1], "claims": {"1": [[0], [0]]}}))
+    assert main(argv + [f"table:{wrong_shape}"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "must have shape (4, 1)" in err
+
+    over_budget = tmp_path / "two.json"
+    over_budget.write_text(json.dumps({"malicious": [1, 2]}))
+    assert main(argv + [f"table:{over_budget}"]) == 2
+    assert "exceed the budget s=1" in capsys.readouterr().err
 
 
 def test_fig1_reduction_values():

@@ -148,6 +148,27 @@ def test_out_of_alphabet_label_is_malformed(run_and_check):
     assert {event.reason for event in transcript.eliminations} == {"malformed_label"}
 
 
+@pytest.mark.parametrize(
+    "entry, dtype, malformed",
+    [(0, np.int64, False), (Q16 - 1, np.int64, False), (Q16 - 1, np.uint16, False),
+     (-1, np.int64, True), (Q16, np.int64, True), (2**64 - 1, np.uint64, True)],
+)
+def test_initial_vector_alphabet_edges(entry, dtype, malformed):
+    # A malicious block sum is accepted exactly when every entry is in [0, q).
+    params = SchemeParams(s=1, u=1, m=1, p=4, d=2, q=Q16)
+    truth = random_gradients(params, 17)
+    answer = np.array([0, entry], dtype=dtype)
+    responder = CallbackAdversary(frozenset({1}), lambda w, q, r: answer).instantiate(
+        params, truth, None
+    )
+    run = ProtocolRun(params, truth, responder)
+    z0 = run.initial_round()
+    assert (1 not in z0) == malformed
+    if not malformed:
+        assert z0[1].dtype == np.int64 and z0[1].tolist() == [0, entry]
+    assert [e.reason for e in run.transcript.eliminations] == ["malformed_initial"] * malformed
+
+
 def test_budget_checked_before_start():
     params = SchemeParams(s=1, u=1, m=1, p=4, d=1, q=Q16)
     truth = random_gradients(params, 0)
@@ -373,6 +394,21 @@ def test_kappa_recomputed_from_jsonl_export():
             bits += record["bits"]
     assert metrics.kappa == float(symbols) + bits / math.log2(params.q)
     assert metrics.kappa == transcript.kappa()
+
+
+def test_kappa_cross_check_catches_a_dropped_message():
+    # kappa is counted as messages are charged; check_compliance recomputes
+    # it from the message log, so a log that lost a t >= 1 message disagrees.
+    params = SchemeParams(s=3, u=2, m=1, p=8, d=1, q=Q16)
+    truth = random_gradients(params, 45)
+    _, metrics, transcript = run_scheme(
+        params, truth, SymmetrizationAdversary(), rng=np.random.default_rng(45)
+    )
+    assert check_compliance(params, metrics, transcript) == []
+    dropped = next(m for m in transcript.messages if m.t >= 1)
+    transcript.messages.remove(dropped)
+    problems = check_compliance(params, metrics, transcript)
+    assert problems == ["kappa recomputed from the message log disagrees with the metric"]
 
 
 def test_smoke_grid_all_adversaries(run_and_check):
