@@ -56,15 +56,27 @@ class ClaimedGradientTable:
     deviations is honest.  Values outside a worker's block are not
     representable, matching the assignment structure.  The truth array is
     shared with the caller and only ever read.
+
+    Sums of the truth are memoized on first use: the block sum mod q by block
+    start, and the raw slice sum by (first, stop, coord) (global, half-open).
+    ``z0`` and ``label`` add a worker's own deviations on top of them.  A
+    table and its ``honest_twin`` share one memo, so the memo relies on the
+    truth array not changing while any table over it is alive.
     """
 
     def __init__(self, params: SchemeParams, truth: np.ndarray):
         self.params = params
         self.truth = np.asarray(truth, dtype=np.int64)
         self.deviations = {}
-        self._block_sums = {}  # block start -> truth block sum mod q, computed on first use
+        self._sums = {}  # truth sums: block start -> ndarray mod q; (first, stop, coord) -> int
         blocks = [params.block_of_group(g) for g in range(1, params.m + 1)]
         self._blocks = [None] + [blocks[(j - 1) // params.group_size] for j in range(1, params.n + 1)]
+
+    def honest_twin(self) -> "ClaimedGradientTable":
+        """A table with no deviations over the same truth, sharing its block list and memo."""
+        twin = object.__new__(ClaimedGradientTable)
+        twin.__dict__.update(self.__dict__, deviations={})
+        return twin
 
     def _block(self, worker: int, index: int = None) -> range:
         """The global gradient indices of ``worker``'s block (checking ``index`` is one)."""
@@ -94,11 +106,11 @@ class ClaimedGradientTable:
     def z0(self, worker: int) -> np.ndarray:
         """The worker's initial response: its claimed block sum mod q."""
         block = self._block(worker)
-        total = self._block_sums.get(block.start)
+        total = self._sums.get(block.start)
         if total is None:
             total = self.truth[block.start - 1 : block.stop - 1].sum(axis=0) % self.params.q
             total.setflags(write=False)
-            self._block_sums[block.start] = total
+            self._sums[block.start] = total
         own = self.deviations.get(worker)
         if not own:
             return total
@@ -112,7 +124,10 @@ class ClaimedGradientTable:
         if not 1 <= lo < hi <= len(block) + 1 or not 1 <= coord <= self.params.d:
             raise ValueError(f"no label for range [{lo}, {hi}) at coordinate {coord}")
         first, stop = block.start + lo - 1, block.start + hi - 1  # global, half-open
-        total = int(self.truth[first - 1 : stop - 1, coord - 1].sum())
+        key = (first, stop, coord)
+        total = self._sums.get(key)
+        if total is None:
+            total = self._sums[key] = int(self.truth[first - 1 : stop - 1, coord - 1].sum())
         for index, vec in self.deviations.get(worker, {}).items():
             if first <= index < stop:
                 total += int(vec[coord - 1]) - int(self.truth[index - 1, coord - 1])

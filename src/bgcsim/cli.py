@@ -84,7 +84,7 @@ class ExperimentConfig:
     figure: str = None  # type: ignore[assignment]
 
 
-_CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)}
+_CONFIG_FIELDS = {f.name: f for f in fields(ExperimentConfig)}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -128,17 +128,27 @@ def parse_config(argv) -> ExperimentConfig:
             loaded = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             parser.error(f"cannot read config file: {exc}")
-        unknown = set(loaded) - _CONFIG_KEYS
+        if not isinstance(loaded, dict):
+            parser.error("config file must hold a JSON object")
+        unknown = set(loaded) - set(_CONFIG_FIELDS)
         if unknown:
             parser.error(f"unknown config keys: {sorted(unknown)}")
         merged.update(loaded)
-    for key in _CONFIG_KEYS:
+    for key in _CONFIG_FIELDS:
         flag = getattr(args, key.replace("-", "_"), None)
         if flag is not None:
             merged[key] = flag
     for key in ("s", "u", "p", "d"):
         if merged.get(key) is None:
             parser.error(f"missing required parameter: --{key}")
+    for key, value in merged.items():  # flags are typed by argparse; this checks the file
+        spec = _CONFIG_FIELDS[key]
+        if value is None and spec.default is None:
+            continue
+        if spec.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
+            parser.error(f"config key {key!r} must be an integer: got {json.dumps(value)}")
+        if spec.type == "str" and not isinstance(value, str):
+            parser.error(f"config key {key!r} must be a string: got {json.dumps(value)}")
     config = ExperimentConfig(**merged)
     if config.trials < 1:
         parser.error(f"--trials must be at least 1: got {config.trials}")
@@ -146,6 +156,10 @@ def parse_config(argv) -> ExperimentConfig:
         parser.error(f"--seed must be non-negative: got {config.seed}")
     if config.adversary not in ADVERSARIES and not config.adversary.startswith("table:"):
         parser.error(f"unknown adversary: {config.adversary!r}")
+    if config.format not in ("csv", "json"):
+        parser.error(f"format must be csv or json: got {config.format!r}")
+    if config.figure is not None and config.figure not in FIGURES:
+        parser.error(f"figure must be one of {FIGURES}: got {config.figure!r}")
     if config.sweep is not None:
         axis = config.sweep.split("=", 1)[0]
         if axis not in SWEEP_AXES:
@@ -192,7 +206,11 @@ def expand_sweep(config: ExperimentConfig):
     return out
 
 
-class TableFileError(ValueError):
+class ConfigError(ValueError):
+    """A configuration that parses but cannot run; reported as one line with exit 2."""
+
+
+class TableFileError(ConfigError):
     """A ``table:<file>`` adversary that cannot be read or does not fit the configuration."""
 
 
@@ -240,6 +258,12 @@ class _TableFileAdversary:
 
 
 def make_adversary(spec: str, params: SchemeParams):
+    planted = params.s // params.u
+    if spec in ("symmetrization", "symmetrization-collusive") and planted > params.block_size:
+        raise ConfigError(
+            f"{spec} needs floor(s/u) <= p/m: got floor({params.s}/{params.u}) = {planted} "
+            f"> {params.p}/{params.m} = {params.block_size}"
+        )
     if spec == "none":
         return NoAdversary()
     if spec == "symmetrization":
@@ -381,7 +405,9 @@ def emit_figure_data(which: str, config: ExperimentConfig):
         for params in _figure_grid(config):
             report = BoundsReport.from_params(params)
             if report.kappa_lower is None or report.kappa_lower == 0.0:
-                raise ValueError("convergence grid needs floor(s/u) >= 1")
+                raise ConfigError(
+                    f"appendixF-convergence needs floor(s/u) >= 1: got s={config.s}, u={config.u}"
+                )
             rows.append(
                 {
                     "p": params.p,
@@ -410,22 +436,36 @@ def _cell(value) -> str:
     return str(value)
 
 
+def check_outputs(config: ExperimentConfig) -> None:
+    """Raise ConfigError unless the output file and the dump directory can be written."""
+    if config.out is not None:
+        out = Path(config.out)
+        if out.is_dir() or not out.parent.is_dir():
+            raise ConfigError(f"--out must name a file in an existing directory: {config.out}")
+    if config.dump_transcripts is not None:
+        dump = Path(config.dump_transcripts)
+        existing = next(path for path in (dump, *dump.parents) if path.exists())
+        if not existing.is_dir():
+            raise ConfigError(f"--dump-transcripts must name a directory: {existing} is a file")
+
+
 def main(argv=None) -> int:
     config = parse_config(sys.argv[1:] if argv is None else argv)
-    if config.figure is not None:
-        columns, rows = emit_figure_data(config.figure, config)
-        all_ok = True
-    else:
-        try:
+    try:
+        check_outputs(config)
+        if config.figure is not None:
+            columns, rows = emit_figure_data(config.figure, config)
+            all_ok = True
+        else:
             rows = run_experiments(config)
-        except CorrectnessFailure as exc:
-            print(f"FAILED: {exc}", file=sys.stderr)
-            return 1
-        except TableFileError as exc:
-            print(f"bgcsim: error: {exc}", file=sys.stderr)
-            return 2
-        columns = RESULT_COLUMNS
-        all_ok = all(row["bounds_ok"] and row["correct"] for row in rows)
+            columns = RESULT_COLUMNS
+            all_ok = all(row["bounds_ok"] and row["correct"] for row in rows)
+    except CorrectnessFailure as exc:
+        print(f"FAILED: {exc}", file=sys.stderr)
+        return 1
+    except ConfigError as exc:
+        print(f"bgcsim: error: {exc}", file=sys.stderr)
+        return 2
     text = format_rows(columns, rows, config.format)
     if config.out is None:
         sys.stdout.write(text)

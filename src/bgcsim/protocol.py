@@ -222,7 +222,11 @@ class ProtocolRun:
         )
         self._resolved = {}  # group -> surviving value, shape (d,)
         self._eliminated = set()  # every worker eliminated so far, in any group
-        self._honest = honest_table(params, truth)
+        table = getattr(responder, "table", None)
+        if table is not None and table.params == params and table.truth is truth:
+            self._honest = table.honest_twin()  # one memo of truth sums for both tables
+        else:
+            self._honest = honest_table(params, truth)
         self._cost = {"initial": (params.d, 0), "label": (1, 0), "commit": (0, 1)}  # (symbols, bits)
 
     # -- plumbing ----------------------------------------------------------

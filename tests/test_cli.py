@@ -309,6 +309,70 @@ def test_bad_table_file_is_one_line_error(tmp_path, capsys):
     assert "exceed the budget s=1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"trials": "5"}, "'trials' must be an integer"),
+        ({"s": "2"}, "'s' must be an integer"),
+        ({"trials": 2.5}, "'trials' must be an integer"),
+        ({"s": True}, "'s' must be an integer"),
+        ({"adversary": 3}, "'adversary' must be a string"),
+    ],
+)
+def test_config_file_value_types_checked(tmp_path, capsys, entry, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"s": 2, "u": 1, "p": 8, "d": 2, "trials": 1, **entry}))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--config", str(path)])
+    assert exit_info.value.code == 2
+    assert f"bgcsim: error: config key {message}" in capsys.readouterr().err
+
+
+_SMALL = ["--s", "1", "--u", "1", "--p", "4", "--d", "1", "--trials", "1"]
+
+
+def _no_trials(monkeypatch):
+    monkeypatch.setattr(cli, "random_gradients", lambda *args: pytest.fail("a trial ran"))
+
+
+def test_out_in_missing_directory_rejected_before_any_run(tmp_path, capsys, monkeypatch):
+    _no_trials(monkeypatch)
+    assert main(_SMALL + ["--out", str(tmp_path / "missing" / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("bgcsim: error: --out") and "missing" in err
+
+
+def test_dump_transcripts_onto_a_file_rejected_before_any_run(tmp_path, capsys, monkeypatch):
+    _no_trials(monkeypatch)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(_SMALL + ["--dump-transcripts", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("bgcsim: error: --dump-transcripts")
+
+
+def test_convergence_figure_without_a_dispute_is_one_line_error(capsys):
+    argv = ["--s", "1", "--u", "3", "--p", "64", "--d", "1", "--figure", "appendixF-convergence"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert "appendixF-convergence needs floor(s/u) >= 1" in captured.err
+
+
+@pytest.mark.parametrize("adversary", ["symmetrization", "symmetrization-collusive"])
+@pytest.mark.parametrize(
+    "shape",
+    [["--p", "4"], ["--p", "8", "--sweep", "p=8,4"]],  # infeasible at once, or at the last point
+    ids=["single", "sweep"],
+)
+def test_infeasible_symmetrization_rejected_before_any_trial(capsys, monkeypatch, adversary, shape):
+    _no_trials(monkeypatch)
+    argv = ["--s", "6", "--u", "1", "--d", "1", "--trials", "1", "--adversary", adversary]
+    assert main(argv + shape) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "floor(6/1) = 6 > 4/1 = 4" in err
+
+
 def test_fig1_reduction_values():
     config = ExperimentConfig(s=10, u=1, p=10**4, d=10**6, q=65536)
     columns, rows = emit_figure_data("fig1", config)

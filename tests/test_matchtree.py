@@ -150,6 +150,18 @@ def test_root_vector_is_block_sum():
     assert table.z0(2).tolist() == [0, 0]
 
 
+def _tree(block):
+    """Every node [lo, hi) of the sum-tree over block positions 1..block."""
+    nodes, stack = [], [(1, block + 1)]
+    while stack:
+        lo, hi = stack.pop()
+        nodes.append((lo, hi))
+        if hi - lo > 1:
+            mid = lo + (hi - lo + 1) // 2
+            stack.extend(((lo, mid), (mid, hi)))
+    return nodes
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     block=st.integers(min_value=2, max_value=64),
@@ -159,27 +171,40 @@ def test_root_vector_is_block_sum():
     seed=st.integers(min_value=0, max_value=2**31),
 )
 def test_sibling_sum_identity(block, m, d, q, seed):
+    # A deviated table and its honest twin share one memo of truth sums; the
+    # queries interleave across both in a random order, so each reads sums
+    # the other may have memoized first.  Every answer is checked against a
+    # plain loop over the claimed rows.
     rng = np.random.default_rng(seed)
     params = SchemeParams(s=2, u=1, m=m, p=m * block, d=d, q=q)
-    table = honest_table(params, rng.integers(0, q, size=(params.p, d)))
+    truth = rng.integers(0, q, size=(params.p, d))
+    table = honest_table(params, truth)
+    claimed, honest = {}, {}
     for j in range(1, params.n + 1):
         start = params.block_of_group(params.group_of_worker(j)).start
+        honest[j] = truth[start - 1 : start - 1 + block].tolist()
+        claimed[j] = [list(row) for row in honest[j]]
         for offset in rng.choice(block, size=int(rng.integers(0, block + 1)), replace=False):
-            table.set(j, start + int(offset), rng.integers(0, q, size=d))
-    for j in range(1, params.n + 1):
-        start = params.block_of_group(params.group_of_worker(j)).start
-        claims = np.array([table.value(j, start + k) for k in range(block)])
-        assert table.z0(j).tolist() == (claims.sum(axis=0) % q).tolist()
-        stack = [(1, block + 1)]
-        while stack:
-            lo, hi = stack.pop()
-            for coord in range(1, d + 1):
-                label = table.label(j, lo, hi, coord)
-                assert label == int(claims[lo - 1 : hi - 1, coord - 1].sum() % q)
-                if hi - lo > 1:
-                    mid = lo + (hi - lo + 1) // 2
-                    total = (table.label(j, lo, mid, coord) + table.label(j, mid, hi, coord)) % q
-                    assert total == label
-            if hi - lo > 1:
-                mid = lo + (hi - lo + 1) // 2
-                stack.extend(((lo, mid), (mid, hi)))
+            vec = rng.integers(0, q, size=d)
+            table.set(j, start + int(offset), vec)
+            claimed[j][int(offset)] = vec.tolist()
+    twin = table.honest_twin()
+    queries = []
+    for tab, rows in ((table, claimed), (twin, honest)):
+        for j in range(1, params.n + 1):
+            queries.append((tab, j, rows[j], None, None))
+            queries.extend(
+                (tab, j, rows[j], node, coord) for node in _tree(block) for coord in range(1, d + 1)
+            )
+    for pick in rng.permutation(len(queries)):
+        tab, j, rows, node, coord = queries[pick]
+        if node is None:
+            expected = [sum(row[k] for row in rows) % q for k in range(d)]
+            assert tab.z0(j).tolist() == expected
+            continue
+        lo, hi = node
+        label = tab.label(j, lo, hi, coord)
+        assert label == sum(rows[k][coord - 1] for k in range(lo - 1, hi - 1)) % q
+        if hi - lo > 1:
+            mid = lo + (hi - lo + 1) // 2
+            assert (tab.label(j, lo, mid, coord) + tab.label(j, mid, hi, coord)) % q == label

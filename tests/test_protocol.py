@@ -15,7 +15,9 @@ from bgcsim.adversary import (
     NoAdversary,
     SymmetrizationAdversary,
     TableAdversary,
+    flip_world,
     honest_table,
+    symmetrization_attack,
 )
 from bgcsim.bounds import check_compliance, verify_run
 from bgcsim.core import SchemeParams, full_gradient, random_gradients
@@ -428,6 +430,33 @@ def test_smoke_grid_all_adversaries(run_and_check):
             for seed in range(50):
                 truth = random_gradients(params, np.random.default_rng([seed, 0]))
                 run_and_check(params, truth, adversary, np.random.default_rng([seed, 1]))
+
+
+def test_honest_answers_share_sums_only_over_the_runs_truth():
+    params = SchemeParams(s=2, u=1, m=1, p=8, d=2, q=Q16)
+    truth = random_gradients(params, 3)
+    table, disagreement = symmetrization_attack(params, truth, [1, 2], np.random.default_rng(4))
+    responder = TableAdversary(table, frozenset({1, 2})).instantiate(params, truth, None)
+    twin = ProtocolRun(params, truth, responder)._honest
+    assert twin._sums is table._sums and not twin.deviations  # one memo over one truth
+
+    # World 2 runs over a flipped copy of the truth against the same table, whose
+    # reference truth is world 1's: the run must answer honest workers from its
+    # own truth and keep its sums apart from the table's.
+    world2 = flip_world(params, truth, table, disagreement.indices[0])
+    responder = TableAdversary(table, world2.malicious).instantiate(params, world2.truth, None)
+    run = ProtocolRun(params, world2.truth, responder)
+    assert run._honest.truth is world2.truth and run._honest._sums is not table._sums
+    ghat, _, transcript = run.execute()
+    assert verify_run(params, world2.truth, world2.malicious, ghat, transcript) == []
+    block_sum = world2.truth.sum(axis=0) % params.q
+    assert run._honest._sums[1].tolist() == block_sum.tolist()
+    assert table._sums[1].tolist() == (truth.sum(axis=0) % params.q).tolist()
+    for j in sorted(set(params.workers_of_group(1)) - world2.malicious):
+        assert run._honest.z0(j).tolist() == table.z0(j).tolist() == block_sum.tolist()
+        for lo, hi in [(1, 9), (1, 5), (5, 9), (3, 4)]:
+            for coord in (1, 2):
+                assert run._honest.label(j, lo, hi, coord) == table.label(j, lo, hi, coord)
 
 
 def test_match_rejects_identical_responses():
