@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import SchemeParams
+from .core import SchemeParams, column_sums
 
 
 class InitialQuery(NamedTuple):
@@ -108,7 +108,7 @@ class ClaimedGradientTable:
         block = self._block(worker)
         total = self._sums.get(block.start)
         if total is None:
-            total = self.truth[block.start - 1 : block.stop - 1].sum(axis=0) % self.params.q
+            total = column_sums(self.truth[block.start - 1 : block.stop - 1]) % self.params.q
             total.setflags(write=False)
             self._sums[block.start] = total
         own = self.deviations.get(worker)

@@ -32,6 +32,7 @@ from .protocol import ProtocolRun
 ADVERSARIES = ("none", "symmetrization", "symmetrization-collusive", "flipflop")
 FIGURES = ("fig1", "appendixF-ratio", "appendixF-convergence")
 SWEEP_AXES = ("s", "u", "m", "p", "d", "q")
+SIMULATION_ONLY = ("sweep", "adversary", "trials", "dump_transcripts")  # rejected with --figure
 
 RESULT_COLUMNS = [
     "point",
@@ -150,6 +151,11 @@ def parse_config(argv) -> ExperimentConfig:
         if spec.type == "str" and not isinstance(value, str):
             parser.error(f"config key {key!r} must be a string: got {json.dumps(value)}")
     config = ExperimentConfig(**merged)
+    if config.figure is not None:
+        given = [key for key in SIMULATION_ONLY if merged.get(key) is not None]
+        if given:
+            flags = ", ".join("--" + key.replace("_", "-") for key in given)
+            parser.exit(2, f"bgcsim: error: --figure runs no simulation and takes no {flags}\n")
     if config.trials < 1:
         parser.error(f"--trials must be at least 1: got {config.trials}")
     if config.seed < 0:

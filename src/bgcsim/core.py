@@ -109,6 +109,26 @@ def replication_factor(assignment: np.ndarray) -> Fraction:
     return Fraction(int(a.sum()), a.shape[0])
 
 
+def column_sums(rows: np.ndarray) -> np.ndarray:
+    """Exact int64 column sums of a (k, d) array; the same values as ``rows.sum(axis=0)``.
+
+    numpy reduces a narrow array along axis 0 one short row at a time.  So
+    the largest prefix of whole groups of w = 1024 // d rows is summed as rows
+    of w*d elements, the w partial rows are folded together, and the leftover
+    rows are added.  Integer addition wraps the same way in any order, so
+    every output bit matches.  Short blocks, zero-width rows and
+    non-contiguous arrays, which the wide view would not speed up, could not
+    reshape or would copy, take the plain sum.
+    """
+    k, d = rows.shape
+    w = max(1, 1024 // max(d, 1))
+    if d == 0 or k < 2 * w or not rows.flags.c_contiguous:
+        return rows.sum(axis=0)
+    head = k - k % w
+    wide = rows[:head].reshape(-1, w * d).sum(axis=0)
+    return wide.reshape(w, d).sum(axis=0) + rows[head:].sum(axis=0)
+
+
 def full_gradient(gradients, q: int) -> np.ndarray:
     """Coordinate-wise sum modulo q of a stack of equal-length gradient vectors."""
     try:
@@ -117,7 +137,7 @@ def full_gradient(gradients, q: int) -> np.ndarray:
         raise ValueError("gradient dimensions do not match") from exc
     if arr.ndim != 2:
         raise ValueError(f"expected a (p, d) stack of vectors, got shape {arr.shape}")
-    return arr.sum(axis=0) % q
+    return column_sums(arr) % q
 
 
 def random_gradients(params: SchemeParams, seed) -> np.ndarray:

@@ -283,3 +283,22 @@ def test_claimed_table_rejects_unassigned_index():
     table = honest_table(params, truth)
     with pytest.raises(ValueError, match="not assigned"):
         table.value(1, 5)  # worker 1 is in group 1; gradient 5 belongs to group 2
+
+
+def test_table_adversary_rejects_honest_deviation_on_its_own_truth():
+    params = SchemeParams(s=1, u=2, m=2, p=8, d=2, q=2**16)
+    truth = random_gradients(params, 9)
+    table = honest_table(params, truth)
+    assert table.truth is truth  # the table:<file> path binds the very array it checks
+    table.set(5, 6, truth[5] + 1)  # worker 5 (group 2) deviates but is not malicious
+    with pytest.raises(ValueError, match="honest worker 5"):
+        TableAdversary(table, frozenset({1})).instantiate(params, truth, None)
+
+
+def test_differs_from_a_copy_compares_the_whole_block():
+    params = SchemeParams(s=1, u=1, m=1, p=8, d=2, q=2**16)
+    table = honest_table(params, random_gradients(params, 4))
+    assert not table.differs_from(2, table.truth.copy())
+    moved = table.truth.copy()  # a changed copy, as flip_world passes
+    moved[6, 1] += 1
+    assert table.differs_from(2, moved)

@@ -177,6 +177,25 @@ GOLDEN_COMMIT_RUNS = [
     ),
 ]
 
+# Runs whose blocks are long enough for core.column_sums to take its wide-row
+# path: (argv, CSV digest, transcript dump digest), recorded before the kernel
+# replaced numpy's plain column sum.  Blocks of 8195 rows at d=3 leave a tail
+# of rows after the last whole group; blocks of 2048 rows at d=16 leave none.
+GOLDEN_WIDE = [
+    (
+        ["--s", "6", "--u", "2", "--m", "2", "--p", "16390", "--d", "3", "--trials", "3",
+         "--adversary", "symmetrization"],
+        "d0b9448c44db213fc596a0ac902c0b775c348ae8da728d9496537538b66fd737",
+        "bbfcb1faec9e5858282a850602c9bd69c891f2392128e353b2e4335cceb85b28",
+    ),
+    (
+        ["--s", "3", "--u", "1", "--m", "4", "--p", "8192", "--d", "16", "--trials", "3",
+         "--adversary", "flipflop"],
+        "a29f434d83778d5ae4ac1e800cfd072803ba18312b40c44332e841bd6ea5c626",
+        "25f49e3fcd44c724adf6ed26d9384a30a4f304bd2acd8e792fbc98a70c946a75",
+    ),
+]
+
 
 def _dump_digest(dump):
     h = hashlib.sha256()
@@ -208,6 +227,16 @@ def test_golden_commit_rounds(tmp_path, argv, csv_digest, dump_digest):
     out, dump = tmp_path / "rows.csv", tmp_path / "dump"
     assert main(argv + ["--out", str(out), "--dump-transcripts", str(dump)]) == 0
     assert any(b'"kind":"commit"' in path.read_bytes() for path in dump.iterdir())
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_digest
+    assert _dump_digest(dump) == dump_digest
+
+
+@pytest.mark.parametrize(
+    "argv, csv_digest, dump_digest", GOLDEN_WIDE, ids=["symmetrization-tail", "flipflop-m4"]
+)
+def test_golden_wide_blocks(tmp_path, argv, csv_digest, dump_digest):
+    out, dump = tmp_path / "rows.csv", tmp_path / "dump"
+    assert main(argv + ["--out", str(out), "--dump-transcripts", str(dump)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_digest
     assert _dump_digest(dump) == dump_digest
 
@@ -371,6 +400,37 @@ def test_infeasible_symmetrization_rejected_before_any_trial(capsys, monkeypatch
     assert main(argv + shape) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "floor(6/1) = 6 > 4/1 = 4" in err
+
+
+_SIMULATION_ONLY = {
+    "sweep": ("--sweep", "u=1..3"),
+    "adversary": ("--adversary", "flipflop"),
+    "trials": ("--trials", "5"),
+    "dump_transcripts": ("--dump-transcripts", None),
+}
+
+
+@pytest.mark.parametrize("source", ["flag", "config-file"])
+@pytest.mark.parametrize("key", sorted(_SIMULATION_ONLY))
+def test_figure_rejects_simulation_only_keys(tmp_path, capsys, monkeypatch, key, source):
+    _no_trials(monkeypatch)
+    flag, value = _SIMULATION_ONLY[key]
+    dump = tmp_path / "never"
+    value = str(dump) if value is None else value
+    argv = ["--s", "2", "--u", "1", "--p", "4", "--d", "1", "--figure", "fig1"]
+    if source == "flag":
+        argv += [flag, value]
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: int(value) if key == "trials" else value}))
+        argv += ["--config", str(config)]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("bgcsim: error: --figure") and flag in captured.err
+    assert not dump.exists()
 
 
 def test_fig1_reduction_values():

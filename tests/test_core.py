@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bgcsim.adversary import honest_table
 from bgcsim.core import (
     SchemeParams,
     build_fractional_repetition,
+    column_sums,
     full_gradient,
     random_gradients,
     replication_factor,
@@ -113,6 +117,9 @@ def test_full_gradient_examples():
     # hand sum mod 5: (1+3+4, 2+4+4) = (8, 10) = (3, 0)
     vecs = np.array([[1, 2], [3, 4], [4, 4]])
     assert full_gradient(vecs, 5).tolist() == [3, 0]
+    # zero-width rows, short and long: an empty gradient
+    for k in (3, 5000):
+        assert full_gradient(np.zeros((k, 0), dtype=np.int64), 5).shape == (0,)
 
 
 def test_full_gradient_dimension_mismatch():
@@ -144,3 +151,98 @@ def test_random_gradients_binary_alphabet():
         g = random_gradients(params, seed)
         assert set(g.ravel().tolist()) <= {0, 1}
 
+
+
+def _reference_column_sums(rows):
+    """Column sums on Python ints, wrapped to int64 the way numpy's sum wraps."""
+    out = []
+    for col in rows.T.tolist():
+        total = sum(col) % 2**64
+        out.append(total - 2**64 if total >= 2**63 else total)
+    return np.array(out, dtype=np.int64)
+
+
+def _row_count(data, w, shape):
+    """A row count on or around the kernel's thresholds for a width of w rows."""
+    if shape == "empty":
+        return 0
+    if shape == "below":
+        return 2 * w - 1  # the largest count that takes the plain sum
+    if shape == "at":
+        return 2 * w
+    if shape == "tail":  # whole groups of w rows plus a leftover tail
+        return 2 * w + data.draw(st.integers(0, 2)) * w + data.draw(st.integers(1, w - 1))
+    return data.draw(st.integers(0, 4 * w))
+
+
+_ROW_SHAPES = st.sampled_from(["empty", "below", "at", "tail", "any"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    d=st.integers(1, 40),
+    shape=_ROW_SHAPES,
+    layout=st.sampled_from(["C", "F", "every-other-row", "column-slice"]),
+    values=st.sampled_from(["small", "near-max", "near-min", "extremes"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_column_sums_match_python_int_reference(data, d, shape, layout, values, seed):
+    w = max(1, 1024 // d)
+    k = _row_count(data, w, shape)
+    rng = np.random.default_rng(seed)
+    limit = np.iinfo(np.int64)
+    rows_needed = 2 * k if layout == "every-other-row" else k
+    cols_needed = d + 3 if layout == "column-slice" else d
+    size = (rows_needed, cols_needed)
+    if values == "small":
+        base = rng.integers(0, 2**16, size=size, dtype=np.int64)
+    elif values == "near-max":  # sums wrap past the top of int64
+        base = rng.integers(limit.max - 2**20, limit.max, size=size, dtype=np.int64, endpoint=True)
+    elif values == "near-min":
+        base = rng.integers(limit.min, limit.min + 2**20, size=size, dtype=np.int64, endpoint=True)
+    else:
+        base = rng.choice(np.array([limit.min, limit.max, -1, 1], dtype=np.int64), size=size)
+    if layout == "C":
+        rows = base
+    elif layout == "F":
+        rows = np.asfortranarray(base)
+    elif layout == "every-other-row":
+        rows = base[::2]
+    else:
+        rows = base[:, 1 : d + 1]
+    assert rows.shape == (k, d)
+    got = column_sums(rows)
+    assert got.dtype == np.int64 and got.shape == (d,)
+    assert np.array_equal(got, _reference_column_sums(rows))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    d=st.integers(1, 40),
+    m=st.integers(1, 3),
+    shape=_ROW_SHAPES,
+    q=st.sampled_from([2, 3, 65536, 2**31 - 1, 2**32]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_full_gradient_and_block_sums_match_reference(data, d, m, shape, q, seed):
+    block = max(2, _row_count(data, max(1, 1024 // d), shape))
+    params = SchemeParams(s=1, u=1, m=m, p=m * block, d=d, q=q)
+    rng = np.random.default_rng(seed)
+    low = q - 2 if data.draw(st.booleans()) else 0  # all values at the top of the alphabet
+    truth = rng.integers(low, q, size=(params.p, d), dtype=np.int64)
+    assert np.array_equal(full_gradient(truth, q), _reference_column_sums(truth) % q)
+    table = honest_table(params, truth)
+    deviant = 1 + params.group_size * int(rng.integers(m))  # first worker of some group
+    index = params.block_of_group(params.group_of_worker(deviant))[int(rng.integers(block))]
+    claimed = (truth[index - 1] + 1) % q
+    table.set(deviant, index, claimed)
+    for g in range(1, m + 1):
+        span = params.block_of_group(g)
+        rows = truth[span.start - 1 : span.stop - 1]
+        for j in params.workers_of_group(g):
+            expected = _reference_column_sums(rows)
+            if j == deviant:
+                expected = expected - truth[index - 1] + claimed
+            assert np.array_equal(table.z0(j), expected % q)
