@@ -10,12 +10,13 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from .adversary import TableAdversary, flip_world, symmetrization_attack
 from .core import SchemeParams, full_gradient, random_gradients
-from .protocol import Metrics, Transcript, run_scheme
+from .protocol import Metrics, ProtocolRun, Transcript
 
 
 def local_comp_lower(params: SchemeParams) -> int:
@@ -146,6 +147,33 @@ def verify_run(params: SchemeParams, truth, malicious, ghat, transcript: Transcr
     return problems
 
 
+class Trial(NamedTuple):
+    """One executed run and both checks of it."""
+
+    ghat: np.ndarray  # None when an oracle budget truncated the run before decoding
+    metrics: Metrics
+    transcript: Transcript
+    breaches: list  # verify_run: the per-run contract
+    violations: list  # check_compliance: the T, c and kappa bounds
+
+
+def run_trial(
+    params: SchemeParams, truth, adversary, rng=None, *, oracle_budget: int = None
+) -> Trial:
+    """Instantiate ``adversary`` with ``rng``, execute one run and check it.
+
+    The one per-run entry point: the CLI, the tests and the converse
+    witness all run the protocol through here.  Neither check raises; the
+    caller decides what a breach or a violation means.
+    """
+    responder = adversary.instantiate(params, truth, rng)
+    run = ProtocolRun(params, truth, responder, oracle_budget=oracle_budget)
+    ghat, metrics, transcript = run.execute()
+    breaches = verify_run(params, truth, responder.malicious, ghat, transcript)
+    violations = check_compliance(params, metrics, transcript)
+    return Trial(ghat, metrics, transcript, breaches, violations)
+
+
 def disagreement_coverage_check(transcript: Transcript, disagreement, table) -> bool:
     """True when every actually-disputed planted index was settled.
 
@@ -215,16 +243,16 @@ def indistinguishability_check(params: SchemeParams, budget: int, seed=0) -> Wit
     malicious1 = list(range(1, params.s + 1))
     table, disagreement = symmetrization_attack(params, truth1, malicious1, rng)
 
-    _, _, transcript1 = run_scheme(
+    transcript1 = run_trial(
         params, truth1, TableAdversary(table, frozenset(malicious1)), oracle_budget=budget
-    )
+    ).transcript
     computed = set(transcript1.computed_indices())
     flip = min(i for i in disagreement.indices if i not in computed)
 
     world2 = flip_world(params, truth1, table, flip)
-    _, _, transcript2 = run_scheme(
+    transcript2 = run_trial(
         params, world2.truth, TableAdversary(table, world2.malicious), oracle_budget=budget
-    )
+    ).transcript
 
     witness = Witness(
         flip_index=flip,

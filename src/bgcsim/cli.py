@@ -25,14 +25,15 @@ from .adversary import (
     TableAdversary,
     honest_table,
 )
-from .bounds import BoundsReport, check_compliance, verify_run
+from .bounds import BoundsReport, run_trial
 from .core import SchemeParams, random_gradients
-from .protocol import ProtocolRun
 
 ADVERSARIES = ("none", "symmetrization", "symmetrization-collusive", "flipflop")
 FIGURES = ("fig1", "appendixF-ratio", "appendixF-convergence")
 SWEEP_AXES = ("s", "u", "m", "p", "d", "q")
-SIMULATION_ONLY = ("sweep", "adversary", "trials", "dump_transcripts")  # rejected with --figure
+# Keys --figure rejects: a figure is analytic and runs no simulation.
+SIMULATION_ONLY = ("sweep", "adversary", "trials", "seed", "dump_transcripts")
+METRICS = ("T", "c", "kappa", "total_comm")  # each reported as its max and mean over the trials
 
 RESULT_COLUMNS = [
     "point",
@@ -88,8 +89,14 @@ class ExperimentConfig:
 _CONFIG_FIELDS = {f.name: f for f in fields(ExperimentConfig)}
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """Every usage error is one ``bgcsim: error:`` line with exit 2, without the usage text."""
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bgcsim",
         description=(
             "Seeded experiment sweeps for the Byzantine-resilient gradient "
@@ -127,7 +134,7 @@ def parse_config(argv) -> ExperimentConfig:
     if args.config is not None:
         try:
             loaded = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad UTF-8 or JSON
             parser.error(f"cannot read config file: {exc}")
         if not isinstance(loaded, dict):
             parser.error("config file must hold a JSON object")
@@ -155,7 +162,9 @@ def parse_config(argv) -> ExperimentConfig:
         given = [key for key in SIMULATION_ONLY if merged.get(key) is not None]
         if given:
             flags = ", ".join("--" + key.replace("_", "-") for key in given)
-            parser.exit(2, f"bgcsim: error: --figure runs no simulation and takes no {flags}\n")
+            parser.error(f"--figure runs no simulation and takes no {flags}")
+        if config.figure == "fig1" and config.n is not None:
+            parser.error("--figure fig1 sweeps u, which changes n = m*(s+u), and takes no --n")
     if config.trials < 1:
         parser.error(f"--trials must be at least 1: got {config.trials}")
     if config.seed < 0:
@@ -229,12 +238,15 @@ def load_table_adversary(path, params: SchemeParams) -> "_TableFileAdversary":
     """
     try:
         spec = json.loads(Path(path).read_text())
-        malicious = frozenset(int(j) for j in spec.get("malicious", []))
+        ids = list(spec.get("malicious", []))
         overrides = {
             int(j): np.asarray(v, dtype=np.int64) for j, v in spec.get("claims", {}).items()
         }
-    except (OSError, ValueError, TypeError, AttributeError) as exc:
+    except (OSError, ValueError, TypeError, AttributeError, OverflowError, RecursionError) as exc:
         raise TableFileError(f"cannot read table file {path}: {exc}") from exc
+    if not all(isinstance(j, int) and not isinstance(j, bool) for j in ids):
+        raise TableFileError(f"cannot read table file {path}: worker ids must be JSON integers")
+    malicious = frozenset(ids)
     if not all(1 <= j <= params.n for j in malicious):
         raise TableFileError(f"malicious worker ids must be in 1..{params.n}: got {sorted(malicious)}")
     if len(malicious) > params.s:
@@ -302,61 +314,37 @@ def run_experiments(config: ExperimentConfig):
         dump_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for point_idx, (params, adversary) in enumerate(zip(points, adversaries)):
-        report = BoundsReport.from_params(params)
-        t_vals, c_vals, kappa_vals, comm_vals = [], [], [], []
+        values = {metric: [] for metric in METRICS}
         bounds_ok = True
         for trial in range(config.trials):
             truth_rng = np.random.default_rng([config.seed, point_idx, trial, 0])
             adv_rng = np.random.default_rng([config.seed, point_idx, trial, 1])
             truth = random_gradients(params, truth_rng)
-            responder = adversary.instantiate(params, truth, adv_rng)
-            ghat, metrics, transcript = ProtocolRun(params, truth, responder, rng=adv_rng).execute()
-            problems = verify_run(params, truth, responder.malicious, ghat, transcript)
-            if problems:
-                raise CorrectnessFailure(
-                    f"{'; '.join(problems)} at point={point_idx} trial={trial} seed={config.seed}"
-                )
-            if check_compliance(params, metrics, transcript):
-                bounds_ok = False
-            t_vals.append(metrics.T)
-            c_vals.append(metrics.c)
-            kappa_vals.append(metrics.kappa)
-            comm_vals.append(metrics.total_comm)
+            result = run_trial(params, truth, adversary, adv_rng)
+            if result.breaches:
+                handle = f"point={point_idx} trial={trial} seed={config.seed}"
+                raise CorrectnessFailure(f"{'; '.join(result.breaches)} at {handle}")
+            bounds_ok = bounds_ok and not result.violations
+            for metric in METRICS:
+                values[metric].append(getattr(result.metrics, metric))
             if dump_dir is not None:
                 name = f"transcript_p{point_idx:03d}_t{trial:05d}.jsonl"
-                (dump_dir / name).write_text(transcript.to_jsonl())
-        rows.append(
-            {
-                "point": point_idx,
-                "adversary": config.adversary,
-                "n": params.n,
-                "s": params.s,
-                "u": params.u,
-                "m": params.m,
-                "p": params.p,
-                "d": params.d,
-                "q": params.q,
-                "trials": config.trials,
-                "seed": config.seed,
-                "r": params.s + params.u,
-                "T_max": max(t_vals),
-                "T_mean": sum(t_vals) / len(t_vals),
-                "c_max": max(c_vals),
-                "c_mean": sum(c_vals) / len(c_vals),
-                "kappa_max": max(kappa_vals),
-                "kappa_mean": sum(kappa_vals) / len(kappa_vals),
-                "total_comm_max": max(comm_vals),
-                "total_comm_mean": sum(comm_vals) / len(comm_vals),
-                "c_lower": report.c_lower,
-                "c_upper": report.c_upper,
-                "T_upper": report.T_upper,
-                "kappa_lower": report.kappa_lower,
-                "kappa_upper": report.kappa_upper,
-                "draco_total_comm": report.draco_total_comm,
-                "bounds_ok": int(bounds_ok),
-                "correct": 1,
-            }
-        )
+                (dump_dir / name).write_text(result.transcript.to_jsonl())
+        cells = {
+            "point": point_idx,
+            "adversary": config.adversary,
+            "trials": config.trials,
+            "seed": config.seed,
+            "r": params.s + params.u,
+            "bounds_ok": int(bounds_ok),
+            "correct": 1,
+            **{axis: getattr(params, axis) for axis in ("n", *SWEEP_AXES)},
+            **vars(BoundsReport.from_params(params)),
+        }
+        for metric, vals in values.items():
+            cells[f"{metric}_max"] = max(vals)
+            cells[f"{metric}_mean"] = sum(vals) / len(vals)
+        rows.append({column: cells[column] for column in RESULT_COLUMNS})
     return rows
 
 
@@ -444,15 +432,24 @@ def _cell(value) -> str:
 
 def check_outputs(config: ExperimentConfig) -> None:
     """Raise ConfigError unless the output file and the dump directory can be written."""
-    if config.out is not None:
-        out = Path(config.out)
-        if out.is_dir() or not out.parent.is_dir():
-            raise ConfigError(f"--out must name a file in an existing directory: {config.out}")
-    if config.dump_transcripts is not None:
-        dump = Path(config.dump_transcripts)
-        existing = next(path for path in (dump, *dump.parents) if path.exists())
-        if not existing.is_dir():
-            raise ConfigError(f"--dump-transcripts must name a directory: {existing} is a file")
+    for flag, target in (("--out", config.out), ("--dump-transcripts", config.dump_transcripts)):
+        if target is not None and "\0" in target:
+            raise ConfigError(f"{flag} must not contain a NUL character")
+    try:
+        if config.out is not None:
+            out = Path(config.out)
+            if out.is_dir() or not out.parent.is_dir():
+                raise ConfigError(f"--out must name a file in an existing directory: {config.out}")
+        if config.dump_transcripts is not None:
+            dump = Path(config.dump_transcripts)
+            existing = next(path for path in (dump, *dump.parents) if path.exists())
+            if not existing.is_dir():
+                raise ConfigError(f"--dump-transcripts must name a directory: {existing} is a file")
+            on_dump_path = (dump.resolve(), *dump.resolve().parents)  # made as directories
+            if config.out is not None and Path(config.out).resolve() in on_dump_path:
+                raise ConfigError(f"--out must not lie on the --dump-transcripts path: {config.out}")
+    except OSError as exc:  # a path the system will not look up, such as a name too long
+        raise ConfigError(f"cannot use output path: {exc}") from exc
 
 
 def main(argv=None) -> int:

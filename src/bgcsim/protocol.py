@@ -496,31 +496,3 @@ class ProtocolRun:
             return None, metrics_from_transcript(self.params, self.transcript), self.transcript
         ghat = self.decode()
         return ghat, metrics_from_transcript(self.params, self.transcript), self.transcript
-
-
-def run_scheme(
-    params: SchemeParams,
-    truth: np.ndarray,
-    adversary,
-    rng=None,
-    *,
-    oracle_budget: int = None,
-    random_draws: bool = False,
-):
-    """Instantiate the adversary and execute one full run.
-
-    Returns (g_hat, metrics, transcript); g_hat is None when an oracle
-    budget truncated the run before decoding.
-    """
-    if rng is not None and not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
-    responder = adversary.instantiate(params, truth, rng)
-    run = ProtocolRun(
-        params,
-        truth,
-        responder,
-        rng=rng,
-        oracle_budget=oracle_budget,
-        random_draws=random_draws,
-    )
-    return run.execute()

@@ -1,24 +1,20 @@
 import pytest
 
-from bgcsim.bounds import check_compliance, verify_run
-from bgcsim.protocol import ProtocolRun
+from bgcsim.bounds import run_trial
 
 
-def _run_and_check(params, truth, adversary, adv_rng=None, **kwargs):
-    """Execute one run and assert the per-run contract and bound compliance.
+def _run_and_check(params, truth, adversary, rng=None):
+    """Execute one run; assert the per-run contract and bound compliance.
 
     The contract (``bounds.verify_run``) covers exact recovery, honest
     safety and oracle calls that each wipe out at least u workers; the
     bounds cover T, c and kappa, with kappa recomputed from the raw log.
+    Returns (g_hat, metrics, transcript).
     """
-    responder = adversary.instantiate(params, truth, adv_rng)
-    run = ProtocolRun(params, truth, responder, **kwargs)
-    ghat, metrics, transcript = run.execute()
-    breaches = verify_run(params, truth, responder.malicious, ghat, transcript)
+    ghat, metrics, transcript, breaches, violations = run_trial(params, truth, adversary, rng)
     assert not breaches, breaches
-    problems = check_compliance(params, metrics, transcript)
-    assert not problems, problems
-    return ghat, metrics, transcript, responder
+    assert not violations, violations
+    return ghat, metrics, transcript
 
 
 @pytest.fixture

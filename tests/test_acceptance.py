@@ -99,7 +99,7 @@ def test_criterion_1_exact_recovery(run_and_check):
             for name, adversary in ADVERSARIES.items():
                 for seed in range(trials):
                     truth = random_gradients(params, np.random.default_rng([seed, 0]))
-                    _, metrics, transcript, _ = run_and_check(
+                    _, metrics, transcript = run_and_check(
                         params, truth, adversary, np.random.default_rng([seed, 1])
                     )
                     assert metrics.r == r
@@ -143,7 +143,7 @@ def test_criterion_3_bound_compliance(run_and_check):
         attained = False
         for seed in range(100):
             truth = random_gradients(params, np.random.default_rng([seed, 0]))
-            _, metrics, transcript, _ = run_and_check(
+            _, metrics, transcript = run_and_check(
                 params,
                 truth,
                 SymmetrizationAdversary(),
@@ -260,7 +260,7 @@ def test_criterion_6_draco_degeneracy(run_and_check):
                 for adversary in ADVERSARIES.values():
                     for seed in range(200):
                         truth = random_gradients(params, np.random.default_rng([seed, 0]))
-                        _, metrics, _, _ = run_and_check(
+                        _, metrics, _ = run_and_check(
                             params, truth, adversary, np.random.default_rng([seed, 1])
                         )
                         assert metrics.T == 0

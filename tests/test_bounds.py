@@ -12,10 +12,10 @@ from bgcsim.bounds import (
     indistinguishability_check,
     local_comp_lower,
     ratio_limit,
+    run_trial,
     scheme_upper_bounds,
 )
 from bgcsim.core import SchemeParams, random_gradients
-from bgcsim.protocol import run_scheme
 
 Q16 = 2**16
 
@@ -130,7 +130,7 @@ def test_coverage_per_index_attack():
         truth = random_gradients(params, np.random.default_rng([seed, 0]))
         rng = np.random.default_rng([seed, 1])
         table, disagreement = symmetrization_attack(params, truth, [1, 2, 3], rng)
-        _, metrics, transcript = run_scheme(
+        _, metrics, transcript, _, _ = run_trial(
             params, truth, TableAdversary(table, frozenset({1, 2, 3}))
         )
         assert metrics.c == 3
@@ -142,7 +142,7 @@ def test_coverage_trivial_when_honest():
     params = SchemeParams(s=0, u=2, m=1, p=4, d=1, q=Q16)
     truth = random_gradients(params, 0)
     table, disagreement = symmetrization_attack(params, truth, [], np.random.default_rng(0))
-    _, _, transcript = run_scheme(params, truth, TableAdversary(table, frozenset()))
+    _, _, transcript, _, _ = run_trial(params, truth, TableAdversary(table, frozenset()))
     assert disagreement_coverage_check(transcript, disagreement, table)
 
 
@@ -154,7 +154,7 @@ def test_coverage_collusive_single_call():
         table, disagreement = symmetrization_attack(
             params, truth, [1, 2, 3, 4], rng, mode="collusive"
         )
-        _, metrics, transcript = run_scheme(
+        _, metrics, transcript, _, _ = run_trial(
             params, truth, TableAdversary(table, frozenset({1, 2, 3, 4}))
         )
         assert metrics.c <= 1

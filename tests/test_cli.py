@@ -1,8 +1,16 @@
+import contextlib
+import csv
 import hashlib
+import io
 import json
+import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bgcsim.bounds as bounds
 import bgcsim.cli as cli
@@ -16,6 +24,7 @@ from bgcsim.cli import (
     parse_config,
     run_experiments,
 )
+from bgcsim.core import random_gradients
 from bgcsim.protocol import ProtocolRun
 
 
@@ -301,7 +310,7 @@ def test_table_adversary_from_file(tmp_path, run_and_check):
     path = tmp_path / "table.json"
     path.write_text(json.dumps(spec))
     adversary = cli.make_adversary(f"table:{path}", params)
-    _, metrics, transcript, _ = run_and_check(params, truth, adversary)
+    _, metrics, transcript = run_and_check(params, truth, adversary)
     assert transcript.eliminated_workers() == {1}
     assert metrics.c == 1
 
@@ -339,6 +348,26 @@ def test_bad_table_file_is_one_line_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "text",
+    [
+        '{"malicious": [1], "claims": {"1": [[1000000000000000000000000000000], [0], [0], [0]]}}',
+        '{"malicious": [true]}',
+        '{"malicious": [1.7]}',
+        '{"malicious": ["1"]}',
+    ],
+    ids=["claim-overflows-int64", "bool-id", "float-id", "string-id"],
+)
+def test_unreadable_table_file_is_one_line_error(tmp_path, capsys, text):
+    path = tmp_path / "table.json"
+    path.write_text(text)
+    argv = ["--s", "1", "--u", "1", "--p", "4", "--d", "1", "--trials", "1"]
+    assert main(argv + ["--adversary", f"table:{path}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("bgcsim: error: cannot read table file")
+
+
+@pytest.mark.parametrize(
     "entry, message",
     [
         ({"trials": "5"}, "'trials' must be an integer"),
@@ -360,6 +389,56 @@ def test_config_file_value_types_checked(tmp_path, capsys, entry, message):
 _SMALL = ["--s", "1", "--u", "1", "--p", "4", "--d", "1", "--trials", "1"]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--s", "x", "--u", "1", "--p", "4", "--d", "1"], "argument --s: invalid int value: 'x'"),
+        (["--s", "1", "--u", "1", "--d", "1"], "missing required parameter: --p"),
+        (_SMALL + ["--format", "xml"], "argument --format: invalid choice: 'xml'"),
+        (None, "unknown config keys: ['bogus']"),
+    ],
+    ids=["not-an-int", "missing-p", "bad-format", "unknown-config-key"],
+)
+def test_usage_errors_are_one_line(tmp_path, capsys, argv, message):
+    if argv is None:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"s": 1, "u": 1, "p": 4, "d": 1, "bogus": 1}))
+        argv = ["--config", str(config)]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"bgcsim: error: {message}") and captured.err.count("\n") == 1
+
+
+def test_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["-h"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: bgcsim") and "--figure" in out
+
+
+def test_truth_synthesized_through_cli_once_per_run(monkeypatch, capsys):
+    # Benchmarks hook cli.random_gradients to see where set-up ends, so truth
+    # synthesis must go through that name, looked up at call time, once per run.
+    argv = ["--s", "2", "--u", "1", "--p", "8", "--d", "2", "--trials", "3",
+            "--adversary", "symmetrization", "--sweep", "p=8,16"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    calls = []
+
+    def counting(params, rng):
+        calls.append(params.p)
+        return random_gradients(params, rng)
+
+    monkeypatch.setattr(cli, "random_gradients", counting)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
+    assert calls == [8, 8, 8, 16, 16, 16]
+
+
 def _no_trials(monkeypatch):
     monkeypatch.setattr(cli, "random_gradients", lambda *args: pytest.fail("a trial ran"))
 
@@ -378,6 +457,30 @@ def test_dump_transcripts_onto_a_file_rejected_before_any_run(tmp_path, capsys, 
     assert main(_SMALL + ["--dump-transcripts", str(taken)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("bgcsim: error: --dump-transcripts")
+
+
+@pytest.mark.parametrize("key", ["out", "dump_transcripts"])
+@pytest.mark.parametrize("name", ["a\0b", "x" * 300], ids=["nul", "too-long"])
+def test_unusable_output_path_is_one_line_error(tmp_path, capsys, monkeypatch, key, name):
+    _no_trials(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "config.json"  # a NUL cannot be passed on a command line, only in a file
+    config.write_text(json.dumps({"s": 1, "u": 1, "p": 4, "d": 1, "trials": 1, key: name}))
+    assert main(["--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("bgcsim: error: ")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json"]
+
+
+@pytest.mark.parametrize("dump", ["rows", "rows/sub"])
+def test_out_on_the_dump_path_rejected_before_any_run(tmp_path, capsys, monkeypatch, dump):
+    _no_trials(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    assert main(_SMALL + ["--out", "rows", "--dump-transcripts", dump]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("bgcsim: error: --out must not lie on")
+    assert not list(tmp_path.iterdir())
 
 
 def test_convergence_figure_without_a_dispute_is_one_line_error(capsys):
@@ -406,6 +509,7 @@ _SIMULATION_ONLY = {
     "sweep": ("--sweep", "u=1..3"),
     "adversary": ("--adversary", "flipflop"),
     "trials": ("--trials", "5"),
+    "seed": ("--seed", "3"),
     "dump_transcripts": ("--dump-transcripts", None),
 }
 
@@ -422,7 +526,7 @@ def test_figure_rejects_simulation_only_keys(tmp_path, capsys, monkeypatch, key,
         argv += [flag, value]
     else:
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({key: int(value) if key == "trials" else value}))
+        config.write_text(json.dumps({key: int(value) if key in ("trials", "seed") else value}))
         argv += ["--config", str(config)]
     with pytest.raises(SystemExit) as exit_info:
         main(argv)
@@ -431,6 +535,32 @@ def test_figure_rejects_simulation_only_keys(tmp_path, capsys, monkeypatch, key,
     assert captured.out == "" and captured.err.count("\n") == 1
     assert captured.err.startswith("bgcsim: error: --figure") and flag in captured.err
     assert not dump.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config-file"])
+def test_fig1_rejects_pinned_n(tmp_path, capsys, source):
+    # fig1 sweeps u = 1..s+1, so n = m*(s+u) cannot stay pinned at any value.
+    argv = ["--s", "2", "--u", "1", "--p", "4", "--d", "1", "--figure", "fig1"]
+    if source == "flag":
+        argv += ["--n", "3"]
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"n": 3}))
+        argv += ["--config", str(config)]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("bgcsim: error: --figure fig1") and "--n" in captured.err
+
+
+def test_pinned_n_still_allowed_where_the_figure_keeps_it(capsys):
+    argv = ["--s", "2", "--u", "1", "--p", "8", "--d", "1", "--figure", "appendixF-ratio"]
+    assert main(argv) == 0
+    derived = capsys.readouterr().out
+    assert main(argv + ["--n", "3"]) == 0
+    assert capsys.readouterr().out == derived
 
 
 def test_fig1_reduction_values():
@@ -480,6 +610,140 @@ def test_run_experiments_raises_typed_failure(monkeypatch):
             self._eliminate(0, 1, (2,), "framed")
             return out
 
-    monkeypatch.setattr(cli, "ProtocolRun", Framing)
+    monkeypatch.setattr(bounds, "ProtocolRun", Framing)
     with pytest.raises(CorrectnessFailure, match=r"honest workers eliminated: \[2\].*seed=0"):
         run_experiments(config)
+
+
+# Property: whatever the config file and flags hold, a run ends in exit 0;
+# exit 1 with a FAILED: line or a bounds_ok=0 row; or exit 2 with one line on
+# standard error -- never a traceback.  Sizes stay small: a huge p, d or
+# trials is a legal configuration that allocates or runs accordingly.
+_NAME = st.text(st.characters(exclude_characters="/\\"), max_size=6)  # stays in the cwd
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(),
+    st.text(max_size=4),
+    st.lists(st.integers(-1, 3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=1),
+)
+_FILES = (
+    "ok_table.json",
+    "big_table.json",
+    "bool_table.json",
+    "latin1.json",
+    "deep.json",
+    "missing.json",
+    "dir",
+)
+_VALUES = {
+    "s": st.integers(-1, 4),
+    "u": st.integers(-1, 4),
+    "m": st.integers(0, 3),
+    "p": st.integers(-1, 16),
+    "d": st.integers(0, 3),
+    "q": st.sampled_from([-1, 1, 2, 3, 65536, 2**32, 2**32 + 1, 2**62, 2**64]),
+    "n": st.integers(-1, 12),
+    "seed": st.sampled_from([-1, 0, 1, 2**64, 2**70]),
+    "trials": st.integers(-1, 3),
+    "adversary": st.one_of(
+        st.sampled_from(cli.ADVERSARIES + ("bogus", "table:")),
+        st.sampled_from(_FILES).map(lambda name: f"table:{name}"),
+        _NAME.map(lambda name: f"table:{name}"),
+    ),
+    "sweep": st.one_of(
+        st.sampled_from(["u=1..3", "s=0..3", "p=4,8", "q=2,3", "m=1,2", "d=1..2", "n=3,4", "x=1",
+                         "u=", "u=3..1", "u=a..b", "p=1..10**9", "u=1,,2", "p=0..4", "=", ""]),
+        st.text(max_size=5),
+    ),
+    "out": st.one_of(
+        st.sampled_from(["o.csv", "missing/o.csv", "dir", "dump", "a", ".", "a\0b", "x" * 300]), _NAME
+    ),
+    "format": st.sampled_from(["csv", "json"] * 3 + ["xml"]),
+    "dump_transcripts": st.one_of(
+        st.sampled_from(["dump", "ok_table.json", "a/b", "a\0b", "x" * 300]), _NAME
+    ),
+    "figure": st.sampled_from(cli.FIGURES + ("fig2",)),
+}
+
+
+def _mostly(valid, junk):
+    """``valid`` seven times in eight, so most draws get past the first check."""
+    return st.sampled_from([True] * 7 + [False]).flatmap(lambda ok: valid if ok else junk)
+
+
+_REQUIRED = ("s", "u", "p", "d")
+_OBJECTS = st.fixed_dictionaries(
+    {key: _mostly(_VALUES[key], _JUNK) for key in _REQUIRED},
+    optional={key: _mostly(_VALUES[key], _JUNK) for key in _VALUES if key not in _REQUIRED},
+)
+_CONFIG_OBJECTS = _mostly(
+    _OBJECTS, st.one_of(_JUNK, _OBJECTS.map(lambda config: {**config, "bogus": 1}))
+)
+_FLAGS = st.lists(
+    st.sampled_from(sorted(_VALUES)).flatmap(
+        lambda key: st.tuples(
+            st.just("--" + key.replace("_", "-")),
+            _mostly(_VALUES[key].map(str), st.text(max_size=3)),
+        )
+    ),
+    max_size=4,
+)
+_BASE = ("--s", "1", "--u", "1", "--p", "4", "--d", "1")  # required flags the draw may override
+_STRAY = _mostly(st.just(()), st.sampled_from([("--bogus",), ("-h",), ("x",), ("--config",)]))
+
+
+@contextlib.contextmanager
+def _inside(directory):
+    previous = os.getcwd()
+    os.chdir(directory)
+    try:
+        yield
+    finally:
+        os.chdir(previous)
+
+
+def _rows_with_bounds_ok_zero(text):
+    try:
+        rows = json.loads(text)
+    except ValueError:
+        rows = list(csv.DictReader(io.StringIO(text)))
+    return [row for row in rows if str(row.get("bounds_ok")) == "0"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    config=_CONFIG_OBJECTS,
+    config_path=st.sampled_from([None] * 3 + ["config.json"] * 8 + list(_FILES)),
+    base=st.sampled_from([True, True, False]),
+    flags=_FLAGS,
+    stray=_STRAY,
+)
+def test_no_input_ends_in_a_traceback(config, config_path, base, flags, stray):
+    with tempfile.TemporaryDirectory() as tmp, _inside(tmp):
+        Path("ok_table.json").write_text('{"malicious": [1]}')
+        Path("big_table.json").write_text(f'{{"malicious": [1], "claims": {{"1": [[{10**30}]]}}}}')
+        Path("bool_table.json").write_text('{"malicious": [true]}')
+        Path("latin1.json").write_bytes(b'{"s": "\xe9"}')
+        Path("deep.json").write_text("[" * 100_000)
+        Path("dir").mkdir()
+        Path("config.json").write_text(json.dumps(config))
+        argv = list(_BASE if base else ()) + [token for flag in flags for token in flag]
+        argv += list(stray) + ([] if config_path is None else ["--config", config_path])
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        stderr = err.getvalue()
+        if code == 0 or (code == 1 and stderr.startswith("FAILED: ")):
+            return
+        if code == 1:
+            target = cli.parse_config(argv).out
+            text = out.getvalue() if target is None else Path(target).read_text()
+            assert _rows_with_bounds_ok_zero(text), (argv, stderr)
+            return
+        assert code == 2, (argv, code)
+        assert stderr.startswith("bgcsim: error: ") and stderr.count("\n") == 1, (argv, stderr)

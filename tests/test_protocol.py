@@ -19,9 +19,9 @@ from bgcsim.adversary import (
     honest_table,
     symmetrization_attack,
 )
-from bgcsim.bounds import check_compliance, verify_run
+from bgcsim.bounds import check_compliance, run_trial, verify_run
 from bgcsim.core import SchemeParams, full_gradient, random_gradients
-from bgcsim.protocol import ProtocolRun, metrics_from_transcript, run_scheme
+from bgcsim.protocol import ProtocolRun, metrics_from_transcript
 
 Q16 = 2**16
 
@@ -51,7 +51,9 @@ def test_two_player_walkthrough():
     outcome = run.match(1, sub1, sub2)
     assert outcome == (4, 1, (4 - 8) % Q16, 4)
 
-    ghat, metrics, transcript = run_scheme(params, truth, TableAdversary(table, frozenset({1})))
+    ghat, metrics, transcript, _, _ = run_trial(
+        params, truth, TableAdversary(table, frozenset({1}))
+    )
     assert ghat.tolist() == [10]
     assert metrics.T == 2 and metrics.c == 1
     assert metrics.kappa == 4.0  # one label symbol per worker per level; u=1 has no votes
@@ -62,7 +64,7 @@ def test_two_player_walkthrough():
 def test_honest_world_zero_overhead():
     params = SchemeParams(s=2, u=1, m=2, p=8, d=3, q=Q16)
     truth = random_gradients(params, 0)
-    ghat, metrics, transcript = run_scheme(params, truth, NoAdversary())
+    ghat, metrics, transcript, _, _ = run_trial(params, truth, NoAdversary())
     assert np.array_equal(ghat, full_gradient(truth, params.q))
     assert metrics.T == 0 and metrics.c == 0 and metrics.kappa == 0.0
     assert metrics.total_comm == params.n * params.d
@@ -72,7 +74,7 @@ def test_honest_world_zero_overhead():
 def test_initial_round_messages():
     params = SchemeParams(s=1, u=1, m=2, p=4, d=3, q=Q16)
     truth = random_gradients(params, 1)
-    _, metrics, transcript = run_scheme(params, truth, NoAdversary())
+    _, metrics, transcript, _, _ = run_trial(params, truth, NoAdversary())
     initial = [m for m in transcript.messages if m.kind == "initial"]
     assert len(initial) == params.n
     assert all(m.t == 0 and m.symbols == params.d for m in initial)
@@ -84,7 +86,7 @@ def test_initial_round_messages():
 def test_second_group_stays_unanimous(run_and_check):
     params = SchemeParams(s=2, u=1, m=2, p=8, d=1, q=Q16)
     truth = random_gradients(params, 3)
-    _, _, transcript, _ = run_and_check(
+    _, _, transcript = run_and_check(
         params, truth, SymmetrizationAdversary(), np.random.default_rng(3)
     )
     assert transcript.group_rounds[1] > 0
@@ -95,7 +97,7 @@ def test_second_group_stays_unanimous(run_and_check):
 def test_replication_in_metrics():
     params = SchemeParams(s=3, u=2, m=1, p=4, d=1, q=Q16)
     truth = random_gradients(params, 0)
-    _, metrics, _ = run_scheme(params, truth, NoAdversary())
+    _, metrics, _, _, _ = run_trial(params, truth, NoAdversary())
     assert metrics.r == 5
 
 
@@ -108,7 +110,7 @@ def test_malformed_initial_response_eliminated(run_and_check):
 
     params = SchemeParams(s=1, u=1, m=1, p=4, d=2, q=Q16)
     truth = random_gradients(params, 7)
-    _, metrics, transcript, _ = run_and_check(
+    _, metrics, transcript = run_and_check(
         params, truth, CallbackAdversary(frozenset({1}), garbage)
     )
     # a malformed worker is never queried again
@@ -128,7 +130,7 @@ def test_malformed_label_aborts_match(run_and_check):
             return np.array([(honest_sum + 1) % params.q], dtype=np.int64)
         return "not a symbol"
 
-    _, metrics, transcript, _ = run_and_check(
+    _, metrics, transcript = run_and_check(
         params, truth, CallbackAdversary(frozenset({1}), liar)
     )
     assert metrics.c == 0
@@ -146,7 +148,7 @@ def test_out_of_alphabet_label_is_malformed(run_and_check):
             return np.array([(honest_sum + 1) % params.q], dtype=np.int64)
         return params.q + 5
 
-    _, _, transcript, _ = run_and_check(params, truth, CallbackAdversary(frozenset({1}), liar))
+    _, _, transcript = run_and_check(params, truth, CallbackAdversary(frozenset({1}), liar))
     assert {event.reason for event in transcript.eliminations} == {"malformed_label"}
 
 
@@ -176,7 +178,7 @@ def test_budget_checked_before_start():
     truth = random_gradients(params, 0)
     oversized = CallbackAdversary(frozenset({1, 2}), lambda w, q, r: None)
     with pytest.raises(ValueError, match="budget"):
-        run_scheme(params, truth, oversized)
+        run_trial(params, truth, oversized)
 
 
 def test_local_compute_repeat_is_an_error():
@@ -202,7 +204,7 @@ def test_repeated_leaf_dispute_served_from_cache(run_and_check):
     table.set(1, 2, truth[1] + 1)
     table.set(3, 2, truth[1] + 2)
     table.set(2, 3, truth[2] + 3)
-    _, metrics, transcript, _ = run_and_check(
+    _, metrics, transcript = run_and_check(
         params, truth, TableAdversary(table, frozenset({1, 2, 3}))
     )
     assert metrics.c == 2
@@ -230,7 +232,7 @@ def test_undersupported_commit_eliminates_backers(run_and_check):
             return False
         unknown.append(query)
 
-    _, metrics, transcript, _ = run_and_check(
+    _, metrics, transcript = run_and_check(
         params, truth, CallbackAdversary(frozenset({1, 2}), cagey)
     )
     assert not unknown
@@ -258,7 +260,7 @@ def test_malformed_commit_eliminated(run_and_check, bit):
             return int(wrong[query.lo - 1 : query.hi - 1, 0].sum() % params.q)
         return bit
 
-    _, metrics, transcript, _ = run_and_check(
+    _, metrics, transcript = run_and_check(
         params, truth, CallbackAdversary(frozenset({1, 2, 3}), garbled)
     )
     assert metrics.c == 0
@@ -286,7 +288,7 @@ def test_raising_responder_is_malformed(run_and_check, kind):
             return int(wrong[query.lo - 1 : query.hi - 1, 0].sum() % params.q)
         return True
 
-    _, metrics, transcript, _ = run_and_check(
+    _, metrics, transcript = run_and_check(
         params, truth, CallbackAdversary(frozenset({1, 2, 3}), brittle)
     )
     assert metrics.c == 0
@@ -299,7 +301,7 @@ def test_consistent_backers_all_vote(run_and_check):
     # commits too, so the leaf is settled locally and all liars go at once.
     params = SchemeParams(s=2, u=2, m=1, p=4, d=1, q=Q16)
     truth = random_gradients(params, 29)
-    _, metrics, transcript, responder = run_and_check(
+    _, metrics, transcript = run_and_check(
         params,
         truth,
         SymmetrizationAdversary(mode="collusive"),
@@ -316,7 +318,7 @@ def test_singleton_subsets_reduce_to_pairwise_flow(run_and_check):
     # match ends in a local computation.
     params = SchemeParams(s=2, u=1, m=1, p=8, d=1, q=Q16)
     truth = random_gradients(params, 31)
-    _, metrics, transcript, _ = run_and_check(
+    _, metrics, transcript = run_and_check(
         params, truth, SymmetrizationAdversary(), np.random.default_rng(31)
     )
     assert metrics.c == 2
@@ -327,7 +329,7 @@ def test_draco_point_resolves_without_interaction(run_and_check):
     params = SchemeParams(s=3, u=4, m=1, p=4, d=1, q=2)
     for seed in range(50):
         truth = random_gradients(params, np.random.default_rng([seed, 0]))
-        _, metrics, transcript, _ = run_and_check(
+        _, metrics, transcript = run_and_check(
             params, truth, FlipFlopAdversary(), np.random.default_rng([seed, 1])
         )
         assert metrics.T == 0 and metrics.c == 0 and metrics.kappa == 0.0
@@ -340,7 +342,7 @@ def test_flipflop_random_match_terminates_quickly(run_and_check):
     params = SchemeParams(s=1, u=1, m=1, p=8, d=1, q=Q16)
     for seed in range(200):
         truth = random_gradients(params, np.random.default_rng([seed, 0]))
-        _, metrics, _, _ = run_and_check(
+        _, metrics, _ = run_and_check(
             params, truth, FlipFlopAdversary(), np.random.default_rng([seed, 1])
         )
         assert metrics.T <= 3
@@ -350,31 +352,36 @@ def test_deterministic_transcripts():
     params = SchemeParams(s=2, u=1, m=1, p=8, d=2, q=Q16)
     truth = random_gradients(params, 37)
     runs = [
-        run_scheme(params, truth, SymmetrizationAdversary(), rng=np.random.default_rng(37))
+        run_trial(params, truth, SymmetrizationAdversary(), rng=np.random.default_rng(37))
         for _ in range(2)
     ]
     assert runs[0][2].to_jsonl() == runs[1][2].to_jsonl()
     assert runs[0][1] == runs[1][1]
 
 
-def test_random_draw_order_still_correct(run_and_check):
+def test_random_draw_order_still_correct():
+    # random_draws is an engine option no CLI run uses, so this test builds
+    # the run itself and applies the same two checks as run_trial.
     params = SchemeParams(s=3, u=1, m=1, p=8, d=1, q=Q16)
     for seed in range(50):
         truth = random_gradients(params, np.random.default_rng([seed, 0]))
-        run_and_check(
-            params,
-            truth,
-            SymmetrizationAdversary(),
-            np.random.default_rng([seed, 1]),
-            rng=np.random.default_rng([seed, 2]),
-            random_draws=True,
+        responder = SymmetrizationAdversary().instantiate(
+            params, truth, np.random.default_rng([seed, 1])
         )
+        run = ProtocolRun(
+            params, truth, responder, rng=np.random.default_rng([seed, 2]), random_draws=True
+        )
+        ghat, metrics, transcript = run.execute()
+        breaches = verify_run(params, truth, responder.malicious, ghat, transcript)
+        assert not breaches, breaches
+        problems = check_compliance(params, metrics, transcript)
+        assert not problems, problems
 
 
 def test_budget_truncation_skips_decode():
     params = SchemeParams(s=1, u=1, m=1, p=4, d=1, q=Q16)
     truth = random_gradients(params, 41)
-    ghat, metrics, transcript = run_scheme(
+    ghat, metrics, transcript, _, _ = run_trial(
         params, truth, SymmetrizationAdversary(), rng=np.random.default_rng(41), oracle_budget=0
     )
     assert ghat is None
@@ -385,7 +392,7 @@ def test_budget_truncation_skips_decode():
 def test_kappa_recomputed_from_jsonl_export():
     params = SchemeParams(s=2, u=1, m=1, p=8, d=1, q=Q16)
     truth = random_gradients(params, 43)
-    _, metrics, transcript = run_scheme(
+    _, metrics, transcript, _, _ = run_trial(
         params, truth, SymmetrizationAdversary(), rng=np.random.default_rng(43)
     )
     symbols = bits = 0
@@ -403,7 +410,7 @@ def test_kappa_cross_check_catches_a_dropped_message():
     # it from the message log, so a log that lost a t >= 1 message disagrees.
     params = SchemeParams(s=3, u=2, m=1, p=8, d=1, q=Q16)
     truth = random_gradients(params, 45)
-    _, metrics, transcript = run_scheme(
+    _, metrics, transcript, _, _ = run_trial(
         params, truth, SymmetrizationAdversary(), rng=np.random.default_rng(45)
     )
     assert check_compliance(params, metrics, transcript) == []
@@ -550,7 +557,7 @@ def test_hammer_hostile_message_level(run_and_check):
 def test_metrics_match_transcript_totals():
     params = SchemeParams(s=3, u=1, m=1, p=8, d=1, q=Q16)
     truth = random_gradients(params, 47)
-    _, metrics, transcript = run_scheme(
+    _, metrics, transcript, _, _ = run_trial(
         params, truth, SymmetrizationAdversary(), rng=np.random.default_rng(47)
     )
     rebuilt = metrics_from_transcript(params, transcript)
