@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import SchemeParams, column_sums
+from .core import SchemeParams, chunk_sums, column_sums, wide_rows
 
 
 class InitialQuery(NamedTuple):
@@ -57,18 +57,25 @@ class ClaimedGradientTable:
     representable, matching the assignment structure.  The truth array is
     shared with the caller and only ever read.
 
-    Sums of the truth are memoized on first use: the block sum mod q by block
-    start, and the raw slice sum by (first, stop, coord) (global, half-open).
+    Sums of the truth are memoized on first use.  Each block gets a chunk
+    table in one pass: the int64 prefix sums at every boundary of a chunk of
+    CHUNK wide rows (``core.wide_rows``), shape (n_chunks + 1, d), and the
+    block sum mod q.  Each label slice sum is kept by (first, stop, coord)
+    (global, half-open); a range of at least one chunk is two prefix entries
+    plus at most two partial chunks, a shorter one is summed directly.
     ``z0`` and ``label`` add a worker's own deviations on top of them.  A
     table and its ``honest_twin`` share one memo, so the memo relies on the
     truth array not changing while any table over it is alive.
     """
 
+    CHUNK = 16  # wide rows per chunk
+
     def __init__(self, params: SchemeParams, truth: np.ndarray):
         self.params = params
         self.truth = np.asarray(truth, dtype=np.int64)
         self.deviations = {}
-        self._sums = {}  # truth sums: block start -> ndarray mod q; (first, stop, coord) -> int
+        self._sums = {}  # block start -> (prefix sums, block sum mod q); (first, stop, coord) -> int
+        self._chunk = self.CHUNK * wide_rows(params.d)  # rows per chunk
         blocks = [params.block_of_group(g) for g in range(1, params.m + 1)]
         self._blocks = [None] + [blocks[(j - 1) // params.group_size] for j in range(1, params.n + 1)]
 
@@ -105,12 +112,7 @@ class ClaimedGradientTable:
 
     def z0(self, worker: int) -> np.ndarray:
         """The worker's initial response: its claimed block sum mod q."""
-        block = self._block(worker)
-        total = self._sums.get(block.start)
-        if total is None:
-            total = column_sums(self.truth[block.start - 1 : block.stop - 1]) % self.params.q
-            total.setflags(write=False)
-            self._sums[block.start] = total
+        total = self._chunk_table(self._block(worker))[1]
         own = self.deviations.get(worker)
         if not own:
             return total
@@ -127,11 +129,41 @@ class ClaimedGradientTable:
         key = (first, stop, coord)
         total = self._sums.get(key)
         if total is None:
-            total = self._sums[key] = int(self.truth[first - 1 : stop - 1, coord - 1].sum())
+            chunk = self._chunk
+            if stop - first < chunk:
+                total = int(self.truth[first - 1 : stop - 1, coord - 1].sum())
+            else:  # whole chunks from the prefix table, the partial ones at each end directly
+                prefix = self._chunk_table(block)[0][:, coord - 1]
+                a = -((block.start - first) // chunk)  # first chunk boundary at or after first
+                b = (stop - block.start) // chunk  # last chunk boundary at or before stop
+                column = self.truth[:, coord - 1]
+                cut_a, cut_b = block.start - 1 + a * chunk, block.start - 1 + b * chunk
+                total = (
+                    int(prefix[b] - prefix[a])
+                    + int(column[first - 1 : cut_a].sum())
+                    + int(column[cut_b : stop - 1].sum())
+                )
+            self._sums[key] = total
         for index, vec in self.deviations.get(worker, {}).items():
             if first <= index < stop:
                 total += int(vec[coord - 1]) - int(self.truth[index - 1, coord - 1])
         return total % self.params.q
+
+    def _chunk_table(self, block: range):
+        """The block's (prefix sums at chunk boundaries, block sum mod q), built on first use."""
+        entry = self._sums.get(block.start)
+        if entry is None:
+            rows = self.truth[block.start - 1 : block.stop - 1]
+            head = len(rows) - len(rows) % self._chunk
+            prefix = np.zeros((head // self._chunk + 1, self.params.d), dtype=np.int64)
+            total = column_sums(rows[head:])
+            if head:
+                np.cumsum(chunk_sums(rows, self._chunk), axis=0, out=prefix[1:])
+                total = total + prefix[-1]
+            total = total % self.params.q
+            total.setflags(write=False)
+            entry = self._sums[block.start] = (prefix, total)
+        return entry
 
     def answer(self, worker: int, query):
         """The response ``worker`` sends to ``query`` under these claims."""

@@ -232,20 +232,22 @@ class TableFileError(ConfigError):
 def load_table_adversary(path, params: SchemeParams) -> "_TableFileAdversary":
     """Claimed-table adversary from JSON: {"malicious": [...], "claims": {"j": [[...]...]}}.
 
-    Each claims entry is the worker's full (p/m) x d block, diffed against
-    the truth when a run binds it; omitted workers claim the truth.  Raises
-    TableFileError when the file cannot be read or does not fit ``params``.
+    Each claims entry is the worker's full (p/m) x d block of JSON integers,
+    keyed by the worker id in decimal, and is diffed against the truth when a
+    run binds it; omitted workers claim the truth.  Raises TableFileError
+    when the file cannot be read or does not fit ``params``.
     """
     try:
         spec = json.loads(Path(path).read_text())
         ids = list(spec.get("malicious", []))
-        overrides = {
-            int(j): np.asarray(v, dtype=np.int64) for j, v in spec.get("claims", {}).items()
-        }
+        claims = spec.get("claims", {})
+        overrides = {int(j): np.asarray(v, dtype=np.int64) for j, v in claims.items()}
     except (OSError, ValueError, TypeError, AttributeError, OverflowError, RecursionError) as exc:
         raise TableFileError(f"cannot read table file {path}: {exc}") from exc
     if not all(isinstance(j, int) and not isinstance(j, bool) for j in ids):
         raise TableFileError(f"cannot read table file {path}: worker ids must be JSON integers")
+    if not all(str(int(j)) == j for j in claims):
+        raise TableFileError(f"cannot read table file {path}: claims keys must be decimal worker ids")
     malicious = frozenset(ids)
     if not all(1 <= j <= params.n for j in malicious):
         raise TableFileError(f"malicious worker ids must be in 1..{params.n}: got {sorted(malicious)}")
@@ -258,6 +260,8 @@ def load_table_adversary(path, params: SchemeParams) -> "_TableFileAdversary":
             raise TableFileError(
                 f"claims for worker {j} must have shape {(params.block_size, params.d)}"
             )
+        if not all(type(x) is int for row in claims[str(j)] for x in row):  # no bools or floats
+            raise TableFileError(f"cannot read table file {path}: claims must be JSON integers")
     return _TableFileAdversary(malicious, overrides)
 
 

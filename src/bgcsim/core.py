@@ -15,9 +15,9 @@ from fractions import Fraction
 
 import numpy as np
 
-# Block sums and label slice sums are taken in int64 before reducing mod q and
-# reach block_size * (q - 1); SchemeParams rejects configurations where that
-# is 2**63 or more, whatever the alphabet.
+# Block sums, the chunk prefix sums of a block and label slice sums are taken
+# in int64 before reducing mod q and reach block_size * (q - 1); SchemeParams
+# rejects configurations where that is 2**63 or more, whatever the alphabet.
 MAX_ALPHABET = 2**32
 
 
@@ -109,24 +109,48 @@ def replication_factor(assignment: np.ndarray) -> Fraction:
     return Fraction(int(a.sum()), a.shape[0])
 
 
+def wide_rows(d: int) -> int:
+    """Rows of width d summed as one wide row of about 1024 elements."""
+    return max(1, 1024 // max(d, 1))
+
+
+def chunk_sums(rows: np.ndarray, chunk: int) -> np.ndarray:
+    """Exact int64 column sums of each whole chunk of ``chunk`` rows of a (k, d) array.
+
+    Returns shape (k // chunk, d); leftover rows are ignored.  ``chunk``
+    must be a multiple of w = wide_rows(d).  numpy reduces a narrow array
+    along axis 0 one short row at a time, so each chunk is summed as
+    chunk // w rows of w*d elements and the w partial rows are then folded
+    by ``einsum``.  Integer addition wraps the same way in any order, so
+    every output bit matches the plain sum.  Chunks are summed in slabs of
+    about 2**18 elements, which keeps the temporary small.
+    """
+    k, d = rows.shape
+    w = wide_rows(d)
+    n = k // chunk
+    out = np.empty((n, d), dtype=np.int64)
+    step = max(1, 2**18 // (chunk * d))  # chunks per slab
+    for i in range(0, n, step):
+        slab = rows[i * chunk : min(i + step, n) * chunk]
+        part = slab.reshape(-1, chunk // w, w * d).sum(axis=1)
+        np.einsum("ijk->ik", part.reshape(-1, w, d), out=out[i : i + step])
+    return out
+
+
 def column_sums(rows: np.ndarray) -> np.ndarray:
     """Exact int64 column sums of a (k, d) array; the same values as ``rows.sum(axis=0)``.
 
-    numpy reduces a narrow array along axis 0 one short row at a time.  So
-    the largest prefix of whole groups of w = 1024 // d rows is summed as rows
-    of w*d elements, the w partial rows are folded together, and the leftover
-    rows are added.  Integer addition wraps the same way in any order, so
-    every output bit matches.  Short blocks, zero-width rows and
-    non-contiguous arrays, which the wide view would not speed up, could not
-    reshape or would copy, take the plain sum.
+    The largest prefix of whole groups of w = wide_rows(d) rows is summed as
+    one chunk by ``chunk_sums`` and the leftover rows are added.  Short
+    blocks, zero-width rows and non-contiguous arrays, which the wide view
+    would not speed up, could not reshape or would copy, take the plain sum.
     """
     k, d = rows.shape
-    w = max(1, 1024 // max(d, 1))
+    w = wide_rows(d)
     if d == 0 or k < 2 * w or not rows.flags.c_contiguous:
         return rows.sum(axis=0)
     head = k - k % w
-    wide = rows[:head].reshape(-1, w * d).sum(axis=0)
-    return wide.reshape(w, d).sum(axis=0) + rows[head:].sum(axis=0)
+    return chunk_sums(rows[:head], head)[0] + rows[head:].sum(axis=0)
 
 
 def full_gradient(gradients, q: int) -> np.ndarray:

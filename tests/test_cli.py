@@ -205,6 +205,24 @@ GOLDEN_WIDE = [
     ),
 ]
 
+# Runs whose blocks span many label chunk-prefix chunks and end in a partial
+# chunk, at a d that does not divide 1024: (argv, CSV digest, transcript dump
+# digest), recorded before label sums were served from chunk prefix sums.
+GOLDEN_CHUNKED = [
+    (
+        ["--s", "6", "--u", "2", "--p", "100003", "--d", "5", "--trials", "2",
+         "--adversary", "symmetrization"],
+        "f96faaf1780f58af2b4cee9d728d59797ee8b63cb8271c461d3197533418f703",
+        "d96c169e1b1990915d67116a34b490fe145e0936888a963b555639c089ddb93c",
+    ),
+    (
+        ["--s", "4", "--u", "2", "--m", "2", "--p", "40000", "--d", "3", "--q", "2",
+         "--trials", "2", "--adversary", "symmetrization-collusive"],
+        "bec554d2ccf913dd99c0fd6fd8caa19c85f00a288ecc5d6d0abd0db527e3c1ac",
+        "5b448e93a2c971cb42f8dbd436daf50ec386ecdf5f86000000a6db0223017868",
+    ),
+]
+
 
 def _dump_digest(dump):
     h = hashlib.sha256()
@@ -248,6 +266,13 @@ def test_golden_wide_blocks(tmp_path, argv, csv_digest, dump_digest):
     assert main(argv + ["--out", str(out), "--dump-transcripts", str(dump)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_digest
     assert _dump_digest(dump) == dump_digest
+
+
+@pytest.mark.parametrize(
+    "argv, csv_digest, dump_digest", GOLDEN_CHUNKED, ids=["symmetrization-d5", "collusive-d3-q2"]
+)
+def test_golden_chunked_blocks(tmp_path, argv, csv_digest, dump_digest):
+    test_golden_wide_blocks(tmp_path, argv, csv_digest, dump_digest)
 
 
 def test_csv_round_trip_recovers_numbers(tmp_path):
@@ -354,8 +379,20 @@ def test_bad_table_file_is_one_line_error(tmp_path, capsys):
         '{"malicious": [true]}',
         '{"malicious": [1.7]}',
         '{"malicious": ["1"]}',
+        '{"malicious": [1], "claims": {"1": [[1.7], [0], [0], [0]]}}',
+        '{"malicious": [1], "claims": {"1": [[0], [true], [0], [0]]}}',
+        '{"malicious": [1], "claims": {"1": [[0], [0], [-0.5], [0]]}}',
+        '{"malicious": [1], "claims": {"1": [[0], [0], [0], ["3"]]}}',
+        '{"malicious": [1], "claims": {"1_0": [[0], [0], [0], [0]]}}',
+        '{"malicious": [1], "claims": {"01": [[0], [0], [0], [0]]}}',
+        '{"malicious": [1], "claims": {" 1": [[0], [0], [0], [0]]}}',
+        '{"malicious": [1], "claims": [["1", [[0], [0], [0], [0]]]]}',
     ],
-    ids=["claim-overflows-int64", "bool-id", "float-id", "string-id"],
+    ids=[
+        "claim-overflows-int64", "bool-id", "float-id", "string-id", "float-claim",
+        "bool-claim", "negative-float-claim", "string-claim", "underscore-key",
+        "zero-padded-key", "space-padded-key", "claims-not-an-object",
+    ],
 )
 def test_unreadable_table_file_is_one_line_error(tmp_path, capsys, text):
     path = tmp_path / "table.json"

@@ -1,17 +1,20 @@
 import numpy as np
 import pytest
 from fractions import Fraction
+from itertools import accumulate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bgcsim.adversary import honest_table
+from bgcsim.adversary import ClaimedGradientTable, honest_table
 from bgcsim.core import (
     SchemeParams,
     build_fractional_repetition,
+    chunk_sums,
     column_sums,
     full_gradient,
     random_gradients,
     replication_factor,
+    wide_rows,
 )
 
 
@@ -217,17 +220,33 @@ def test_column_sums_match_python_int_reference(data, d, shape, layout, values, 
     assert np.array_equal(got, _reference_column_sums(rows))
 
 
+@pytest.mark.parametrize("d, wides, tail", [(3, 16, 7), (4, 1, 0), (1030, 2, 1)])
+def test_chunk_sums_match_plain_sums_across_slabs(d, wides, tail):
+    # More than 2**20 elements, so the chunks are summed in several slabs.
+    chunk = wides * wide_rows(d)
+    n = 2**21 // (chunk * d) + 3
+    limit = np.iinfo(np.int64)
+    rng = np.random.default_rng(d)
+    values = np.array([limit.min, limit.max, -1, 1, 12345], dtype=np.int64)
+    rows = rng.choice(values, size=(n * chunk + tail, d))
+    expected = rows[: n * chunk].reshape(n, chunk, d).sum(axis=1)
+    assert np.array_equal(chunk_sums(rows, chunk), expected)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     data=st.data(),
     d=st.integers(1, 40),
     m=st.integers(1, 3),
+    chunks=st.sampled_from([0, 2, 3]),
     shape=_ROW_SHAPES,
     q=st.sampled_from([2, 3, 65536, 2**31 - 1, 2**32]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_full_gradient_and_block_sums_match_reference(data, d, m, shape, q, seed):
-    block = max(2, _row_count(data, max(1, 1024 // d), shape))
+def test_full_gradient_and_block_sums_match_reference(data, d, m, chunks, shape, q, seed):
+    # Blocks of 0, 2 or 3 whole label chunks plus a tail around column_sums' thresholds.
+    chunk = ClaimedGradientTable.CHUNK * wide_rows(d)
+    block = max(2, chunks * chunk + _row_count(data, wide_rows(d), shape))
     params = SchemeParams(s=1, u=1, m=m, p=m * block, d=d, q=q)
     rng = np.random.default_rng(seed)
     low = q - 2 if data.draw(st.booleans()) else 0  # all values at the top of the alphabet
@@ -238,7 +257,34 @@ def test_full_gradient_and_block_sums_match_reference(data, d, m, shape, q, seed
     index = params.block_of_group(params.group_of_worker(deviant))[int(rng.integers(block))]
     claimed = (truth[index - 1] + 1) % q
     table.set(deviant, index, claimed)
+    twin = table.honest_twin()
+
+    # [lo, hi) ranges (local, 1-based): the whole block, ones that start or end
+    # on a chunk boundary, ones inside a chunk, and random ones.
+    ranges = {(1, block + 1)}
+    for edge in range(chunk, block, chunk):
+        ranges.add((edge + 1, int(rng.integers(edge + 2, block + 2))))  # starts on a boundary
+        ranges.add((int(rng.integers(1, edge + 1)), edge + 1))  # ends on one
+    for first in range(0, block, chunk):
+        lo = first + 1 + int(rng.integers(min(chunk, block - first)))
+        ranges.add((lo, int(rng.integers(lo + 1, min(first + chunk, block) + 2))))
+    for _ in range(6):
+        lo = int(rng.integers(1, block + 1))
+        ranges.add((lo, int(rng.integers(lo + 1, block + 2))))
+
+    def check_labels(tab, g):
+        span = params.block_of_group(g)
+        for coord in range(1, d + 1):
+            prefix = [0, *accumulate(truth[span.start - 1 : span.stop - 1, coord - 1].tolist())]
+            for j in params.workers_of_group(g):
+                for lo, hi in sorted(ranges):
+                    expected = prefix[hi - 1] - prefix[lo - 1]
+                    if tab is table and j == deviant and lo <= index - span.start + 1 < hi:
+                        expected += int(claimed[coord - 1]) - int(truth[index - 1, coord - 1])
+                    assert tab.label(j, lo, hi, coord) == expected % q
+
     for g in range(1, m + 1):
+        check_labels(twin, g)  # before any z0, so labels build the chunk tables
         span = params.block_of_group(g)
         rows = truth[span.start - 1 : span.stop - 1]
         for j in params.workers_of_group(g):
@@ -246,3 +292,4 @@ def test_full_gradient_and_block_sums_match_reference(data, d, m, shape, q, seed
             if j == deviant:
                 expected = expected - truth[index - 1] + claimed
             assert np.array_equal(table.z0(j), expected % q)
+        check_labels(table, g)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from bgcsim.adversary import (
     CallbackAdversary,
+    ClaimedGradientTable,
     CommitQuery,
     FlipFlopAdversary,
     InitialQuery,
@@ -20,7 +21,7 @@ from bgcsim.adversary import (
     symmetrization_attack,
 )
 from bgcsim.bounds import check_compliance, run_trial, verify_run
-from bgcsim.core import SchemeParams, full_gradient, random_gradients
+from bgcsim.core import SchemeParams, full_gradient, random_gradients, wide_rows
 from bgcsim.protocol import ProtocolRun, metrics_from_transcript
 
 Q16 = 2**16
@@ -440,7 +441,8 @@ def test_smoke_grid_all_adversaries(run_and_check):
 
 
 def test_honest_answers_share_sums_only_over_the_runs_truth():
-    params = SchemeParams(s=2, u=1, m=1, p=8, d=2, q=Q16)
+    chunk = ClaimedGradientTable.CHUNK * wide_rows(2)
+    params = SchemeParams(s=2, u=1, m=1, p=2 * chunk + 3, d=2, q=Q16)  # two chunks and a tail
     truth = random_gradients(params, 3)
     table, disagreement = symmetrization_attack(params, truth, [1, 2], np.random.default_rng(4))
     responder = TableAdversary(table, frozenset({1, 2})).instantiate(params, truth, None)
@@ -457,11 +459,15 @@ def test_honest_answers_share_sums_only_over_the_runs_truth():
     ghat, _, transcript = run.execute()
     assert verify_run(params, world2.truth, world2.malicious, ghat, transcript) == []
     block_sum = world2.truth.sum(axis=0) % params.q
-    assert run._honest._sums[1].tolist() == block_sum.tolist()
-    assert table._sums[1].tolist() == (truth.sum(axis=0) % params.q).tolist()
+    assert run._honest._sums[1][1].tolist() == block_sum.tolist()
+    assert table._sums[1][1].tolist() == (truth.sum(axis=0) % params.q).tolist()
+    for memo, rows in ((run._honest._sums, world2.truth), (table._sums, truth)):
+        assert memo[1][0].tolist() == [rows[: i * chunk].sum(axis=0).tolist() for i in range(3)]
+    b = params.block_size + 1
+    ranges = [(1, 9), (1, 5), (5, 9), (3, 4), (1, b), (2, b), (chunk + 1, b), (chunk - 1, 2 * chunk + 3)]
     for j in sorted(set(params.workers_of_group(1)) - world2.malicious):
         assert run._honest.z0(j).tolist() == table.z0(j).tolist() == block_sum.tolist()
-        for lo, hi in [(1, 9), (1, 5), (5, 9), (3, 4)]:
+        for lo, hi in ranges:
             for coord in (1, 2):
                 assert run._honest.label(j, lo, hi, coord) == table.label(j, lo, hi, coord)
 
