@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import SchemeParams, chunk_sums, column_sums, wide_rows
+from .core import SchemeParams, chunk_sums, column_sums, random_gradients, wide_rows
 
 
 class InitialQuery(NamedTuple):
@@ -197,11 +197,6 @@ class ClaimedGradientTable:
         return self.params == other.params and self.to_bytes() == other.to_bytes()
 
 
-def honest_table(params: SchemeParams, truth: np.ndarray) -> ClaimedGradientTable:
-    """Table in which every worker claims the true values of its block."""
-    return ClaimedGradientTable(params, truth)
-
-
 def _deviated(vec: np.ndarray, q: int, rng: np.random.Generator) -> np.ndarray:
     """Copy of ``vec`` with one uniformly chosen coordinate altered to a uniform other value.
 
@@ -214,46 +209,23 @@ def _deviated(vec: np.ndarray, q: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def symmetrization_attack(
-    params: SchemeParams,
-    truth: np.ndarray,
-    malicious,
-    rng: np.random.Generator,
-    mode: str = "per-index",
-    leftover_mimic: bool = False,
+    params: SchemeParams, truth: np.ndarray, rng: np.random.Generator, mode: str = "per-index"
 ):
-    """Consistent claimed-gradient table for the symmetrization attack.
+    """Consistent claimed-gradient table for the symmetrization attack by workers 1..s.
 
-    Draws floor(s/u) disputed indices uniformly from the attacked group's
-    block.  In per-index mode, disjoint malicious subsets of size u each
-    plant one shared wrong value on their own index; the s mod u leftover
-    workers claim the truth (or mimic a uniformly chosen subset when
-    ``leftover_mimic`` is set).  In collusive mode every malicious worker
-    plants the same wrong value on a single index drawn from the set.
-    ``mode="coinflip"`` picks collusive with probability 1/2.
+    Workers 1..s all sit in group 1.  Draws floor(s/u) disputed indices
+    uniformly from its block.  In per-index mode, disjoint size-u subsets of
+    workers 1..s each plant one shared wrong value on their own index; the
+    s mod u leftover workers claim the truth.  In collusive mode all s
+    workers plant the same wrong value on a single index drawn from the set.
 
     Returns (table, disagreement_set).
     """
-    malicious = sorted(int(j) for j in malicious)
-    if len(set(malicious)) != len(malicious):
-        raise ValueError("malicious worker ids must be distinct")
-    if len(malicious) != params.s:
-        raise ValueError(
-            f"symmetrization controls exactly s workers: got {len(malicious)}, s={params.s}"
-        )
-    if malicious:
-        groups = {params.group_of_worker(j) for j in malicious}
-        if len(groups) > 1:
-            raise ValueError("malicious set spans multiple groups")
-        if groups != {1}:
-            raise ValueError("symmetrization attacks the first group only")
-
-    if mode == "coinflip":
-        mode = "collusive" if int(rng.integers(2)) == 1 else "per-index"
     if mode not in ("per-index", "collusive"):
         raise ValueError(f"unknown attack mode: {mode!r}")
 
     truth = np.asarray(truth, dtype=np.int64)
-    table = honest_table(params, truth)
+    table = ClaimedGradientTable(params, truth)
     n_dev = params.s // params.u
     if n_dev == 0:
         return table, DisagreementSet(group=1, indices=())
@@ -269,19 +241,12 @@ def symmetrization_attack(
     if mode == "per-index":
         for chunk, index in enumerate(indices):
             wrong = _deviated(truth[index - 1], params.q, rng)
-            for j in malicious[chunk * params.u : (chunk + 1) * params.u]:
+            for j in range(chunk * params.u + 1, (chunk + 1) * params.u + 1):
                 table.set(j, index, wrong)
-        leftovers = malicious[n_dev * params.u :]
-        if leftovers and leftover_mimic:
-            pick = int(rng.integers(n_dev + 1))
-            if pick < n_dev:  # mimic subset `pick`; the last option is mimicking honesty
-                wrong = table.value(malicious[pick * params.u], indices[pick])
-                for j in leftovers:
-                    table.set(j, indices[pick], wrong)
     else:
         index = int(rng.choice(np.asarray(indices)))
         wrong = _deviated(truth[index - 1], params.q, rng)
-        for j in malicious:
+        for j in range(1, params.s + 1):
             table.set(j, index, wrong)
 
     return table, DisagreementSet(group=1, indices=indices)
@@ -316,7 +281,18 @@ def flip_world(params: SchemeParams, truth: np.ndarray, table: ClaimedGradientTa
     return World(truth=flipped, table=table, malicious=malicious)
 
 
-def two_case_worlds(params: SchemeParams, rng, flip_index: int = None):
+def attacked_world(params: SchemeParams, rng: np.random.Generator):
+    """A truth drawn from ``rng`` under the per-index attack of workers 1..s.
+
+    Returns (world, disagreement_set).
+    """
+    truth = random_gradients(params, rng)
+    table, disagreement = symmetrization_attack(params, truth, rng)
+    world = World(truth=truth, table=table, malicious=frozenset(range(1, params.s + 1)))
+    return world, disagreement
+
+
+def two_case_worlds(params: SchemeParams, rng):
     """Two worlds with byte-identical claimed tables but different full gradients.
 
     World 1 takes the synthesized truth at face value; all planted values are
@@ -326,18 +302,10 @@ def two_case_worlds(params: SchemeParams, rng, flip_index: int = None):
     """
     if params.s < params.u:
         raise ValueError(f"requires floor(s/u) >= 1: s={params.s}, u={params.u}")
-    rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    from .core import random_gradients
-
-    truth = random_gradients(params, rng)
-    malicious = list(range(1, params.s + 1))
-    table, disagreement = symmetrization_attack(params, truth, malicious, rng)
-    if flip_index is None:
-        flip_index = int(rng.choice(np.asarray(disagreement.indices)))
-    elif flip_index not in disagreement.indices:
-        raise ValueError(f"index {flip_index} is not in the disagreement set")
-    world1 = World(truth=truth, table=table, malicious=frozenset(malicious))
-    world2 = flip_world(params, truth, table, flip_index)
+    rng = np.random.default_rng(rng)  # a Generator is used as it is
+    world1, disagreement = attacked_world(params, rng)
+    flip_index = int(rng.choice(np.asarray(disagreement.indices)))
+    world2 = flip_world(params, world1.truth, world1.table, flip_index)
     if len(world2.malicious) > params.s:
         raise AssertionError("flipped world exceeds the malicious budget")
     return world1, world2
@@ -404,37 +372,23 @@ class SymmetrizationAdversary:
     """Draws a fresh symmetrization table per run; controls workers 1..s."""
 
     mode: str = "per-index"
-    leftover_mimic: bool = False
 
     def instantiate(self, params, truth, rng):
-        malicious = frozenset(range(1, params.s + 1))
-        table, _ = symmetrization_attack(
-            params,
-            truth,
-            sorted(malicious),
-            rng,
-            mode=self.mode,
-            leftover_mimic=self.leftover_mimic,
-        )
-        return _table_responder(malicious, table)
+        table, _ = symmetrization_attack(params, truth, rng, self.mode)
+        return _table_responder(range(1, params.s + 1), table)
 
 
 @dataclass(frozen=True)
 class FlipFlopAdversary:
-    """Uniformly random responder on a seeded set of workers (s by default).
+    """Uniformly random responder on s workers drawn from all n per run.
 
     Every query gets fresh uniform noise, so nothing is consistent.  One RNG
     substream per group keeps responses independent of the order in which
     group tournaments are executed.
     """
 
-    count: int = None  # type: ignore[assignment]
-
     def instantiate(self, params, truth, rng):
-        count = params.s if self.count is None else self.count
-        if count > params.s:
-            raise ValueError(f"cannot control {count} workers with budget s={params.s}")
-        picks = rng.choice(params.n, size=count, replace=False)
+        picks = rng.choice(params.n, size=params.s, replace=False)
         malicious = frozenset(int(j) + 1 for j in picks)
         group_rng = dict(zip(range(1, params.m + 1), rng.spawn(params.m)))
 

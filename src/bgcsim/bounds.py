@@ -14,8 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .adversary import TableAdversary, flip_world, symmetrization_attack
-from .core import SchemeParams, full_gradient, random_gradients
+from .adversary import TableAdversary, attacked_world, flip_world
+from .core import SchemeParams, full_gradient
 from .protocol import Metrics, ProtocolRun, Transcript
 
 
@@ -238,18 +238,15 @@ def indistinguishability_check(params: SchemeParams, budget: int, seed=0) -> Wit
     n_dev = params.s // params.u
     if budget >= n_dev:
         raise ValueError(f"no witness guaranteed at budget {budget} >= floor(s/u)={n_dev}")
-    rng = np.random.default_rng(seed)
-    truth1 = random_gradients(params, rng)
-    malicious1 = list(range(1, params.s + 1))
-    table, disagreement = symmetrization_attack(params, truth1, malicious1, rng)
-
+    world1, disagreement = attacked_world(params, np.random.default_rng(seed))
+    table = world1.table
     transcript1 = run_trial(
-        params, truth1, TableAdversary(table, frozenset(malicious1)), oracle_budget=budget
+        params, world1.truth, TableAdversary(table, world1.malicious), oracle_budget=budget
     ).transcript
     computed = set(transcript1.computed_indices())
     flip = min(i for i in disagreement.indices if i not in computed)
 
-    world2 = flip_world(params, truth1, table, flip)
+    world2 = flip_world(params, world1.truth, table, flip)
     transcript2 = run_trial(
         params, world2.truth, TableAdversary(table, world2.malicious), oracle_budget=budget
     ).transcript
@@ -258,7 +255,7 @@ def indistinguishability_check(params: SchemeParams, budget: int, seed=0) -> Wit
         flip_index=flip,
         decoder_input_1=decoder_input(table, transcript1),
         decoder_input_2=decoder_input(table, transcript2),
-        full_gradient_1=full_gradient(truth1, params.q),
+        full_gradient_1=full_gradient(world1.truth, params.q),
         full_gradient_2=full_gradient(world2.truth, params.q),
     )
     if not witness.indistinguishable or not witness.gradients_differ:

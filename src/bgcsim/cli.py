@@ -19,11 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from .adversary import (
+    ClaimedGradientTable,
     FlipFlopAdversary,
     NoAdversary,
     SymmetrizationAdversary,
-    TableAdversary,
-    honest_table,
+    _table_responder,
 )
 from .bounds import BoundsReport, run_trial
 from .core import SchemeParams, random_gradients
@@ -271,12 +271,15 @@ class _TableFileAdversary:
     overrides: dict
 
     def instantiate(self, params, truth, rng):
-        table = honest_table(params, truth)
+        # Claims exist only for listed workers (load_table_adversary checks)
+        # and the table is built on this run's truth, so TableAdversary's
+        # honest-worker check could not fail here.
+        table = ClaimedGradientTable(params, truth)
         for j, block in self.overrides.items():
             start = params.block_of_group(params.group_of_worker(j)).start
             for offset, row in enumerate(block):
                 table.set(j, start + offset, row)
-        return TableAdversary(table, self.malicious).instantiate(params, truth, rng)
+        return _table_responder(self.malicious, table)
 
 
 def make_adversary(spec: str, params: SchemeParams):
@@ -333,7 +336,7 @@ def run_experiments(config: ExperimentConfig):
                 values[metric].append(getattr(result.metrics, metric))
             if dump_dir is not None:
                 name = f"transcript_p{point_idx:03d}_t{trial:05d}.jsonl"
-                (dump_dir / name).write_text(result.transcript.to_jsonl())
+                _write(dump_dir / name, result.transcript.to_jsonl())
         cells = {
             "point": point_idx,
             "adversary": config.adversary,
@@ -434,6 +437,14 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _write(path, text: str) -> None:
+    """Write an output file; a failed write is a ConfigError (one line, exit 2)."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def check_outputs(config: ExperimentConfig) -> None:
     """Raise ConfigError unless the output file and the dump directory can be written."""
     for flag, target in (("--out", config.out), ("--dump-transcripts", config.dump_transcripts)):
@@ -467,17 +478,17 @@ def main(argv=None) -> int:
             rows = run_experiments(config)
             columns = RESULT_COLUMNS
             all_ok = all(row["bounds_ok"] and row["correct"] for row in rows)
+        text = format_rows(columns, rows, config.format)
+        if config.out is None:
+            sys.stdout.write(text)
+        else:
+            _write(config.out, text)
     except CorrectnessFailure as exc:
         print(f"FAILED: {exc}", file=sys.stderr)
         return 1
     except ConfigError as exc:
         print(f"bgcsim: error: {exc}", file=sys.stderr)
         return 2
-    text = format_rows(columns, rows, config.format)
-    if config.out is None:
-        sys.stdout.write(text)
-    else:
-        Path(config.out).write_text(text)
     return 0 if all_ok else 1
 
 

@@ -54,7 +54,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .adversary import CommitQuery, InitialQuery, LabelQuery, honest_table
+from .adversary import ClaimedGradientTable, CommitQuery, InitialQuery, LabelQuery
 from .core import SchemeParams
 
 
@@ -226,7 +226,7 @@ class ProtocolRun:
         if table is not None and table.params == params and table.truth is truth:
             self._honest = table.honest_twin()  # one memo of truth sums for both tables
         else:
-            self._honest = honest_table(params, truth)
+            self._honest = ClaimedGradientTable(params, truth)
         self._cost = {"initial": (params.d, 0), "label": (1, 0), "commit": (0, 1)}  # (symbols, bits)
 
     # -- plumbing ----------------------------------------------------------

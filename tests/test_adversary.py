@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bgcsim.adversary import (
+    ClaimedGradientTable,
     CommitQuery,
     FlipFlopAdversary,
     InitialQuery,
@@ -9,7 +10,6 @@ from bgcsim.adversary import (
     SymmetrizationAdversary,
     TableAdversary,
     flip_world,
-    honest_table,
     symmetrization_attack,
     two_case_worlds,
 )
@@ -19,9 +19,7 @@ from bgcsim.core import SchemeParams, full_gradient, random_gradients
 def _attack(params, seed=0, **kwargs):
     truth = random_gradients(params, seed)
     rng = np.random.default_rng(seed + 1)
-    table, dis = symmetrization_attack(
-        params, truth, list(range(1, params.s + 1)), rng, **kwargs
-    )
+    table, dis = symmetrization_attack(params, truth, rng, **kwargs)
     return truth, table, dis
 
 
@@ -57,9 +55,9 @@ def test_per_index_shape_smallest():
 def test_s_zero_table_is_truth():
     params = SchemeParams(s=0, u=2, m=1, p=4, d=1, q=2**16)
     truth = random_gradients(params, 3)
-    table, dis = symmetrization_attack(params, truth, [], np.random.default_rng(0))
+    table, dis = symmetrization_attack(params, truth, np.random.default_rng(0))
     assert dis.indices == ()
-    assert table.identical_to(honest_table(params, truth))
+    assert table.identical_to(ClaimedGradientTable(params, truth))
 
 
 def test_leftover_workers_claim_truth():
@@ -73,22 +71,6 @@ def test_leftover_workers_claim_truth():
         # both members of the pair plant the same value
         assert np.array_equal(table.value(who[0], index), table.value(who[1], index))
     assert np.array_equal(_row(params, table, 5), truth[0:8])  # worker 5 is the leftover
-
-
-def test_leftover_mimic_option():
-    params = SchemeParams(s=5, u=2, m=1, p=8, d=1, q=2**16)
-    truth = random_gradients(params, 9)
-    copies = 0
-    for seed in range(30):
-        table, dis = symmetrization_attack(
-            params, truth, [1, 2, 3, 4, 5], np.random.default_rng(seed), leftover_mimic=True
-        )
-        row = _row(params, table, 5)
-        if not np.array_equal(row, truth[0:8]):
-            # must be a byte-for-byte copy of one deviating pair's row
-            assert any(np.array_equal(row, _row(params, table, j)) for j in (1, 3))
-            copies += 1
-    assert 0 < copies < 30  # both branches of the mimic choice occur
 
 
 @pytest.mark.parametrize("s", range(1, 7))
@@ -133,19 +115,14 @@ def test_collusive_single_index():
     assert len(values) == 1  # everyone plants the same wrong value
 
 
-def test_coinflip_hits_both_branches():
-    params = SchemeParams(s=4, u=1, m=1, p=8, d=1, q=2**16)
-    truth = random_gradients(params, 2)
-    modes = set()
-    for seed in range(20):
-        table, dis = symmetrization_attack(
-            params, truth, [1, 2, 3, 4], np.random.default_rng(seed), mode="coinflip"
-        )
-        disputed = sum(
-            1 for i in params.block_of_group(1) if _deviating_workers(params, truth, table, i)
-        )
-        modes.add("collusive" if disputed == 1 else "per-index")
-    assert modes == {"collusive", "per-index"}
+def test_unknown_attack_modes_rejected():
+    # "coinflip" was once a mode; it and any other name must not fall through to per-index
+    params = SchemeParams(s=2, u=1, m=1, p=8, d=1, q=2**16)
+    truth = random_gradients(params, 0)
+    with pytest.raises(ValueError, match="unknown attack mode"):
+        symmetrization_attack(params, truth, np.random.default_rng(0), mode="coinflip")
+    with pytest.raises(ValueError, match="unknown attack mode"):
+        SymmetrizationAdversary(mode="bogus").instantiate(params, truth, np.random.default_rng(0))
 
 
 def test_attack_confined_to_first_group():
@@ -154,18 +131,6 @@ def test_attack_confined_to_first_group():
     for j in params.workers_of_group(2):
         block = params.block_of_group(2)
         assert np.array_equal(_row(params, table, j), truth[block.start - 1 : block.stop - 1])
-
-
-def test_attack_rejects_bad_malicious_sets():
-    params = SchemeParams(s=2, u=1, m=2, p=8, d=1, q=2**16)
-    truth = random_gradients(params, 0)
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError, match="exactly s"):
-        symmetrization_attack(params, truth, [1], rng)
-    with pytest.raises(ValueError, match="spans multiple groups"):
-        symmetrization_attack(params, truth, [1, 4], rng)
-    with pytest.raises(ValueError, match="first group"):
-        symmetrization_attack(params, truth, [4, 5], rng)
 
 
 def test_two_case_worlds_small_grid():
@@ -230,7 +195,7 @@ def test_table_responder_answers_from_table():
     params = SchemeParams(s=2, u=1, m=1, p=4, d=2, q=2**16)
     truth = random_gradients(params, 21)
     rng = np.random.default_rng(22)
-    table, dis = symmetrization_attack(params, truth, [1, 2], rng)
+    table, dis = symmetrization_attack(params, truth, rng)
     responder = SymmetrizationAdversary().instantiate(params, truth, np.random.default_rng(22))
     z0 = responder.respond(1, InitialQuery(group=1))
     assert np.array_equal(z0, responder.table.z0(1))
@@ -259,17 +224,10 @@ def test_flipflop_is_inconsistent():
     assert len(answers) > 1  # same query, different rounds, different answers
 
 
-def test_flipflop_respects_budget():
-    params = SchemeParams(s=2, u=1, m=1, p=4, d=1, q=2**16)
-    truth = random_gradients(params, 0)
-    with pytest.raises(ValueError, match="budget"):
-        FlipFlopAdversary(count=3).instantiate(params, truth, np.random.default_rng(0))
-
-
 def test_table_adversary_validates_honest_rows():
     params = SchemeParams(s=1, u=1, m=1, p=4, d=1, q=2**16)
     truth = random_gradients(params, 5)
-    table = honest_table(params, truth)
+    table = ClaimedGradientTable(params, truth)
     table.set(2, 1, truth[0] + 1)  # worker 2 altered...
     with pytest.raises(ValueError, match="honest worker"):
         TableAdversary(table, frozenset({1})).instantiate(  # ...but only 1 is malicious
@@ -280,7 +238,7 @@ def test_table_adversary_validates_honest_rows():
 def test_claimed_table_rejects_unassigned_index():
     params = SchemeParams(s=1, u=1, m=2, p=8, d=1, q=2**16)
     truth = random_gradients(params, 5)
-    table = honest_table(params, truth)
+    table = ClaimedGradientTable(params, truth)
     with pytest.raises(ValueError, match="not assigned"):
         table.value(1, 5)  # worker 1 is in group 1; gradient 5 belongs to group 2
 
@@ -288,7 +246,7 @@ def test_claimed_table_rejects_unassigned_index():
 def test_table_adversary_rejects_honest_deviation_on_its_own_truth():
     params = SchemeParams(s=1, u=2, m=2, p=8, d=2, q=2**16)
     truth = random_gradients(params, 9)
-    table = honest_table(params, truth)
+    table = ClaimedGradientTable(params, truth)
     assert table.truth is truth  # the table:<file> path binds the very array it checks
     table.set(5, 6, truth[5] + 1)  # worker 5 (group 2) deviates but is not malicious
     with pytest.raises(ValueError, match="honest worker 5"):
@@ -297,7 +255,7 @@ def test_table_adversary_rejects_honest_deviation_on_its_own_truth():
 
 def test_differs_from_a_copy_compares_the_whole_block():
     params = SchemeParams(s=1, u=1, m=1, p=8, d=2, q=2**16)
-    table = honest_table(params, random_gradients(params, 4))
+    table = ClaimedGradientTable(params, random_gradients(params, 4))
     assert not table.differs_from(2, table.truth.copy())
     moved = table.truth.copy()  # a changed copy, as flip_world passes
     moved[6, 1] += 1

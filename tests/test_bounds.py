@@ -1,9 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from bgcsim.adversary import TableAdversary, symmetrization_attack
+from bgcsim.adversary import TableAdversary, symmetrization_attack, two_case_worlds
 from bgcsim.bounds import (
     BoundsReport,
     comm_lower,
@@ -129,7 +130,7 @@ def test_coverage_per_index_attack():
     for seed in range(25):
         truth = random_gradients(params, np.random.default_rng([seed, 0]))
         rng = np.random.default_rng([seed, 1])
-        table, disagreement = symmetrization_attack(params, truth, [1, 2, 3], rng)
+        table, disagreement = symmetrization_attack(params, truth, rng)
         _, metrics, transcript, _, _ = run_trial(
             params, truth, TableAdversary(table, frozenset({1, 2, 3}))
         )
@@ -141,7 +142,7 @@ def test_coverage_per_index_attack():
 def test_coverage_trivial_when_honest():
     params = SchemeParams(s=0, u=2, m=1, p=4, d=1, q=Q16)
     truth = random_gradients(params, 0)
-    table, disagreement = symmetrization_attack(params, truth, [], np.random.default_rng(0))
+    table, disagreement = symmetrization_attack(params, truth, np.random.default_rng(0))
     _, _, transcript, _, _ = run_trial(params, truth, TableAdversary(table, frozenset()))
     assert disagreement_coverage_check(transcript, disagreement, table)
 
@@ -151,9 +152,7 @@ def test_coverage_collusive_single_call():
     for seed in range(25):
         truth = random_gradients(params, np.random.default_rng([seed, 0]))
         rng = np.random.default_rng([seed, 1])
-        table, disagreement = symmetrization_attack(
-            params, truth, [1, 2, 3, 4], rng, mode="collusive"
-        )
+        table, disagreement = symmetrization_attack(params, truth, rng, mode="collusive")
         _, metrics, transcript, _, _ = run_trial(
             params, truth, TableAdversary(table, frozenset({1, 2, 3, 4}))
         )
@@ -179,3 +178,67 @@ def test_witness_rejects_sufficient_budget():
     params = SchemeParams(s=2, u=1, m=1, p=4, d=1, q=Q16)
     with pytest.raises(ValueError, match="no witness"):
         indistinguishability_check(params, budget=2, seed=0)
+
+
+# Converse witnesses: ((s, u, m, p, d, q), budget, seed) -> flip index and the
+# sha256 of both decoder inputs, recorded before the witness and
+# two_case_worlds shared one world builder.
+GOLDEN_WITNESS = [
+    (
+        ((1, 1, 1, 2, 1, Q16), 0, 3), 1,
+        "d3fbf140f1bd74fc64a5274fb44c09ee91c5ff86fbded46a34e34b9280a0c53d",
+        "d3fbf140f1bd74fc64a5274fb44c09ee91c5ff86fbded46a34e34b9280a0c53d",
+    ),
+    (
+        ((3, 1, 1, 8, 1, Q16), 2, 5), 6,
+        "2953f8f6ac203ab924e18a39a1881ba8b3548960fcadacf886f3ed1631c41a71",
+        "2953f8f6ac203ab924e18a39a1881ba8b3548960fcadacf886f3ed1631c41a71",
+    ),
+    (
+        ((5, 2, 2, 16, 2, Q16), 1, 7), 8,
+        "8018dcee5a8c8c9b059771218b176f4eeaaae34030f0bf9eb571b9d3a3edfb6b",
+        "8018dcee5a8c8c9b059771218b176f4eeaaae34030f0bf9eb571b9d3a3edfb6b",
+    ),
+    (
+        ((6, 3, 1, 12, 3, 2), 1, 11), 11,
+        "c625b8f9b200de3125519b67ac60073378f7de1e1b09d2c5c8a0a0374d775932",
+        "c625b8f9b200de3125519b67ac60073378f7de1e1b09d2c5c8a0a0374d775932",
+    ),
+    (
+        ((4, 1, 3, 24, 2, 5), 3, 13), 3,
+        "cd05efe8fe2d41f7e174b6c13eafaa7d4e3346a242ba92c04c962cce67c74487",
+        "cd05efe8fe2d41f7e174b6c13eafaa7d4e3346a242ba92c04c962cce67c74487",
+    ),
+]
+# sha256 over two_case_worlds' claimed table, both truths and both malicious
+# sets, for seeds 0..7 at each of these (s, u, m, p, d, q).
+GOLDEN_WITNESS_WORLDS = (
+    [(1, 1, 1, 2, 1, Q16), (3, 1, 1, 8, 2, Q16), (5, 2, 2, 16, 1, 2), (4, 4, 1, 6, 3, 7)],
+    "33d677327c6d34a9c3599bacedb4331dfcff0f15b1be6a62406a5d188f61e612",
+)
+
+
+@pytest.mark.parametrize(
+    "point, flip_index, digest_1, digest_2",
+    GOLDEN_WITNESS,
+    ids=["s1-u1", "s3-u1", "s5-u2-m2", "s6-u3-q2", "s4-u1-m3-q5"],
+)
+def test_golden_witness(point, flip_index, digest_1, digest_2):
+    shape, budget, seed = point
+    params = SchemeParams(*shape)
+    witness = indistinguishability_check(params, budget, seed=seed)
+    assert witness.flip_index == flip_index
+    assert hashlib.sha256(witness.decoder_input_1).hexdigest() == digest_1
+    assert hashlib.sha256(witness.decoder_input_2).hexdigest() == digest_2
+
+
+def test_golden_witness_worlds():
+    shapes, digest = GOLDEN_WITNESS_WORLDS
+    h = hashlib.sha256()
+    for shape in shapes:
+        params = SchemeParams(*shape)
+        for seed in range(8):
+            w1, w2 = two_case_worlds(params, seed)
+            h.update(w1.table.to_bytes() + w1.truth.tobytes() + w2.truth.tobytes())
+            h.update(repr((sorted(w1.malicious), sorted(w2.malicious))).encode())
+    assert h.hexdigest() == digest

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import errno
 import hashlib
 import io
 import json
@@ -224,6 +225,18 @@ GOLDEN_CHUNKED = [
 ]
 
 
+# A table:<file> run at m=2 whose malicious workers are 1 and 4: worker 1
+# claims trial 0's truth with one entry moved, worker 4 claims the truth
+# throughout.  (argv, CSV digest, transcript dump digest), recorded before
+# table-file runs stopped re-checking the honest workers' claims.
+GOLDEN_TABLE_FILE = (
+    ["--s", "2", "--u", "1", "--m", "2", "--p", "16", "--d", "2", "--seed", "5",
+     "--trials", "3", "--adversary", "table:table.json"],
+    "9e9ac151a6a8e952660640c2e9c207ff5f737b101fcf49c0d68cd8697410e076",
+    "ac4477d7d815a4b21615d904774a6cc4048396d76d00325a1a203b5ffa5fdc32",
+)
+
+
 def _dump_digest(dump):
     h = hashlib.sha256()
     for path in sorted(dump.iterdir()):  # names and bytes, in sorted order
@@ -273,6 +286,21 @@ def test_golden_wide_blocks(tmp_path, argv, csv_digest, dump_digest):
 )
 def test_golden_chunked_blocks(tmp_path, argv, csv_digest, dump_digest):
     test_golden_wide_blocks(tmp_path, argv, csv_digest, dump_digest)
+
+
+def test_golden_table_file(tmp_path, monkeypatch):
+    from bgcsim.core import SchemeParams
+
+    argv, csv_digest, dump_digest = GOLDEN_TABLE_FILE
+    params = SchemeParams(s=2, u=1, m=2, p=16, d=2)
+    block = random_gradients(params, np.random.default_rng([5, 0, 0, 0]))[: params.block_size]
+    block[3, 1] = (block[3, 1] + 1) % params.q
+    monkeypatch.chdir(tmp_path)  # the CSV names the table file, so keep its path fixed
+    spec = {"malicious": [1, 4], "claims": {"1": block.tolist()}}
+    Path("table.json").write_text(json.dumps(spec))
+    assert main(argv + ["--out", "rows.csv", "--dump-transcripts", "dump"]) == 0
+    assert hashlib.sha256(Path("rows.csv").read_bytes()).hexdigest() == csv_digest
+    assert _dump_digest(Path("dump")) == dump_digest
 
 
 def test_csv_round_trip_recovers_numbers(tmp_path):
@@ -508,6 +536,34 @@ def test_unusable_output_path_is_one_line_error(tmp_path, capsys, monkeypatch, k
     assert captured.out == "" and captured.err.count("\n") == 1
     assert captured.err.startswith("bgcsim: error: ")
     assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_out_write_is_one_line_error(capsys):
+    argv = ["--s", "1", "--u", "1", "--p", "4", "--d", "1", "--trials", "2", "--out", "/dev/full"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("bgcsim: error: cannot write /dev/full: ")
+
+
+def test_failed_transcript_write_is_one_line_error(tmp_path, capsys, monkeypatch):
+    write_text = Path.write_text
+
+    def full_disk(path, *args, **kwargs):
+        if path.name.startswith("transcript_"):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+        return write_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", full_disk)
+    dump = tmp_path / "dump"
+    argv = _SMALL + ["--out", str(tmp_path / "rows.csv"), "--dump-transcripts", str(dump)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        f"bgcsim: error: cannot write {dump / 'transcript_p000_t00000.jsonl'}: "
+        f"{os.strerror(errno.ENOSPC)}\n"
+    )
+    assert not (tmp_path / "rows.csv").exists()
 
 
 @pytest.mark.parametrize("dump", ["rows", "rows/sub"])

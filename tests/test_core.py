@@ -5,7 +5,7 @@ from itertools import accumulate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bgcsim.adversary import ClaimedGradientTable, honest_table
+from bgcsim.adversary import ClaimedGradientTable
 from bgcsim.core import (
     SchemeParams,
     build_fractional_repetition,
@@ -252,7 +252,7 @@ def test_full_gradient_and_block_sums_match_reference(data, d, m, chunks, shape,
     low = q - 2 if data.draw(st.booleans()) else 0  # all values at the top of the alphabet
     truth = rng.integers(low, q, size=(params.p, d), dtype=np.int64)
     assert np.array_equal(full_gradient(truth, q), _reference_column_sums(truth) % q)
-    table = honest_table(params, truth)
+    table = ClaimedGradientTable(params, truth)
     deviant = 1 + params.group_size * int(rng.integers(m))  # first worker of some group
     index = params.block_of_group(params.group_of_worker(deviant))[int(rng.integers(block))]
     claimed = (truth[index - 1] + 1) % q

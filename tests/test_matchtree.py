@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bgcsim.adversary import CallbackAdversary, honest_table
+from bgcsim.adversary import CallbackAdversary, ClaimedGradientTable
 from bgcsim.core import SchemeParams
 from bgcsim.protocol import ConsistentSubset, ProtocolRun
 
@@ -85,7 +85,7 @@ def test_children_of_leaf_rejected():
 
 def test_node_range_validation():
     params = SchemeParams(s=1, u=1, m=1, p=4, d=1, q=Q16)
-    table = honest_table(params, np.array([[1], [2], [3], [4]], dtype=np.int64))
+    table = ClaimedGradientTable(params, np.array([[1], [2], [3], [4]], dtype=np.int64))
     with pytest.raises(ValueError):
         table.label(1, 3, 3, 1)  # empty range
     with pytest.raises(ValueError):
@@ -117,23 +117,25 @@ def test_depth_bound_exhaustive():
 
 def test_node_label_examples():
     params = SchemeParams(s=1, u=1, m=1, p=4, d=1, q=Q16)
-    table = honest_table(params, np.array([[1], [2], [3], [4]], dtype=np.int64))
+    table = ClaimedGradientTable(params, np.array([[1], [2], [3], [4]], dtype=np.int64))
     assert table.label(1, 3, 4, 1) == 3  # single leaf
     assert table.label(1, 1, 5, 1) == 10  # the root: full sum
     table.set(2, 3, [7])
     assert table.label(2, 3, 4, 1) == 7
     assert table.label(2, 1, 5, 1) == 14
     assert table.label(1, 1, 5, 1) == 10  # worker 1 is unaffected
-    zeros = honest_table(SchemeParams(s=1, u=1, m=1, p=6, d=2, q=Q16), np.zeros((6, 2)))
+    zeros = ClaimedGradientTable(SchemeParams(s=1, u=1, m=1, p=6, d=2, q=Q16), np.zeros((6, 2)))
     assert zeros.label(1, 2, 5, 2) == 0
     # ranges are local to the worker's group block: group 2 holds gradients 5..8
-    two = honest_table(SchemeParams(s=1, u=1, m=2, p=8, d=1, q=Q16), np.arange(1, 9).reshape(8, 1))
+    two = ClaimedGradientTable(
+        SchemeParams(s=1, u=1, m=2, p=8, d=1, q=Q16), np.arange(1, 9).reshape(8, 1)
+    )
     assert two.label(3, 1, 3, 1) == 5 + 6
 
 
 def test_node_label_bounds_checked():
     params = SchemeParams(s=1, u=1, m=1, p=4, d=1, q=Q16)
-    table = honest_table(params, np.array([[1], [2], [3], [4]], dtype=np.int64))
+    table = ClaimedGradientTable(params, np.array([[1], [2], [3], [4]], dtype=np.int64))
     with pytest.raises(ValueError):
         table.label(1, 1, 6, 1)
     with pytest.raises(ValueError):
@@ -142,7 +144,7 @@ def test_node_label_bounds_checked():
 
 def test_root_vector_is_block_sum():
     params = SchemeParams(s=1, u=1, m=1, p=3, d=2, q=5)
-    table = honest_table(params, np.zeros((3, 2), dtype=np.int64))
+    table = ClaimedGradientTable(params, np.zeros((3, 2), dtype=np.int64))
     for index, row in enumerate([[1, 2], [3, 4], [4, 4]], start=1):
         table.set(1, index, row)
     assert table.z0(1).tolist() == [3, 0]
@@ -178,7 +180,7 @@ def test_sibling_sum_identity(block, m, d, q, seed):
     rng = np.random.default_rng(seed)
     params = SchemeParams(s=2, u=1, m=m, p=m * block, d=d, q=q)
     truth = rng.integers(0, q, size=(params.p, d))
-    table = honest_table(params, truth)
+    table = ClaimedGradientTable(params, truth)
     claimed, honest = {}, {}
     for j in range(1, params.n + 1):
         start = params.block_of_group(params.group_of_worker(j)).start

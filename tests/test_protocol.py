@@ -17,7 +17,6 @@ from bgcsim.adversary import (
     SymmetrizationAdversary,
     TableAdversary,
     flip_world,
-    honest_table,
     symmetrization_attack,
 )
 from bgcsim.bounds import check_compliance, run_trial, verify_run
@@ -29,7 +28,7 @@ Q16 = 2**16
 
 def _liar_table(params, truth):
     """Worker 1 claims -4 for the last gradient, shifting its block sum to 2."""
-    table = honest_table(params, truth)
+    table = ClaimedGradientTable(params, truth)
     table.set(1, 4, [4 - 8])
     return table
 
@@ -201,7 +200,7 @@ def test_repeated_leaf_dispute_served_from_cache(run_and_check):
     # cover both disputes without a second oracle call.
     params = SchemeParams(s=3, u=1, m=1, p=4, d=1, q=Q16)
     truth = random_gradients(params, 19)
-    table = honest_table(params, truth)
+    table = ClaimedGradientTable(params, truth)
     table.set(1, 2, truth[1] + 1)
     table.set(3, 2, truth[1] + 2)
     table.set(2, 3, truth[2] + 3)
@@ -444,7 +443,7 @@ def test_honest_answers_share_sums_only_over_the_runs_truth():
     chunk = ClaimedGradientTable.CHUNK * wide_rows(2)
     params = SchemeParams(s=2, u=1, m=1, p=2 * chunk + 3, d=2, q=Q16)  # two chunks and a tail
     truth = random_gradients(params, 3)
-    table, disagreement = symmetrization_attack(params, truth, [1, 2], np.random.default_rng(4))
+    table, disagreement = symmetrization_attack(params, truth, np.random.default_rng(4))
     responder = TableAdversary(table, frozenset({1, 2})).instantiate(params, truth, None)
     twin = ProtocolRun(params, truth, responder)._honest
     assert twin._sums is table._sums and not twin.deviations  # one memo over one truth
@@ -504,7 +503,7 @@ def test_hammer_arbitrary_tables(run_and_check):
         malicious = frozenset(
             int(j) + 1 for j in rng.choice(params.n, size=count, replace=False)
         )
-        table = honest_table(params, truth)
+        table = ClaimedGradientTable(params, truth)
         for j in malicious:
             mask = rng.integers(0, 2, size=(block, params.d)).astype(bool)
             noise = rng.integers(0, params.q, size=(block, params.d))
@@ -637,7 +636,7 @@ def test_arbitrary_response_streams_never_break_a_run(data, point, seed):
     malicious = data.draw(
         st.sets(st.integers(1, params.n), max_size=params.s), label="malicious"
     )
-    honest = honest_table(params, truth)
+    honest = ClaimedGradientTable(params, truth)
 
     def stream(worker, query, rng):
         answer = data.draw(_responses(params, query, honest.answer(worker, query)))
