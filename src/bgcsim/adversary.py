@@ -54,8 +54,9 @@ class ClaimedGradientTable:
     ``deviations[j]`` maps a global gradient index in worker j's block to the
     (d,) vector j claims there instead of the truth; a worker with no
     deviations is honest.  Values outside a worker's block are not
-    representable, matching the assignment structure.  The truth array is
-    shared with the caller and only ever read.
+    representable, matching the assignment structure.  The truth array,
+    uint32 as ``core.random_gradients`` draws it, is shared with the caller
+    and only ever read; deviations are int64, and so is every sum.
 
     Sums of the truth are memoized on first use.  Each block gets a chunk
     table in one pass: the int64 prefix sums at every boundary of a chunk of
@@ -72,7 +73,7 @@ class ClaimedGradientTable:
 
     def __init__(self, params: SchemeParams, truth: np.ndarray):
         self.params = params
-        self.truth = np.asarray(truth, dtype=np.int64)
+        self.truth = np.asarray(truth)
         self.deviations = {}
         self._sums = {}  # block start -> (prefix sums, block sum mod q); (first, stop, coord) -> int
         self._chunk = self.CHUNK * wide_rows(params.d)  # rows per chunk
@@ -131,7 +132,7 @@ class ClaimedGradientTable:
         if total is None:
             chunk = self._chunk
             if stop - first < chunk:
-                total = int(self.truth[first - 1 : stop - 1, coord - 1].sum())
+                total = int(self.truth[first - 1 : stop - 1, coord - 1].sum(dtype=np.int64))
             else:  # whole chunks from the prefix table, the partial ones at each end directly
                 prefix = self._chunk_table(block)[0][:, coord - 1]
                 a = -((block.start - first) // chunk)  # first chunk boundary at or after first
@@ -140,8 +141,8 @@ class ClaimedGradientTable:
                 cut_a, cut_b = block.start - 1 + a * chunk, block.start - 1 + b * chunk
                 total = (
                     int(prefix[b] - prefix[a])
-                    + int(column[first - 1 : cut_a].sum())
-                    + int(column[cut_b : stop - 1].sum())
+                    + int(column[first - 1 : cut_a].sum(dtype=np.int64))
+                    + int(column[cut_b : stop - 1].sum(dtype=np.int64))
                 )
             self._sums[key] = total
         for index, vec in self.deviations.get(worker, {}).items():
@@ -186,8 +187,11 @@ class ClaimedGradientTable:
         return any(int(index) not in own for index in moved)
 
     def to_bytes(self) -> bytes:
-        """Canonical encoding: the reference truth, then every deviation in (worker, index) order."""
-        parts = [self.truth.tobytes()]
+        """Canonical encoding: the reference truth, then every deviation in (worker, index) order.
+
+        Every value is encoded as int64, whatever the dtype of the truth.
+        """
+        parts = [np.asarray(self.truth, dtype=np.int64).tobytes()]
         for worker in sorted(self.deviations):
             for index, vec in sorted(self.deviations[worker].items()):
                 parts.append(np.array([worker, index], dtype=np.int64).tobytes() + vec.tobytes())
@@ -204,7 +208,7 @@ def _deviated(vec: np.ndarray, q: int, rng: np.random.Generator) -> np.ndarray:
     """
     out = vec.copy()
     k = int(rng.integers(out.shape[0]))
-    out[k] = (out[k] + 1 + rng.integers(q - 1)) % q
+    out[k] = (int(out[k]) + 1 + int(rng.integers(q - 1))) % q  # Python ints: no uint32 wrap
     return out
 
 
@@ -224,7 +228,6 @@ def symmetrization_attack(
     if mode not in ("per-index", "collusive"):
         raise ValueError(f"unknown attack mode: {mode!r}")
 
-    truth = np.asarray(truth, dtype=np.int64)
     table = ClaimedGradientTable(params, truth)
     n_dev = params.s // params.u
     if n_dev == 0:
@@ -268,7 +271,6 @@ def flip_world(params: SchemeParams, truth: np.ndarray, table: ClaimedGradientTa
     everyone else in the attacked group becomes malicious.  The claimed table
     is unchanged, which is the whole point.
     """
-    truth = np.asarray(truth, dtype=np.int64)
     group = params.workers_of_group(1)
     deviators = [
         j for j in group if not np.array_equal(table.value(j, index), truth[index - 1])
@@ -360,7 +362,6 @@ class TableAdversary:
     def instantiate(self, params, truth, rng):
         if self.table.params != params:
             raise ValueError("table was built for different parameters")
-        truth = np.asarray(truth, dtype=np.int64)
         for j in range(1, params.n + 1):
             if j not in self.malicious and self.table.differs_from(j, truth):
                 raise ValueError(f"honest worker {j} has claims differing from the truth")

@@ -184,7 +184,7 @@ def disagreement_coverage_check(transcript: Transcript, disagreement, table) -> 
     disputed = set()
     for index in disagreement.indices:
         seen = {
-            table.value(j, index).tobytes()
+            tuple(table.value(j, index).tolist())  # the uint32 truth and int64 claims compare by value
             for j in table.params.workers_of_group(disagreement.group)
         }
         if len(seen) > 1:

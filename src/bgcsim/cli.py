@@ -27,6 +27,7 @@ from .adversary import (
 )
 from .bounds import BoundsReport, run_trial
 from .core import SchemeParams, random_gradients
+from .protocol import ProtocolError
 
 ADVERSARIES = ("none", "symmetrization", "symmetrization-collusive", "flipflop")
 FIGURES = ("fig1", "appendixF-ratio", "appendixF-convergence")
@@ -309,9 +310,10 @@ class CorrectnessFailure(RuntimeError):
 def run_experiments(config: ExperimentConfig):
     """Execute every (sweep point, trial); return aggregated result rows.
 
-    Any breach of the per-run contract (``bounds.verify_run``) aborts
-    immediately with the reproduction handle (point, trial, master seed) in
-    the exception message; bound violations only clear ``bounds_ok``.
+    Any breach of the per-run contract (``bounds.verify_run``), or a
+    ``ProtocolError`` raised inside a run, aborts immediately with the
+    reproduction handle (point, trial, master seed) in the exception
+    message; bound violations only clear ``bounds_ok``.
     """
     points = expand_sweep(config)
     adversaries = [make_adversary(config.adversary, params) for params in points]
@@ -327,10 +329,14 @@ def run_experiments(config: ExperimentConfig):
             truth_rng = np.random.default_rng([config.seed, point_idx, trial, 0])
             adv_rng = np.random.default_rng([config.seed, point_idx, trial, 1])
             truth = random_gradients(params, truth_rng)
-            result = run_trial(params, truth, adversary, adv_rng)
-            if result.breaches:
+            try:
+                result = run_trial(params, truth, adversary, adv_rng)
+                breaches = result.breaches
+            except ProtocolError as exc:  # an engine invariant broke: a bug, reported like a breach
+                breaches = [f"protocol error: {exc}"]
+            if breaches:
                 handle = f"point={point_idx} trial={trial} seed={config.seed}"
-                raise CorrectnessFailure(f"{'; '.join(result.breaches)} at {handle}")
+                raise CorrectnessFailure(f"{'; '.join(breaches)} at {handle}")
             bounds_ok = bounds_ok and not result.violations
             for metric in METRICS:
                 values[metric].append(getattr(result.metrics, metric))

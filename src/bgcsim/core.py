@@ -1,7 +1,8 @@
 """Finite-alphabet gradient arithmetic and the block-replicated data assignment.
 
-Partial gradients are length-d vectors over the integers modulo q, stored as
-numpy int64 arrays with every coordinate in [0, q).  The full gradient is
+Partial gradients are length-d vectors over the integers modulo q with every
+coordinate in [0, q).  The ground truth is drawn and held as a (p, d) numpy
+uint32 array; claimed values and every sum are int64.  The full gradient is
 their coordinate-wise sum modulo q.  Workers are partitioned into m groups of
 s+u members each; all workers in a group are assigned the same block of p/m
 consecutive gradient indices.  Worker ids and gradient indices are 1-based
@@ -10,14 +11,16 @@ throughout.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-# Block sums, the chunk prefix sums of a block and label slice sums are taken
-# in int64 before reducing mod q and reach block_size * (q - 1); SchemeParams
-# rejects configurations where that is 2**63 or more, whatever the alphabet.
+# Every residue is below q <= 2**32, so the truth fits in uint32.  Block sums,
+# the chunk prefix sums of a block and label slice sums are taken in int64
+# before reducing mod q and reach block_size * (q - 1); SchemeParams rejects
+# configurations where that is 2**63 or more, whatever the alphabet.
 MAX_ALPHABET = 2**32
 
 
@@ -132,13 +135,13 @@ def chunk_sums(rows: np.ndarray, chunk: int) -> np.ndarray:
     step = max(1, 2**18 // (chunk * d))  # chunks per slab
     for i in range(0, n, step):
         slab = rows[i * chunk : min(i + step, n) * chunk]
-        part = slab.reshape(-1, chunk // w, w * d).sum(axis=1)
+        part = slab.reshape(-1, chunk // w, w * d).sum(axis=1, dtype=np.int64)
         np.einsum("ijk->ik", part.reshape(-1, w, d), out=out[i : i + step])
     return out
 
 
 def column_sums(rows: np.ndarray) -> np.ndarray:
-    """Exact int64 column sums of a (k, d) array; the same values as ``rows.sum(axis=0)``.
+    """Exact int64 column sums of a (k, d) integer array, as ``rows.sum(axis=0, dtype=np.int64)``.
 
     The largest prefix of whole groups of w = wide_rows(d) rows is summed as
     one chunk by ``chunk_sums`` and the leftover rows are added.  Short
@@ -148,15 +151,15 @@ def column_sums(rows: np.ndarray) -> np.ndarray:
     k, d = rows.shape
     w = wide_rows(d)
     if d == 0 or k < 2 * w or not rows.flags.c_contiguous:
-        return rows.sum(axis=0)
+        return rows.sum(axis=0, dtype=np.int64)
     head = k - k % w
-    return chunk_sums(rows[:head], head)[0] + rows[head:].sum(axis=0)
+    return chunk_sums(rows[:head], head)[0] + rows[head:].sum(axis=0, dtype=np.int64)
 
 
 def full_gradient(gradients, q: int) -> np.ndarray:
-    """Coordinate-wise sum modulo q of a stack of equal-length gradient vectors."""
+    """Coordinate-wise sum modulo q of a stack of equal-length integer gradient vectors, as int64."""
     try:
-        arr = np.asarray(gradients, dtype=np.int64)
+        arr = np.asarray(gradients)
     except ValueError as exc:
         raise ValueError("gradient dimensions do not match") from exc
     if arr.ndim != 2:
@@ -165,6 +168,33 @@ def full_gradient(gradients, q: int) -> np.ndarray:
 
 
 def random_gradients(params: SchemeParams, seed) -> np.ndarray:
-    """Uniform ground-truth gradients of shape (p, d); deterministic in (params, seed)."""
+    """Uniform uint32 ground-truth gradients of shape (p, d); deterministic in (params, seed).
+
+    The values and the generator's later draws are those of
+    ``rng.integers(0, q, (p, d), dtype=np.int64)``.  For a PCG64 generator,
+    a power-of-two q and no buffered half word, they are read from one raw
+    pass: numpy's bounded draw takes one 32-bit half word per value, low half
+    first, and its multiply-shift bound keeps the top log2(q) bits without
+    ever rejecting at a power-of-two range.  An odd count leaves the last
+    high half buffered in the bit generator, as numpy does.
+    """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return rng.integers(0, params.q, size=(params.p, params.d), dtype=np.int64)
+    q, shape = params.q, (params.p, params.d)
+    bits = rng.bit_generator
+    if (
+        q & (q - 1)
+        or type(bits) is not np.random.PCG64
+        or sys.byteorder != "little"
+        or bits.state["has_uint32"]
+    ):
+        return rng.integers(0, q, size=shape, dtype=np.uint32)
+    n = params.p * params.d
+    raw = bits.random_raw((n + 1) // 2)
+    out = raw.view(np.uint32)[:n].reshape(shape)
+    if n % 2:
+        state = bits.state
+        state["has_uint32"], state["uinteger"] = 1, int(raw[-1] >> np.uint64(32))
+        bits.state = state
+    if q < 2**32:
+        out >>= 33 - q.bit_length()  # 32 - log2(q)
+    return out

@@ -202,7 +202,7 @@ class ProtocolRun:
         oracle_budget: int = None,
         random_draws: bool = False,
     ):
-        truth = np.asarray(truth, dtype=np.int64)
+        truth = np.asarray(truth)  # no copy: a table over this array is shared below
         if truth.shape != (params.p, params.d):
             raise ValueError(f"truth must have shape (p, d)={(params.p, params.d)}, got {truth.shape}")
         if len(responder.malicious) > params.s:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from bgcsim.adversary import (
     symmetrization_attack,
     two_case_worlds,
 )
+from bgcsim.bounds import run_trial
 from bgcsim.core import SchemeParams, full_gradient, random_gradients
 
 
@@ -123,6 +126,25 @@ def test_unknown_attack_modes_rejected():
         symmetrization_attack(params, truth, np.random.default_rng(0), mode="coinflip")
     with pytest.raises(ValueError, match="unknown attack mode"):
         SymmetrizationAdversary(mode="bogus").instantiate(params, truth, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("mode", ["per-index", "collusive"])
+def test_attack_at_the_top_of_the_largest_alphabet(mode):
+    """q = 2**32 over a truth of all 2**32 - 1: planted values wrap mod q without a uint32 overflow."""
+    params = SchemeParams(s=4, u=1, m=2, p=16, d=2, q=2**32)
+    truth = np.full((params.p, params.d), 2**32 - 1, dtype=np.uint32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in range(4):
+            table, dis = symmetrization_attack(params, truth, np.random.default_rng(seed), mode)
+            planted = [vec for own in table.deviations.values() for vec in own.values()]
+            assert planted and dis.indices
+            for vec in planted:
+                assert vec.dtype == np.int64 and ((0 <= vec) & (vec < params.q)).all()
+                assert not np.array_equal(vec, truth[0])
+            adversary = SymmetrizationAdversary(mode=mode)
+            trial = run_trial(params, truth, adversary, np.random.default_rng(seed))
+            assert trial.breaches == [] and trial.violations == []
 
 
 def test_attack_confined_to_first_group():

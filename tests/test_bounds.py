@@ -239,6 +239,7 @@ def test_golden_witness_worlds():
         params = SchemeParams(*shape)
         for seed in range(8):
             w1, w2 = two_case_worlds(params, seed)
-            h.update(w1.table.to_bytes() + w1.truth.tobytes() + w2.truth.tobytes())
+            truths = (w.truth.astype(np.int64).tobytes() for w in (w1, w2))  # int64 bytes, as pinned
+            h.update(w1.table.to_bytes() + b"".join(truths))
             h.update(repr((sorted(w1.malicious), sorted(w2.malicious))).encode())
     assert h.hexdigest() == digest

@@ -26,7 +26,7 @@ from bgcsim.cli import (
     run_experiments,
 )
 from bgcsim.core import random_gradients
-from bgcsim.protocol import ProtocolRun
+from bgcsim.protocol import ProtocolError, ProtocolRun
 
 
 def test_parse_flagship_configuration():
@@ -706,6 +706,27 @@ def test_run_experiments_raises_typed_failure(monkeypatch):
     monkeypatch.setattr(bounds, "ProtocolRun", Framing)
     with pytest.raises(CorrectnessFailure, match=r"honest workers eliminated: \[2\].*seed=0"):
         run_experiments(config)
+
+
+def test_protocol_error_reported_with_reproduction_handle(monkeypatch, capsys):
+    """An engine invariant breaking inside a run is one FAILED: line with the handle, exit 1."""
+    calls = []
+
+    def execute(self):
+        calls.append(1)
+        if len(calls) == 3:
+            raise ProtocolError("group 1 lost every consistent subset")
+        return original(self)
+
+    original = ProtocolRun.execute
+    monkeypatch.setattr(ProtocolRun, "execute", execute)
+    argv = ["--s", "1", "--u", "1", "--p", "4", "--d", "1", "--trials", "2", "--sweep", "p=4,8", "--seed", "7"]
+    assert main(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines() == [
+        "FAILED: protocol error: group 1 lost every consistent subset at point=1 trial=0 seed=7"
+    ]
 
 
 # Property: whatever the config file and flags hold, a run ends in exit 0;

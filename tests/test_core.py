@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -155,6 +157,43 @@ def test_random_gradients_binary_alphabet():
         assert set(g.ravel().tolist()) <= {0, 1}
 
 
+def _generators(seed):
+    """Pairs of equal generators: a fresh PCG64, a PCG64 with a buffered half word, an MT19937."""
+    buffered = [np.random.default_rng(seed) for _ in range(2)]
+    for rng in buffered:
+        rng.integers(0, 7, dtype=np.uint32)  # one half word drawn, its twin left buffered
+    yield "fresh", [np.random.default_rng(seed) for _ in range(2)]
+    yield "buffered", buffered
+    yield "mt19937", [np.random.Generator(np.random.MT19937(seed)) for _ in range(2)]
+
+
+def _state(rng):
+    """The bit generator's state as plain data (MT19937 keeps a key array)."""
+    return json.dumps(rng.bit_generator.state, default=lambda key: key.tolist())
+
+
+@pytest.mark.parametrize("q", [2, 4, 2**16, 2**31, 2**32, 3, 65537, 2**32 - 1])
+@pytest.mark.parametrize("p, d", [(4, 3), (5, 3), (2, 1), (7, 1)])
+def test_random_gradients_equal_the_int64_draw(q, p, d):
+    """The uint32 truth has rng.integers' int64 values and leaves the generator where it does.
+
+    Power-of-two q on a fresh PCG64 takes the raw-stream path; the rest fall
+    back to ``rng.integers``.  numpy promises no stream stability for
+    generator methods across versions, so this ties the raw path to the
+    installed numpy.  (5, 3) and (7, 1) draw an odd number of half words.
+    """
+    params = SchemeParams(s=0, u=1, m=1, p=p, d=d, q=q)
+    for seed in range(3):
+        for kind, (mine, reference) in _generators(seed):
+            got = random_gradients(params, mine)
+            want = reference.integers(0, q, size=(p, d), dtype=np.int64)
+            assert got.dtype == np.uint32 and got.shape == (p, d), kind
+            assert got.tolist() == want.tolist(), kind
+            for draw in (lambda g: g.integers(0, 2**32, 3, dtype=np.uint32), lambda g: g.integers(q, size=3)):
+                assert draw(mine).tolist() == draw(reference).tolist(), kind
+            assert _state(mine) == _state(reference), kind
+
+
 
 def _reference_column_sums(rows):
     """Column sums on Python ints, wrapped to int64 the way numpy's sum wraps."""
@@ -250,12 +289,13 @@ def test_full_gradient_and_block_sums_match_reference(data, d, m, chunks, shape,
     params = SchemeParams(s=1, u=1, m=m, p=m * block, d=d, q=q)
     rng = np.random.default_rng(seed)
     low = q - 2 if data.draw(st.booleans()) else 0  # all values at the top of the alphabet
-    truth = rng.integers(low, q, size=(params.p, d), dtype=np.int64)
+    dtype = data.draw(st.sampled_from([np.uint32, np.int64]))  # the drawn truth is uint32
+    truth = rng.integers(low, q, size=(params.p, d), dtype=dtype)
     assert np.array_equal(full_gradient(truth, q), _reference_column_sums(truth) % q)
     table = ClaimedGradientTable(params, truth)
     deviant = 1 + params.group_size * int(rng.integers(m))  # first worker of some group
     index = params.block_of_group(params.group_of_worker(deviant))[int(rng.integers(block))]
-    claimed = (truth[index - 1] + 1) % q
+    claimed = (truth[index - 1].astype(np.int64) + 1) % q
     table.set(deviant, index, claimed)
     twin = table.honest_twin()
 
