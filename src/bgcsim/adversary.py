@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import SchemeParams, chunk_sums, column_sums, random_gradients, wide_rows
+from .core import SchemeParams, chunk_sums, column_sums, random_gradients, sum_dtype, wide_rows
 
 
 class InitialQuery(NamedTuple):
@@ -56,7 +56,9 @@ class ClaimedGradientTable:
     deviations is honest.  Values outside a worker's block are not
     representable, matching the assignment structure.  The truth array,
     uint32 as ``core.random_gradients`` draws it, is shared with the caller
-    and only ever read; deviations are int64, and so is every sum.
+    and only ever read; deviations and sums are int64.  No sum of the truth
+    spans a chunk, so each accumulates in ``core.sum_dtype`` of its dtype, the
+    chunk and q: uint32 when a chunk of values q - 1 sums below 2**32.
 
     Sums of the truth are memoized on first use.  Each block gets a chunk
     table in one pass: the int64 prefix sums at every boundary of a chunk of
@@ -77,6 +79,7 @@ class ClaimedGradientTable:
         self.deviations = {}
         self._sums = {}  # block start -> (prefix sums, block sum mod q); (first, stop, coord) -> int
         self._chunk = self.CHUNK * wide_rows(params.d)  # rows per chunk
+        self._acc = sum_dtype(self.truth.dtype, self._chunk, params.q)
         blocks = [params.block_of_group(g) for g in range(1, params.m + 1)]
         self._blocks = [None] + [blocks[(j - 1) // params.group_size] for j in range(1, params.n + 1)]
 
@@ -132,7 +135,7 @@ class ClaimedGradientTable:
         if total is None:
             chunk = self._chunk
             if stop - first < chunk:
-                total = int(self.truth[first - 1 : stop - 1, coord - 1].sum(dtype=np.int64))
+                total = int(self.truth[first - 1 : stop - 1, coord - 1].sum(dtype=self._acc))
             else:  # whole chunks from the prefix table, the partial ones at each end directly
                 prefix = self._chunk_table(block)[0][:, coord - 1]
                 a = -((block.start - first) // chunk)  # first chunk boundary at or after first
@@ -141,8 +144,8 @@ class ClaimedGradientTable:
                 cut_a, cut_b = block.start - 1 + a * chunk, block.start - 1 + b * chunk
                 total = (
                     int(prefix[b] - prefix[a])
-                    + int(column[first - 1 : cut_a].sum(dtype=np.int64))
-                    + int(column[cut_b : stop - 1].sum(dtype=np.int64))
+                    + int(column[first - 1 : cut_a].sum(dtype=self._acc))
+                    + int(column[cut_b : stop - 1].sum(dtype=self._acc))
                 )
             self._sums[key] = total
         for index, vec in self.deviations.get(worker, {}).items():
@@ -157,9 +160,9 @@ class ClaimedGradientTable:
             rows = self.truth[block.start - 1 : block.stop - 1]
             head = len(rows) - len(rows) % self._chunk
             prefix = np.zeros((head // self._chunk + 1, self.params.d), dtype=np.int64)
-            total = column_sums(rows[head:])
+            total = column_sums(rows[head:], self.params.q)
             if head:
-                np.cumsum(chunk_sums(rows, self._chunk), axis=0, out=prefix[1:])
+                np.cumsum(chunk_sums(rows, self._chunk, self.params.q), axis=0, out=prefix[1:])
                 total = total + prefix[-1]
             total = total % self.params.q
             total.setflags(write=False)

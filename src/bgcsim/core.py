@@ -2,11 +2,12 @@
 
 Partial gradients are length-d vectors over the integers modulo q with every
 coordinate in [0, q).  The ground truth is drawn and held as a (p, d) numpy
-uint32 array; claimed values and every sum are int64.  The full gradient is
-their coordinate-wise sum modulo q.  Workers are partitioned into m groups of
-s+u members each; all workers in a group are assigned the same block of p/m
-consecutive gradient indices.  Worker ids and gradient indices are 1-based
-throughout.
+uint32 array; claimed values and sums are int64, and a sum of the truth
+accumulates in uint32 wherever ``sum_dtype`` proves that exact.  The full
+gradient is their coordinate-wise sum modulo q.  Workers are partitioned into
+m groups of s+u members each; all workers in a group are assigned the same
+block of p/m consecutive gradient indices.  Worker ids and gradient indices
+are 1-based throughout.
 """
 
 from __future__ import annotations
@@ -17,10 +18,11 @@ from fractions import Fraction
 
 import numpy as np
 
-# Every residue is below q <= 2**32, so the truth fits in uint32.  Block sums,
-# the chunk prefix sums of a block and label slice sums are taken in int64
-# before reducing mod q and reach block_size * (q - 1); SchemeParams rejects
-# configurations where that is 2**63 or more, whatever the alphabet.
+# Every residue is below q <= 2**32, so the truth fits in uint32.  k residues
+# sum to at most k * (q - 1), exact in uint32 below 2**32 (``sum_dtype``).
+# Block sums, chunk prefix sums and label sums are int64 and reach
+# block_size * (q - 1); SchemeParams rejects configurations where that is 2**63
+# or more, whatever the alphabet.
 MAX_ALPHABET = 2**32
 
 
@@ -117,43 +119,55 @@ def wide_rows(d: int) -> int:
     return max(1, 1024 // max(d, 1))
 
 
-def chunk_sums(rows: np.ndarray, chunk: int) -> np.ndarray:
+def sum_dtype(dtype, k: int, q: int):
+    """uint32 if k values of ``dtype`` in [0, q) sum exactly in it (uint32, k * (q - 1) < 2**32), else int64.
+
+    numpy's sums wrap silently, so this bound is the only guard.
+    """
+    return np.uint32 if dtype == np.uint32 and k * (q - 1) < 2**32 else np.int64
+
+
+def chunk_sums(rows: np.ndarray, chunk: int, q: int) -> np.ndarray:
     """Exact int64 column sums of each whole chunk of ``chunk`` rows of a (k, d) array.
 
     Returns shape (k // chunk, d); leftover rows are ignored.  ``chunk``
     must be a multiple of w = wide_rows(d).  numpy reduces a narrow array
     along axis 0 one short row at a time, so each chunk is summed as
-    chunk // w rows of w*d elements and the w partial rows are then folded
-    by ``einsum``.  Integer addition wraps the same way in any order, so
-    every output bit matches the plain sum.  Chunks are summed in slabs of
-    about 2**18 elements, which keeps the temporary small.
+    chunk // w rows of w*d elements in ``sum_dtype(rows.dtype, chunk // w, q)``
+    and the w partial rows are folded by ``einsum`` in its int64 output's
+    dtype.  Integer addition wraps the same way in any order, so every output
+    bit matches the plain int64 sum.  Chunks are summed in slabs of about
+    2**18 elements, which keeps the temporary small.
     """
     k, d = rows.shape
     w = wide_rows(d)
     n = k // chunk
+    acc = sum_dtype(rows.dtype, chunk // w, q)
     out = np.empty((n, d), dtype=np.int64)
     step = max(1, 2**18 // (chunk * d))  # chunks per slab
     for i in range(0, n, step):
         slab = rows[i * chunk : min(i + step, n) * chunk]
-        part = slab.reshape(-1, chunk // w, w * d).sum(axis=1, dtype=np.int64)
+        part = slab.reshape(-1, chunk // w, w * d).sum(axis=1, dtype=acc)
         np.einsum("ijk->ik", part.reshape(-1, w, d), out=out[i : i + step])
     return out
 
 
-def column_sums(rows: np.ndarray) -> np.ndarray:
-    """Exact int64 column sums of a (k, d) integer array, as ``rows.sum(axis=0, dtype=np.int64)``.
+def column_sums(rows: np.ndarray, q: int) -> np.ndarray:
+    """Exact int64 column sums of a (k, d) array of values below q, as ``rows.sum(axis=0, dtype=np.int64)``.
 
-    The largest prefix of whole groups of w = wide_rows(d) rows is summed as
-    one chunk by ``chunk_sums`` and the leftover rows are added.  Short
-    blocks, zero-width rows and non-contiguous arrays, which the wide view
-    would not speed up, could not reshape or would copy, take the plain sum.
+    Whole groups of w = wide_rows(d) rows are summed by ``chunk_sums`` in
+    chunks of at most 256 of them (about 2**18 elements, uint32 up to q = 2**24
+    for any k) and the leftover rows are added.  Short blocks, zero-width rows
+    and non-contiguous arrays, which the wide view would not speed up, could
+    not reshape or would copy, take the plain sum.  Only uint32 rows use q.
     """
     k, d = rows.shape
     w = wide_rows(d)
     if d == 0 or k < 2 * w or not rows.flags.c_contiguous:
-        return rows.sum(axis=0, dtype=np.int64)
-    head = k - k % w
-    return chunk_sums(rows[:head], head)[0] + rows[head:].sum(axis=0, dtype=np.int64)
+        return rows.sum(axis=0, dtype=sum_dtype(rows.dtype, k, q)).astype(np.int64, copy=False)
+    chunk = w * min(k // w, 256)
+    head = k - k % chunk
+    return chunk_sums(rows[:head], chunk, q).sum(axis=0) + column_sums(rows[head:], q)
 
 
 def full_gradient(gradients, q: int) -> np.ndarray:
@@ -164,7 +178,7 @@ def full_gradient(gradients, q: int) -> np.ndarray:
         raise ValueError("gradient dimensions do not match") from exc
     if arr.ndim != 2:
         raise ValueError(f"expected a (p, d) stack of vectors, got shape {arr.shape}")
-    return column_sums(arr) % q
+    return column_sums(arr, q) % q
 
 
 def random_gradients(params: SchemeParams, seed) -> np.ndarray:

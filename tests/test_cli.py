@@ -224,6 +224,32 @@ GOLDEN_CHUNKED = [
     ),
 ]
 
+# Runs at the edges of the uint32 accumulator (core.sum_dtype), at d=4 and d=3:
+# (argv, CSV digest, transcript dump digest), recorded while every sum of the
+# truth was still taken in int64.  At q = 2**20 every sum is uint32, at
+# 2**20 + 1 the chunk tables stay uint32 but the label sums are int64, and at
+# q = 2**32 every sum is int64.
+GOLDEN_ACCUMULATORS = [
+    (
+        ["--s", "6", "--u", "2", "--p", "100003", "--d", "4", "--q", "1048576", "--trials", "2",
+         "--adversary", "symmetrization"],
+        "abad70412b69ffa46e2af0a505575916c5ee2893d95f1adedebcc7db774a5923",
+        "68b3b09ca1e2f44e6e1d00ba4a5130e016a4033779e41b9cfbfaf25cb65d724d",
+    ),
+    (
+        ["--s", "6", "--u", "2", "--p", "100003", "--d", "4", "--q", "1048577", "--trials", "2",
+         "--adversary", "symmetrization"],
+        "649199a1ee7d71e292903c918f0f8c374e78ada08315d8b725a1ce6603acbda8",
+        "68b3b09ca1e2f44e6e1d00ba4a5130e016a4033779e41b9cfbfaf25cb65d724d",
+    ),
+    (
+        ["--s", "4", "--u", "2", "--m", "2", "--p", "40000", "--d", "3", "--q", "4294967296",
+         "--trials", "2", "--adversary", "symmetrization-collusive"],
+        "c5c3553794ae4a0a2b0fa6b3aa911b07b9f95ea8799db9bba3399f7678fd7ecf",
+        "5b448e93a2c971cb42f8dbd436daf50ec386ecdf5f86000000a6db0223017868",
+    ),
+]
+
 
 # A table:<file> run at m=2 whose malicious workers are 1 and 4: worker 1
 # claims trial 0's truth with one entry moved, worker 4 claims the truth
@@ -285,6 +311,13 @@ def test_golden_wide_blocks(tmp_path, argv, csv_digest, dump_digest):
     "argv, csv_digest, dump_digest", GOLDEN_CHUNKED, ids=["symmetrization-d5", "collusive-d3-q2"]
 )
 def test_golden_chunked_blocks(tmp_path, argv, csv_digest, dump_digest):
+    test_golden_wide_blocks(tmp_path, argv, csv_digest, dump_digest)
+
+
+@pytest.mark.parametrize(
+    "argv, csv_digest, dump_digest", GOLDEN_ACCUMULATORS, ids=["uint32", "uint32-chunks", "int64"]
+)
+def test_golden_accumulator_edges(tmp_path, argv, csv_digest, dump_digest):
     test_golden_wide_blocks(tmp_path, argv, csv_digest, dump_digest)
 
 

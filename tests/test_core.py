@@ -16,6 +16,7 @@ from bgcsim.core import (
     full_gradient,
     random_gradients,
     replication_factor,
+    sum_dtype,
     wide_rows,
 )
 
@@ -254,7 +255,7 @@ def test_column_sums_match_python_int_reference(data, d, shape, layout, values, 
     else:
         rows = base[:, 1 : d + 1]
     assert rows.shape == (k, d)
-    got = column_sums(rows)
+    got = column_sums(rows, 2)  # q bounds only uint32 rows: int64 ones sum in int64 whatever it is
     assert got.dtype == np.int64 and got.shape == (d,)
     assert np.array_equal(got, _reference_column_sums(rows))
 
@@ -269,7 +270,7 @@ def test_chunk_sums_match_plain_sums_across_slabs(d, wides, tail):
     values = np.array([limit.min, limit.max, -1, 1, 12345], dtype=np.int64)
     rows = rng.choice(values, size=(n * chunk + tail, d))
     expected = rows[: n * chunk].reshape(n, chunk, d).sum(axis=1)
-    assert np.array_equal(chunk_sums(rows, chunk), expected)
+    assert np.array_equal(chunk_sums(rows, chunk, 2), expected)
 
 
 @settings(max_examples=60, deadline=None)
@@ -333,3 +334,67 @@ def test_full_gradient_and_block_sums_match_reference(data, d, m, chunks, shape,
                 expected = expected - truth[index - 1] + claimed
             assert np.array_equal(table.z0(j), expected % q)
         check_labels(table, g)
+
+
+# q at the top of the uint32 accumulator and one past it, where k * (q - 1) is
+# exactly 2**32, for k values per partial sum: 16 wide rows in a label chunk,
+# 256 wide rows in a column_sums chunk, 4096 rows in a label chunk at d=4.
+_CUTS = {16: (2**28, 2**28 + 1), 256: (2**24, 2**24 + 1), 4096: (2**20, 2**20 + 1)}
+
+
+@pytest.mark.parametrize("k", sorted(_CUTS))
+def test_sum_dtype_cuts_at_two_to_the_32(k):
+    top, past = _CUTS[k]
+    assert sum_dtype(np.dtype(np.uint32), k, top) is np.uint32
+    assert sum_dtype(np.dtype(np.uint32), k, past) is np.int64
+    for dtype in (np.int64, np.float64, np.int32, np.uint16):
+        assert sum_dtype(np.dtype(dtype), k, top) is np.int64
+
+
+def _filled(shape, value, dtype):
+    return np.full(shape, value, dtype=dtype)
+
+
+@pytest.mark.parametrize("q", _CUTS[16])
+def test_chunk_sums_exact_at_the_uint32_bound(q):
+    # d=128 packs w=8 rows per wide row, fewer than the 16 wide rows per chunk.
+    d, w = 128, wide_rows(128)
+    chunk = 16 * w
+    rows = _filled((3 * chunk + 5, d), q - 1, np.uint32)
+    got = chunk_sums(rows, chunk, q)
+    assert got.dtype == np.int64
+    assert got.tolist() == [[chunk * (q - 1)] * d] * 3
+
+
+@pytest.mark.parametrize("q", _CUTS[256])
+@pytest.mark.parametrize("d", [4, 128])
+def test_column_sums_exact_at_the_uint32_bound(d, q):
+    # Several COLUMN_CHUNK chunks, a partial one and a tail shorter than a wide row.
+    k = 3 * 256 * wide_rows(d) + 2 * wide_rows(d) + 3
+    rows = _filled((k, d), q - 1, np.uint32)
+    got = column_sums(rows, q)
+    assert got.dtype == np.int64 and got.tolist() == [k * (q - 1)] * d
+    assert full_gradient(rows, q).tolist() == [k * (q - 1) % q] * d
+    # Other dtypes sum in int64 whatever q is, including values a uint32 cannot hold.
+    for value in (q - 1, q - 1 - 2**32):
+        assert column_sums(_filled((k, d), value, np.int64), q).tolist() == [k * value] * d
+        got = column_sums(_filled((k, d), float(value), np.float64), q)
+        assert got.dtype == np.int64 and got.tolist() == [k * value] * d
+
+
+@pytest.mark.parametrize("q", [*_CUTS[4096], 2**22 + 1, 2**32 - 1])
+@pytest.mark.parametrize("dtype", [np.uint32, np.int64, np.float64])
+def test_labels_exact_at_the_uint32_bound(dtype, q):
+    # d=4: a label chunk is 16 wide rows of 256, and every direct sum is shorter.
+    d = 4
+    chunk = ClaimedGradientTable.CHUNK * wide_rows(d)
+    assert chunk == 4096
+    block = 3 * chunk + 100
+    params = SchemeParams(s=1, u=1, m=1, p=block, d=d, q=q)
+    table = ClaimedGradientTable(params, _filled((block, d), q - 1, dtype))
+    short = [(lo, lo + chunk - 1) for lo in (1, 2, chunk, chunk + 1, 2 * chunk + 102)]
+    spanning = [(1, block + 1), (2, 2 * chunk + 3), (chunk - 5, 3 * chunk + 7), (chunk + 1, 3 * chunk + 1)]
+    for lo, hi in short + spanning:
+        for coord in (1, d):
+            assert table.label(1, lo, hi, coord) == (hi - lo) * (q - 1) % q, (lo, hi)
+    assert table.z0(2).tolist() == [block * (q - 1) % q] * d
