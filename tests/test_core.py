@@ -351,16 +351,12 @@ def test_sum_dtype_cuts_at_two_to_the_32(k):
         assert sum_dtype(np.dtype(dtype), k, top) is np.int64
 
 
-def _filled(shape, value, dtype):
-    return np.full(shape, value, dtype=dtype)
-
-
 @pytest.mark.parametrize("q", _CUTS[16])
 def test_chunk_sums_exact_at_the_uint32_bound(q):
     # d=128 packs w=8 rows per wide row, fewer than the 16 wide rows per chunk.
     d, w = 128, wide_rows(128)
     chunk = 16 * w
-    rows = _filled((3 * chunk + 5, d), q - 1, np.uint32)
+    rows = np.full((3 * chunk + 5, d), q - 1, dtype=np.uint32)
     got = chunk_sums(rows, chunk, q)
     assert got.dtype == np.int64
     assert got.tolist() == [[chunk * (q - 1)] * d] * 3
@@ -371,14 +367,14 @@ def test_chunk_sums_exact_at_the_uint32_bound(q):
 def test_column_sums_exact_at_the_uint32_bound(d, q):
     # Several COLUMN_CHUNK chunks, a partial one and a tail shorter than a wide row.
     k = 3 * 256 * wide_rows(d) + 2 * wide_rows(d) + 3
-    rows = _filled((k, d), q - 1, np.uint32)
+    rows = np.full((k, d), q - 1, dtype=np.uint32)
     got = column_sums(rows, q)
     assert got.dtype == np.int64 and got.tolist() == [k * (q - 1)] * d
     assert full_gradient(rows, q).tolist() == [k * (q - 1) % q] * d
     # Other dtypes sum in int64 whatever q is, including values a uint32 cannot hold.
     for value in (q - 1, q - 1 - 2**32):
-        assert column_sums(_filled((k, d), value, np.int64), q).tolist() == [k * value] * d
-        got = column_sums(_filled((k, d), float(value), np.float64), q)
+        assert column_sums(np.full((k, d), value, dtype=np.int64), q).tolist() == [k * value] * d
+        got = column_sums(np.full((k, d), float(value), dtype=np.float64), q)
         assert got.dtype == np.int64 and got.tolist() == [k * value] * d
 
 
@@ -391,7 +387,7 @@ def test_labels_exact_at_the_uint32_bound(dtype, q):
     assert chunk == 4096
     block = 3 * chunk + 100
     params = SchemeParams(s=1, u=1, m=1, p=block, d=d, q=q)
-    table = ClaimedGradientTable(params, _filled((block, d), q - 1, dtype))
+    table = ClaimedGradientTable(params, np.full((block, d), q - 1, dtype=dtype))
     short = [(lo, lo + chunk - 1) for lo in (1, 2, chunk, chunk + 1, 2 * chunk + 102)]
     spanning = [(1, block + 1), (2, 2 * chunk + 3), (chunk - 5, 3 * chunk + 7), (chunk + 1, 3 * chunk + 1)]
     for lo, hi in short + spanning:
