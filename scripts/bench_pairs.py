@@ -3,14 +3,15 @@
 Run from the root of the changed checkout, with the parent commit checked out
 in its own directory (``git clone`` or ``git archive``, not a worktree):
 
-    python3 scripts/bench_pairs.py --parent ../parent --pr 12 --pairs 10 \\
-        --seconds 30 --first-seed 41 --trace-workload big-block --digest-seeds 1 2 3
+    python3 scripts/bench_pairs.py --parent ../parent --pr 12 --first-seed 41
 
-Each side runs its own ``perfbench/run.py`` from its own directory.  Pair i
-uses seed first_seed + i; the parent runs first in even pairs and second in
-odd ones.  For every end-to-end metric of BENCHMARK.json the summary gives
-each side's runs, median and quartiles, how many pairs the change won (ties
-count for neither side) and two verdicts:
+Each side runs its own ``perfbench/run.py`` from its own directory, for the
+``run_seconds`` of BENCHMARK.json, on every workload in PAIRS alternating
+pairs.  Pair i uses seed first_seed + i; the parent runs first in even pairs
+and second in odd ones.  For every end-to-end metric of BENCHMARK.json the
+summary gives each side's runs, median and quartiles (perfbench's own
+``spread``), how many pairs the change won (ties count for neither side) and
+two verdicts:
 
   claim_holds   the change won at least 9 in 10 pairs and its median beats
                 the parent's by more than the parent's interquartile range;
@@ -18,9 +19,8 @@ count for neither side) and two verdicts:
                 than the metric's bound, taken as a fraction of the parent's
                 median.
 
-``--trace-workload`` adds one ``--trace 1`` pair per named workload (per-layer
-metrics), and ``--digest-seeds`` short runs on both sides whose CSV digests
-must agree.
+One ``--trace 1`` pair on TRACE_WORKLOAD gives the per-layer metrics, and
+short runs at DIGEST_SEEDS give both sides' CSV digests, which must agree.
 """
 
 from __future__ import annotations
@@ -28,25 +28,20 @@ from __future__ import annotations
 import argparse
 import json
 import platform
-import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
+from run import spread  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 ROOT = Path.cwd()
+PAIRS = 10
+TRACE_WORKLOAD = "big-block"
+DIGEST_SEEDS = (1, 2, 3)
 DIGEST_SECONDS = 2.0
-
-
-def quartiles(values) -> dict:
-    """Median and quartiles, on the same rule as perfbench's own spread."""
-    if len(values) < 2:
-        return {"median": values[0], "q1": values[0], "q3": values[0], "iqr": 0.0}
-    q1, _, q3 = statistics.quantiles(values, n=4)
-    return {"median": statistics.median(values), "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
 def compare(parent, change, better: str, bound: float = None) -> dict:
@@ -55,16 +50,18 @@ def compare(parent, change, better: str, bound: float = None) -> dict:
         raise ValueError("need one parent and one change value per pair")
     sign = 1 if better == "higher" else -1
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
-    before, after = quartiles(parent), quartiles(change)
+    before, after = spread(parent), spread(change)
+    iqr = before["q3"] - before["q1"]
     gap = sign * (after["median"] - before["median"])  # > 0 when the change is better
     out = {
         "parent": list(parent),
         "change": list(change),
-        **{f"parent_{k}": v for k, v in before.items()},
-        **{f"change_{k}": v for k, v in after.items()},
+        **{f"parent_{k}": before[k] for k in ("median", "q1", "q3")},
+        "parent_iqr": iqr,
+        **{f"change_{k}": after[k] for k in ("median", "q1", "q3")},
         "ratio": after["median"] / before["median"] if before["median"] else None,
         "change_wins": f"{wins}/{len(parent)}",
-        "claim_holds": 10 * wins >= 9 * len(parent) and gap > before["iqr"],
+        "claim_holds": 10 * wins >= 9 * len(parent) and gap > iqr,
     }
     if bound is not None:
         out["within_bound"] = -gap <= bound * abs(before["median"])
@@ -119,53 +116,47 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
     parser.add_argument("--pr", required=True, help="names the output BENCH_<pr>.json")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--first-seed", type=int, required=True)
-    parser.add_argument("--workload", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
-    parser.add_argument("--trace-workload", nargs="*", choices=WORKLOADS, default=[])
-    parser.add_argument("--digest-seeds", type=int, nargs="*", default=[])
+    parser.add_argument("--first-seed", type=int, required=True, help="seed of the first pair")
     args = parser.parse_args(argv)
     parent = args.parent.resolve()
     for checkout in (parent, ROOT):
         if not (checkout / "perfbench" / "run.py").is_file():
             raise SystemExit(f"bench_pairs: {checkout} has no perfbench/run.py")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seeds = range(args.first_seed, args.first_seed + args.pairs)
+    seconds = spec["run_seconds"]
+    seeds = range(args.first_seed, args.first_seed + PAIRS)
 
     report = {
-        "command": f"python3 perfbench/run.py --workload <workload> --seed <seed> --seconds {args.seconds:g} --trace 0",
+        "command": f"python3 perfbench/run.py --workload <workload> --seed <seed> --seconds {seconds:g} --trace 0",
         "host": f"{platform.machine()}, Python {platform.python_version()}",
-        "pairs": args.pairs,
+        "pairs": PAIRS,
         "order": "pair i runs the parent first when i is even and the change first when it is odd",
         "verdicts": "claim_holds: >= 9/10 wins and a median gap above the parent IQR; "
         "within_bound: the median worse by at most the BENCHMARK.json bound, relative to the parent's",
         "summary": {},
         "runs": [],
     }
-    for workload in args.workload:
-        runs = pairs(parent, ROOT, workload, seeds, args.seconds)
+    for workload in WORKLOADS:
+        runs = pairs(parent, ROOT, workload, seeds, seconds)
         report["summary"][workload] = summarize(runs, spec["end_to_end"])
         report["runs"] += [{"workload": workload, "parent": p, "change": c} for p, c in runs]
-    if args.trace_workload:
-        report["traced"] = {}
-        for workload in args.trace_workload:
-            [(p, c)] = pairs(parent, ROOT, workload, [args.first_seed], args.seconds, trace=1)
-            report["traced"][workload] = {
-                name: {"parent": p["metrics"][name]["value"], "change": c["metrics"][name]["value"]}
-                for name in p["metrics"]
-            }
-    if args.digest_seeds:
-        report["csv_sha256"] = {}
-        for workload in args.workload:
-            report["csv_sha256"][workload] = {
-                str(p["detail"]["seed"]): {"parent": p["detail"]["csv_sha256"], "change": c["detail"]["csv_sha256"]}
-                for p, c in pairs(parent, ROOT, workload, args.digest_seeds, DIGEST_SECONDS)
-            }
-    if report["runs"]:
-        first = report["runs"][0]
-        report["parent_commit"] = first["parent"]["detail"]["git_commit"]
-        report["change_src_sha256"] = first["change"]["detail"]["src_sha256"]
+    [(p, c)] = pairs(parent, ROOT, TRACE_WORKLOAD, [args.first_seed], seconds, trace=1)
+    report["traced"] = {
+        TRACE_WORKLOAD: {
+            name: {"parent": p["metrics"][name]["value"], "change": c["metrics"][name]["value"]}
+            for name in p["metrics"]
+        }
+    }
+    report["csv_sha256"] = {
+        workload: {
+            str(p["detail"]["seed"]): {"parent": p["detail"]["csv_sha256"], "change": c["detail"]["csv_sha256"]}
+            for p, c in pairs(parent, ROOT, workload, DIGEST_SEEDS, DIGEST_SECONDS)
+        }
+        for workload in WORKLOADS
+    }
+    first = report["runs"][0]
+    report["parent_commit"] = first["parent"]["detail"]["git_commit"]
+    report["change_src_sha256"] = first["change"]["detail"]["src_sha256"]
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {out.name}", file=sys.stderr)

@@ -24,6 +24,7 @@ import numpy as np
 # block_size * (q - 1); SchemeParams rejects configurations where that is 2**63
 # or more, whatever the alphabet.
 MAX_ALPHABET = 2**32
+COLUMN_CHUNK = 256  # wide rows per column_sums chunk: uint32 up to q = 2**24
 
 
 @dataclass(frozen=True)
@@ -156,16 +157,16 @@ def column_sums(rows: np.ndarray, q: int) -> np.ndarray:
     """Exact int64 column sums of a (k, d) array of values below q, as ``rows.sum(axis=0, dtype=np.int64)``.
 
     Whole groups of w = wide_rows(d) rows are summed by ``chunk_sums`` in
-    chunks of at most 256 of them (about 2**18 elements, uint32 up to q = 2**24
-    for any k) and the leftover rows are added.  Short blocks, zero-width rows
-    and non-contiguous arrays, which the wide view would not speed up, could
-    not reshape or would copy, take the plain sum.  Only uint32 rows use q.
+    chunks of at most COLUMN_CHUNK of them (about 2**18 elements, uint32 up to
+    q = 2**24 for any k) and the leftover rows are added.  Short blocks,
+    zero-width rows and non-contiguous arrays, which the wide view would not
+    speed up, could not reshape or would copy, take the plain int64 sum.
     """
     k, d = rows.shape
     w = wide_rows(d)
     if d == 0 or k < 2 * w or not rows.flags.c_contiguous:
-        return rows.sum(axis=0, dtype=sum_dtype(rows.dtype, k, q)).astype(np.int64, copy=False)
-    chunk = w * min(k // w, 256)
+        return rows.sum(axis=0, dtype=np.int64)
+    chunk = w * min(k // w, COLUMN_CHUNK)
     head = k - k % chunk
     return chunk_sums(rows[:head], chunk, q).sum(axis=0) + column_sums(rows[head:], q)
 

@@ -14,11 +14,12 @@ PARENT = [10.0, 10.5, 9.5, 10.0, 10.2, 9.8, 10.1, 9.9, 10.3, 9.7]  # quartiles 9
 
 
 def test_quartiles_follow_perfbench():
-    q = bench_pairs.quartiles(PARENT)
-    assert q["median"] == pytest.approx(10.0)
-    assert (q["q1"], q["q3"]) == pytest.approx((9.775, 10.225))
-    assert q["iqr"] == pytest.approx(0.45)
-    assert bench_pairs.quartiles([3.0]) == {"median": 3.0, "q1": 3.0, "q3": 3.0, "iqr": 0.0}
+    got = bench_pairs.compare(PARENT, PARENT, "higher")
+    assert got["parent_median"] == pytest.approx(10.0)
+    assert (got["parent_q1"], got["parent_q3"]) == pytest.approx((9.775, 10.225))
+    assert got["parent_iqr"] == pytest.approx(0.45)
+    one = bench_pairs.compare([3.0], [4.0], "higher")
+    assert (one["parent_median"], one["parent_q1"], one["parent_q3"], one["parent_iqr"]) == (3.0, 3.0, 3.0, 0)
 
 
 def test_claim_holds_at_nine_wins_and_a_gap_above_the_parent_iqr():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from bgcsim.adversary import ClaimedGradientTable
 from bgcsim.core import (
+    COLUMN_CHUNK,
     SchemeParams,
     build_fractional_repetition,
     chunk_sums,
@@ -338,8 +339,8 @@ def test_full_gradient_and_block_sums_match_reference(data, d, m, chunks, shape,
 
 # q at the top of the uint32 accumulator and one past it, where k * (q - 1) is
 # exactly 2**32, for k values per partial sum: 16 wide rows in a label chunk,
-# 256 wide rows in a column_sums chunk, 4096 rows in a label chunk at d=4.
-_CUTS = {16: (2**28, 2**28 + 1), 256: (2**24, 2**24 + 1), 4096: (2**20, 2**20 + 1)}
+# COLUMN_CHUNK (256) wide rows in a column_sums chunk, 4096 rows in a label chunk at d=4.
+_CUTS = {16: (2**28, 2**28 + 1), COLUMN_CHUNK: (2**24, 2**24 + 1), 4096: (2**20, 2**20 + 1)}
 
 
 @pytest.mark.parametrize("k", sorted(_CUTS))
@@ -362,11 +363,11 @@ def test_chunk_sums_exact_at_the_uint32_bound(q):
     assert got.tolist() == [[chunk * (q - 1)] * d] * 3
 
 
-@pytest.mark.parametrize("q", _CUTS[256])
+@pytest.mark.parametrize("q", _CUTS[COLUMN_CHUNK])
 @pytest.mark.parametrize("d", [4, 128])
 def test_column_sums_exact_at_the_uint32_bound(d, q):
     # Several COLUMN_CHUNK chunks, a partial one and a tail shorter than a wide row.
-    k = 3 * 256 * wide_rows(d) + 2 * wide_rows(d) + 3
+    k = 3 * COLUMN_CHUNK * wide_rows(d) + 2 * wide_rows(d) + 3
     rows = np.full((k, d), q - 1, dtype=np.uint32)
     got = column_sums(rows, q)
     assert got.dtype == np.int64 and got.tolist() == [k * (q - 1)] * d
