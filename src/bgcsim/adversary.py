@@ -55,10 +55,12 @@ class ClaimedGradientTable:
     (d,) vector j claims there instead of the truth; a worker with no
     deviations is honest.  Values outside a worker's block are not
     representable, matching the assignment structure.  The truth array,
-    uint32 as ``core.random_gradients`` draws it, is shared with the caller
-    and only ever read; deviations and sums are int64.  No sum of the truth
-    spans a chunk, so each accumulates in ``core.sum_dtype`` of its dtype, the
-    chunk and q: uint32 when a chunk of values q - 1 sums below 2**32.
+    uint16 or uint32 as ``core.random_gradients`` draws it, is shared with
+    the caller and only ever read; deviations and sums are int64.  No sum of
+    the truth spans a chunk, so each accumulates in ``core.sum_dtype`` of its
+    dtype, the chunk and q: uint32 when a chunk of values q - 1 sums below
+    2**32.  The direct sums call ``np.add.reduce``, which skips the
+    ``.sum`` wrapper on this hot path.
 
     Sums of the truth are memoized on first use.  Each block gets a chunk
     table in one pass: the int64 prefix sums at every boundary of a chunk of
@@ -135,7 +137,7 @@ class ClaimedGradientTable:
         if total is None:
             chunk = self._chunk
             if stop - first < chunk:
-                total = int(self.truth[first - 1 : stop - 1, coord - 1].sum(dtype=self._acc))
+                total = int(np.add.reduce(self.truth[first - 1 : stop - 1, coord - 1], dtype=self._acc))
             else:  # whole chunks from the prefix table, the partial ones at each end directly
                 prefix = self._chunk_table(block)[0][:, coord - 1]
                 a = -((block.start - first) // chunk)  # first chunk boundary at or after first
@@ -144,8 +146,8 @@ class ClaimedGradientTable:
                 cut_a, cut_b = block.start - 1 + a * chunk, block.start - 1 + b * chunk
                 total = (
                     int(prefix[b] - prefix[a])
-                    + int(column[first - 1 : cut_a].sum(dtype=self._acc))
-                    + int(column[cut_b : stop - 1].sum(dtype=self._acc))
+                    + int(np.add.reduce(column[first - 1 : cut_a], dtype=self._acc))
+                    + int(np.add.reduce(column[cut_b : stop - 1], dtype=self._acc))
                 )
             self._sums[key] = total
         for index, vec in self.deviations.get(worker, {}).items():
@@ -211,7 +213,7 @@ def _deviated(vec: np.ndarray, q: int, rng: np.random.Generator) -> np.ndarray:
     """
     out = vec.copy()
     k = int(rng.integers(out.shape[0]))
-    out[k] = (int(out[k]) + 1 + int(rng.integers(q - 1))) % q  # Python ints: no uint32 wrap
+    out[k] = (int(out[k]) + 1 + int(rng.integers(q - 1))) % q  # Python ints: no uint16 or uint32 wrap
     return out
 
 

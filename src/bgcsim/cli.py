@@ -343,6 +343,7 @@ def run_experiments(config: ExperimentConfig):
             if dump_dir is not None:
                 name = f"transcript_p{point_idx:03d}_t{trial:05d}.jsonl"
                 _write(dump_dir / name, result.transcript.to_jsonl())
+            del truth, result  # so the next trial's truth is drawn with this one freed
         cells = {
             "point": point_idx,
             "adversary": config.adversary,

@@ -2,12 +2,12 @@
 
 Partial gradients are length-d vectors over the integers modulo q with every
 coordinate in [0, q).  The ground truth is drawn and held as a (p, d) numpy
-uint32 array; claimed values and sums are int64, and a sum of the truth
-accumulates in uint32 wherever ``sum_dtype`` proves that exact.  The full
-gradient is their coordinate-wise sum modulo q.  Workers are partitioned into
-m groups of s+u members each; all workers in a group are assigned the same
-block of p/m consecutive gradient indices.  Worker ids and gradient indices
-are 1-based throughout.
+array, uint16 when q <= 2**16 and uint32 otherwise; claimed values and sums
+are int64, and a sum of the truth accumulates in uint32 wherever
+``sum_dtype`` proves that exact.  The full gradient is their coordinate-wise
+sum modulo q.  Workers are partitioned into m groups of s+u members each; all
+workers in a group are assigned the same block of p/m consecutive gradient
+indices.  Worker ids and gradient indices are 1-based throughout.
 """
 
 from __future__ import annotations
@@ -18,13 +18,15 @@ from fractions import Fraction
 
 import numpy as np
 
-# Every residue is below q <= 2**32, so the truth fits in uint32.  k residues
-# sum to at most k * (q - 1), exact in uint32 below 2**32 (``sum_dtype``).
+# Every residue is below q <= 2**32, so the truth fits in uint32, and in
+# uint16 when q <= 2**16.  k residues sum to at most k * (q - 1), exact in
+# uint32 below 2**32 (``sum_dtype``).
 # Block sums, chunk prefix sums and label sums are int64 and reach
 # block_size * (q - 1); SchemeParams rejects configurations where that is 2**63
 # or more, whatever the alphabet.
 MAX_ALPHABET = 2**32
 COLUMN_CHUNK = 256  # wide rows per column_sums chunk: uint32 up to q = 2**24
+RAW_SLAB = 2**15  # 64-bit words per raw read of a 16-bit truth (2**17 ran as fast, 2**13 slower)
 
 
 @dataclass(frozen=True)
@@ -121,11 +123,12 @@ def wide_rows(d: int) -> int:
 
 
 def sum_dtype(dtype, k: int, q: int):
-    """uint32 if k values of ``dtype`` in [0, q) sum exactly in it (uint32, k * (q - 1) < 2**32), else int64.
+    """uint32 if k values of ``dtype`` in [0, q) sum exactly in it, else int64.
 
+    That holds for uint16 and uint32 values when k * (q - 1) < 2**32.
     numpy's sums wrap silently, so this bound is the only guard.
     """
-    return np.uint32 if dtype == np.uint32 and k * (q - 1) < 2**32 else np.int64
+    return np.uint32 if dtype in (np.uint16, np.uint32) and k * (q - 1) < 2**32 else np.int64
 
 
 def chunk_sums(rows: np.ndarray, chunk: int, q: int) -> np.ndarray:
@@ -183,14 +186,17 @@ def full_gradient(gradients, q: int) -> np.ndarray:
 
 
 def random_gradients(params: SchemeParams, seed) -> np.ndarray:
-    """Uniform uint32 ground-truth gradients of shape (p, d); deterministic in (params, seed).
+    """Uniform ground-truth gradients of shape (p, d); deterministic in (params, seed).
 
-    The values and the generator's later draws are those of
+    The array is uint16 when q <= 2**16 and uint32 otherwise.  The values and
+    the generator's later draws are those of
     ``rng.integers(0, q, (p, d), dtype=np.int64)``.  For a PCG64 generator,
-    a power-of-two q and no buffered half word, they are read from one raw
-    pass: numpy's bounded draw takes one 32-bit half word per value, low half
-    first, and its multiply-shift bound keeps the top log2(q) bits without
-    ever rejecting at a power-of-two range.  An odd count leaves the last
+    a power-of-two q and no buffered half word, they are read from the raw
+    stream: numpy's bounded draw takes one 32-bit half word per value, low
+    half first, and its multiply-shift bound keeps the top log2(q) bits
+    without ever rejecting at a power-of-two range.  A 16-bit truth is read
+    RAW_SLAB words at a time, keeping only the high 16 bits of each half
+    word, so no 32-bit copy of it is ever held.  An odd count leaves the last
     high half buffered in the bit generator, as numpy does.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
@@ -202,14 +208,26 @@ def random_gradients(params: SchemeParams, seed) -> np.ndarray:
         or sys.byteorder != "little"
         or bits.state["has_uint32"]
     ):
-        return rng.integers(0, q, size=shape, dtype=np.uint32)
+        out = rng.integers(0, q, size=shape, dtype=np.uint32)
+        return out.astype(np.uint16) if q <= 2**16 else out
     n = params.p * params.d
-    raw = bits.random_raw((n + 1) // 2)
-    out = raw.view(np.uint32)[:n].reshape(shape)
+    if q > 2**16:
+        raw = bits.random_raw((n + 1) // 2)
+        out = raw.view(np.uint32)[:n].reshape(shape)
+    elif n <= 2 * RAW_SLAB:  # the high 16 bits of each half word
+        raw = bits.random_raw((n + 1) // 2)
+        out = raw.view(np.uint16)[1 : 2 * n : 2].reshape(shape).copy()
+    else:
+        out = np.empty(shape, dtype=np.uint16)
+        flat = out.reshape(-1)
+        for i in range(0, n, 2 * RAW_SLAB):
+            raw = bits.random_raw(min(RAW_SLAB, (n - i + 1) // 2))
+            np.copyto(flat[i : i + 2 * RAW_SLAB], raw.view(np.uint16)[1 : 2 * (n - i) : 2])
     if n % 2:
         state = bits.state
         state["has_uint32"], state["uinteger"] = 1, int(raw[-1] >> np.uint64(32))
         bits.state = state
-    if q < 2**32:
-        out >>= 33 - q.bit_length()  # 32 - log2(q)
+    shift = 8 * out.itemsize + 1 - q.bit_length()  # bits kept - log2(q)
+    if shift:
+        out >>= shift
     return out

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -251,6 +252,27 @@ GOLDEN_ACCUMULATORS = [
 ]
 
 
+# Runs at the edges of the 16-bit truth (core.random_gradients), at d=5:
+# (argv, CSV digest, transcript dump digest), recorded while the truth was
+# still drawn at 32 bits.  500015 values are an odd count of half words over
+# many raw slabs and label chunks.  At q = 2**15 and 2**16 the truth is
+# uint16, read from the raw stream; at 2**16 + 1 it is uint32 from
+# rng.integers, at 2**17 uint32 from the raw stream.
+GOLDEN_NARROW = [
+    (
+        ["--s", "6", "--u", "2", "--p", "100003", "--d", "5", "--q", str(q), "--trials", "2",
+         "--adversary", "symmetrization"],
+        csv_digest,
+        "d96c169e1b1990915d67116a34b490fe145e0936888a963b555639c089ddb93c",
+    )
+    for q, csv_digest in [
+        (32768, "0e866102a8fc59114813e69e9823a5231b73fca4338529860a88c2e85c369bcc"),
+        (65536, "f96faaf1780f58af2b4cee9d728d59797ee8b63cb8271c461d3197533418f703"),
+        (65537, "beade976faab35b066019af859935f7100f639812d581149eac1528a3a9c49de"),
+        (131072, "73826724e4c4b9d67ecb41cbd3e6a64e54fb71475eda4cf74c77a31d6f7b4740"),
+    ]
+]
+
 # A table:<file> run at m=2 whose malicious workers are 1 and 4: worker 1
 # claims trial 0's truth with one entry moved, worker 4 claims the truth
 # throughout.  (argv, CSV digest, transcript dump digest), recorded before
@@ -321,13 +343,20 @@ def test_golden_accumulator_edges(tmp_path, argv, csv_digest, dump_digest):
     test_golden_wide_blocks(tmp_path, argv, csv_digest, dump_digest)
 
 
+@pytest.mark.parametrize(
+    "argv, csv_digest, dump_digest", GOLDEN_NARROW, ids=["q2^15", "q2^16", "q2^16+1", "q2^17"]
+)
+def test_golden_narrow_truth(tmp_path, argv, csv_digest, dump_digest):
+    test_golden_wide_blocks(tmp_path, argv, csv_digest, dump_digest)
+
+
 def test_golden_table_file(tmp_path, monkeypatch):
     from bgcsim.core import SchemeParams
 
     argv, csv_digest, dump_digest = GOLDEN_TABLE_FILE
     params = SchemeParams(s=2, u=1, m=2, p=16, d=2)
     block = random_gradients(params, np.random.default_rng([5, 0, 0, 0]))[: params.block_size]
-    block[3, 1] = (block[3, 1] + 1) % params.q
+    block[3, 1] = (int(block[3, 1]) + 1) % params.q
     monkeypatch.chdir(tmp_path)  # the CSV names the table file, so keep its path fixed
     spec = {"malicious": [1, 4], "claims": {"1": block.tolist()}}
     Path("table.json").write_text(json.dumps(spec))
@@ -391,7 +420,7 @@ def test_table_adversary_from_file(tmp_path, run_and_check):
     params = SchemeParams(s=1, u=1, m=1, p=4, d=1, q=65536)
     truth = random_gradients(params, 6)
     block = truth[0:4].copy()
-    block[2, 0] = (block[2, 0] + 5) % params.q
+    block[2, 0] = (int(block[2, 0]) + 5) % params.q
     spec = {"malicious": [1], "claims": {"1": block.tolist()}}
     path = tmp_path / "table.json"
     path.write_text(json.dumps(spec))
@@ -535,6 +564,25 @@ def test_truth_synthesized_through_cli_once_per_run(monkeypatch, capsys):
     assert main(argv) == 0
     assert capsys.readouterr().out == expected
     assert calls == [8, 8, 8, 16, 16, 16]
+
+
+@pytest.mark.parametrize("adversary", ["symmetrization", "flipflop", "none"])
+def test_previous_truth_freed_before_the_next_draw(monkeypatch, capsys, adversary):
+    # Only one truth is alive at a time: the last trial's, across sweep points
+    # too, is gone when the next one is drawn.
+    refs = []
+
+    def tracking(params, rng):
+        assert [ref() for ref in refs] == [None] * len(refs)
+        truth = random_gradients(params, rng)
+        refs.append(weakref.ref(truth))
+        return truth
+
+    monkeypatch.setattr(cli, "random_gradients", tracking)
+    argv = ["--s", "2", "--u", "1", "--p", "8", "--d", "2", "--trials", "3",
+            "--adversary", adversary, "--sweep", "p=8,16"]
+    assert main(argv) == 0
+    assert len(refs) == 6
 
 
 def _no_trials(monkeypatch):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from bgcsim.adversary import ClaimedGradientTable
 from bgcsim.core import (
     COLUMN_CHUNK,
+    RAW_SLAB,
     SchemeParams,
     build_fractional_repetition,
     chunk_sums,
@@ -174,27 +175,33 @@ def _state(rng):
     return json.dumps(rng.bit_generator.state, default=lambda key: key.tolist())
 
 
-@pytest.mark.parametrize("q", [2, 4, 2**16, 2**31, 2**32, 3, 65537, 2**32 - 1])
-@pytest.mark.parametrize("p, d", [(4, 3), (5, 3), (2, 1), (7, 1)])
-def test_random_gradients_equal_the_int64_draw(q, p, d):
-    """The uint32 truth has rng.integers' int64 values and leaves the generator where it does.
+# Counts of half words around the 16-bit draw's raw slabs of RAW_SLAB words:
+# one slab less one half word, exactly one, one and a half word spilling into
+# a second slab, and several with an odd tail.
+_SLAB_COUNTS = [(2 * RAW_SLAB - 1, 1), (2 * RAW_SLAB, 1), (2 * RAW_SLAB + 1, 1), (6 * RAW_SLAB + 3, 1)]
 
-    Power-of-two q on a fresh PCG64 takes the raw-stream path; the rest fall
-    back to ``rng.integers``.  numpy promises no stream stability for
-    generator methods across versions, so this ties the raw path to the
-    installed numpy.  (5, 3) and (7, 1) draw an odd number of half words.
+
+@pytest.mark.parametrize("q", [2, 4, 2**16, 2**31, 2**32, 3, 65537, 2**32 - 1, 2**15, 2**17])
+@pytest.mark.parametrize("p, d", [(4, 3), (5, 3), (2, 1), (7, 1), *_SLAB_COUNTS])
+def test_random_gradients_equal_the_int64_draw(q, p, d):
+    """The truth has rng.integers' int64 values and leaves the generator where it does.
+
+    It is uint16 when q <= 2**16 and uint32 otherwise.  Power-of-two q on a
+    fresh PCG64 takes the raw-stream path; the rest fall back to
+    ``rng.integers``.  numpy promises no stream stability for generator
+    methods across versions, so this ties the raw path to the installed
+    numpy.  (5, 3) and (7, 1) draw an odd number of half words.
     """
     params = SchemeParams(s=0, u=1, m=1, p=p, d=d, q=q)
     for seed in range(3):
         for kind, (mine, reference) in _generators(seed):
             got = random_gradients(params, mine)
             want = reference.integers(0, q, size=(p, d), dtype=np.int64)
-            assert got.dtype == np.uint32 and got.shape == (p, d), kind
-            assert got.tolist() == want.tolist(), kind
+            assert got.dtype == (np.uint16 if q <= 2**16 else np.uint32) and got.shape == (p, d), kind
+            assert got.flags.c_contiguous and np.array_equal(got, want), kind
             for draw in (lambda g: g.integers(0, 2**32, 3, dtype=np.uint32), lambda g: g.integers(q, size=3)):
                 assert draw(mine).tolist() == draw(reference).tolist(), kind
             assert _state(mine) == _state(reference), kind
-
 
 
 def _reference_column_sums(rows):
@@ -291,7 +298,8 @@ def test_full_gradient_and_block_sums_match_reference(data, d, m, chunks, shape,
     params = SchemeParams(s=1, u=1, m=m, p=m * block, d=d, q=q)
     rng = np.random.default_rng(seed)
     low = q - 2 if data.draw(st.booleans()) else 0  # all values at the top of the alphabet
-    dtype = data.draw(st.sampled_from([np.uint32, np.int64]))  # the drawn truth is uint32
+    # The drawn truth is uint16 up to q = 2**16 and uint32 above.
+    dtype = data.draw(st.sampled_from([np.uint32, np.int64] + [np.uint16] * (q <= 2**16)))
     truth = rng.integers(low, q, size=(params.p, d), dtype=dtype)
     assert np.array_equal(full_gradient(truth, q), _reference_column_sums(truth) % q)
     table = ClaimedGradientTable(params, truth)
@@ -348,7 +356,9 @@ def test_sum_dtype_cuts_at_two_to_the_32(k):
     top, past = _CUTS[k]
     assert sum_dtype(np.dtype(np.uint32), k, top) is np.uint32
     assert sum_dtype(np.dtype(np.uint32), k, past) is np.int64
-    for dtype in (np.int64, np.float64, np.int32, np.uint16):
+    assert sum_dtype(np.dtype(np.uint16), k, top) is np.uint32  # uint16 values also sum in uint32
+    assert sum_dtype(np.dtype(np.uint16), k, past) is np.int64
+    for dtype in (np.int64, np.float64, np.int32, np.uint8):
         assert sum_dtype(np.dtype(dtype), k, top) is np.int64
 
 
@@ -395,3 +405,20 @@ def test_labels_exact_at_the_uint32_bound(dtype, q):
         for coord in (1, d):
             assert table.label(1, lo, hi, coord) == (hi - lo) * (q - 1) % q, (lo, hi)
     assert table.z0(2).tolist() == [block * (q - 1) % q] * d
+
+
+@pytest.mark.parametrize("d", [4, 128])
+def test_sums_of_a_uint16_truth_widen(d):
+    # Values of q - 1 at q = 2**16 - 1 overflow 16 bits in any sum of two, and
+    # the wrap would show mod q, so every sum of a uint16 truth must widen.
+    q, w = 2**16 - 1, wide_rows(d)
+    k = 3 * COLUMN_CHUNK * w + 2 * w + 3
+    rows = np.full((k, d), q - 1, dtype=np.uint16)
+    chunk = ClaimedGradientTable.CHUNK * w
+    assert chunk_sums(rows, chunk, q).tolist() == [[chunk * (q - 1)] * d] * (k // chunk)
+    assert column_sums(rows, q).tolist() == [k * (q - 1)] * d
+    assert full_gradient(rows, q).tolist() == [k * (q - 1) % q] * d
+    table = ClaimedGradientTable(SchemeParams(s=1, u=1, m=1, p=k, d=d, q=q), rows)
+    for lo, hi in [(1, k + 1), (2, chunk + 1), (chunk - 5, 3 * chunk + 7), (5, 7)]:
+        assert table.label(1, lo, hi, d) == (hi - lo) * (q - 1) % q, (lo, hi)
+    assert table.z0(2).tolist() == [k * (q - 1) % q] * d

@@ -220,7 +220,7 @@ def test_undersupported_commit_eliminates_backers(run_and_check):
     params = SchemeParams(s=2, u=2, m=1, p=4, d=1, q=Q16)
     truth = random_gradients(params, 23)
     wrong = truth[0:4].copy()
-    wrong[1, 0] = (wrong[1, 0] + 9) % params.q
+    wrong[1, 0] = (int(wrong[1, 0]) + 9) % params.q
     unknown = []
 
     def cagey(worker, query, rng):
@@ -251,7 +251,7 @@ def test_malformed_commit_eliminated(run_and_check, bit):
     params = SchemeParams(s=3, u=2, m=1, p=16, d=1, q=Q16)
     truth = random_gradients(params, 59)
     wrong = truth.copy()
-    wrong[5, 0] = (wrong[5, 0] + 1) % params.q
+    wrong[5, 0] = (int(wrong[5, 0]) + 1) % params.q
 
     def garbled(worker, query, rng):
         if isinstance(query, InitialQuery):
@@ -276,7 +276,7 @@ def test_raising_responder_is_malformed(run_and_check, kind):
     params = SchemeParams(s=3, u=2, m=1, p=16, d=1, q=Q16)
     truth = random_gradients(params, 61)
     wrong = truth.copy()
-    wrong[5, 0] = (wrong[5, 0] + 1) % params.q
+    wrong[5, 0] = (int(wrong[5, 0]) + 1) % params.q
     raising = {"initial": InitialQuery, "label": LabelQuery, "commit": CommitQuery}[kind]
 
     def brittle(worker, query, rng):
