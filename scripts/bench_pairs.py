@@ -19,8 +19,8 @@ two verdicts:
                 than the metric's bound, taken as a fraction of the parent's
                 median.
 
-One ``--trace 1`` pair on TRACE_WORKLOAD gives the per-layer metrics, and
-short runs at DIGEST_SEEDS give both sides' CSV digests, which must agree.
+One ``--trace 1`` pair per workload gives its per-layer metrics, and short
+runs at DIGEST_SEEDS give both sides' CSV digests, which must agree.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from workloads import WORKLOADS  # noqa: E402
 
 ROOT = Path.cwd()
 PAIRS = 10
-TRACE_WORKLOAD = "big-block"
 DIGEST_SEEDS = (1, 2, 3)
 DIGEST_SECONDS = 2.0
 
@@ -140,13 +139,13 @@ def main(argv=None) -> int:
         runs = pairs(parent, ROOT, workload, seeds, seconds)
         report["summary"][workload] = summarize(runs, spec["end_to_end"])
         report["runs"] += [{"workload": workload, "parent": p, "change": c} for p, c in runs]
-    [(p, c)] = pairs(parent, ROOT, TRACE_WORKLOAD, [args.first_seed], seconds, trace=1)
-    report["traced"] = {
-        TRACE_WORKLOAD: {
+    report["traced"] = {}
+    for workload in WORKLOADS:
+        [(p, c)] = pairs(parent, ROOT, workload, [args.first_seed], seconds, trace=1)
+        report["traced"][workload] = {
             name: {"parent": p["metrics"][name]["value"], "change": c["metrics"][name]["value"]}
             for name in p["metrics"]
         }
-    }
     report["csv_sha256"] = {
         workload: {
             str(p["detail"]["seed"]): {"parent": p["detail"]["csv_sha256"], "change": c["detail"]["csv_sha256"]}

@@ -82,8 +82,7 @@ class ClaimedGradientTable:
         self._sums = {}  # block start -> (prefix sums, block sum mod q); (first, stop, coord) -> int
         self._chunk = self.CHUNK * wide_rows(params.d)  # rows per chunk
         self._acc = sum_dtype(self.truth.dtype, self._chunk, params.q)
-        blocks = [params.block_of_group(g) for g in range(1, params.m + 1)]
-        self._blocks = [None] + [blocks[(j - 1) // params.group_size] for j in range(1, params.n + 1)]
+        self._blocks = [params.block_of_group(g) for g in range(1, params.m + 1)]
 
     def honest_twin(self) -> "ClaimedGradientTable":
         """A table with no deviations over the same truth, sharing its block list and memo."""
@@ -95,7 +94,7 @@ class ClaimedGradientTable:
         """The global gradient indices of ``worker``'s block (checking ``index`` is one)."""
         if not 1 <= worker <= self.params.n:
             raise ValueError(f"worker id out of range: {worker}")
-        block = self._blocks[worker]
+        block = self._blocks[(worker - 1) // self.params.group_size]
         if index is not None and index not in block:
             raise ValueError(f"gradient {index} is not assigned to worker {worker}")
         return block

@@ -130,7 +130,7 @@ def verify_run(params: SchemeParams, truth, malicious, ghat, transcript: Transcr
     workers for backing a wrong value at the computed index.
     """
     problems = []
-    if ghat is None or not np.array_equal(ghat, full_gradient(truth, params.q)):
+    if ghat is None or ghat.tolist() != full_gradient(truth, params.q).tolist():
         problems.append("decode mismatch")
     framed = transcript.eliminated_workers() - set(malicious)
     if framed:

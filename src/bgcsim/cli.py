@@ -4,7 +4,9 @@ Reproducibility contract: the master seed is split into one substream per
 (sweep point, trial) via numpy's SeedSequence entropy lists,
 ``default_rng([seed, point, trial, stream])`` with stream 0 feeding truth
 synthesis and stream 1 the adversary; message-level adversaries further
-split stream 1 per group.  The protocol itself is deterministic, so a
+split stream 1 per group.  The list goes to numpy as the uint32 words
+SeedSequence would build from it, which skips its per-int coercion and
+gives the same streams.  The protocol itself is deterministic, so a
 (config, seed) pair always produces byte-identical output files.
 """
 
@@ -307,6 +309,11 @@ class CorrectnessFailure(RuntimeError):
     pass
 
 
+def _uint32_words(value: int) -> list:
+    """``value``'s 32-bit words, low first (0 is [0]): how SeedSequence reads an int."""
+    return [value & 0xFFFFFFFF, *_uint32_words(value >> 32)] if value >> 32 else [value]
+
+
 def run_experiments(config: ExperimentConfig):
     """Execute every (sweep point, trial); return aggregated result rows.
 
@@ -325,9 +332,11 @@ def run_experiments(config: ExperimentConfig):
     for point_idx, (params, adversary) in enumerate(zip(points, adversaries)):
         values = {metric: [] for metric in METRICS}
         bounds_ok = True
+        prefix = _uint32_words(config.seed) + _uint32_words(point_idx)
         for trial in range(config.trials):
-            truth_rng = np.random.default_rng([config.seed, point_idx, trial, 0])
-            adv_rng = np.random.default_rng([config.seed, point_idx, trial, 1])
+            words = prefix + _uint32_words(trial)
+            truth_rng = np.random.default_rng(np.array(words + [0], dtype=np.uint32))
+            adv_rng = np.random.default_rng(np.array(words + [1], dtype=np.uint32))
             truth = random_gradients(params, truth_rng)
             try:
                 result = run_trial(params, truth, adversary, adv_rng)

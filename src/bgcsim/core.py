@@ -168,7 +168,7 @@ def column_sums(rows: np.ndarray, q: int) -> np.ndarray:
     k, d = rows.shape
     w = wide_rows(d)
     if d == 0 or k < 2 * w or not rows.flags.c_contiguous:
-        return rows.sum(axis=0, dtype=np.int64)
+        return np.add.reduce(rows, axis=0, dtype=np.int64)
     chunk = w * min(k // w, COLUMN_CHUNK)
     head = k - k % chunk
     return chunk_sums(rows[:head], chunk, q).sum(axis=0) + column_sums(rows[head:], q)

@@ -120,8 +120,10 @@ class Transcript:
 
     def kappa(self) -> float:
         """Protocol overhead in alphabet symbols, recomputed from the raw log."""
-        symbols = sum(m.symbols for m in self.messages if m.t >= 1)
-        bits = sum(m.bits for m in self.messages if m.t >= 1)
+        symbols = bits = 0
+        for m in self.messages:
+            if m.t >= 1:
+                symbols, bits = symbols + m.symbols, bits + m.bits
         return _kappa(self.params.q, symbols, bits)
 
     def eliminated_workers(self) -> set:

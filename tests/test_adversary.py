@@ -265,6 +265,26 @@ def test_claimed_table_rejects_unassigned_index():
         table.value(1, 5)  # worker 1 is in group 1; gradient 5 belongs to group 2
 
 
+@pytest.mark.parametrize("worker", [0, 10])  # n = 3 * (2 + 1) = 9
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda table, j: table.set(j, 1, [0]),
+        lambda table, j: table.value(j, 1),
+        lambda table, j: table.z0(j),
+        lambda table, j: table.label(j, 1, 2, 1),
+    ],
+    ids=["set", "value", "z0", "label"],
+)
+def test_claimed_table_rejects_worker_ids_outside_1_to_n(call, worker):
+    # Blocks are looked up per group by (worker - 1) // group_size, which
+    # would take worker 0 to the last group's block without the range check.
+    params = SchemeParams(s=2, u=1, m=3, p=6, d=1, q=2**16)
+    table = ClaimedGradientTable(params, random_gradients(params, 3))
+    with pytest.raises(ValueError, match="worker id out of range"):
+        call(table, worker)
+
+
 def test_table_adversary_rejects_honest_deviation_on_its_own_truth():
     params = SchemeParams(s=1, u=2, m=2, p=8, d=2, q=2**16)
     truth = random_gradients(params, 9)

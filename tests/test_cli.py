@@ -585,6 +585,45 @@ def test_previous_truth_freed_before_the_next_draw(monkeypatch, capsys, adversar
     assert len(refs) == 6
 
 
+def _same_streams(entropy, seed, point, trial, k):
+    """Whether ``default_rng(entropy)`` and its spawned children match the list form's."""
+    a, b = np.random.default_rng(entropy), np.random.default_rng([seed, point, trial, k])
+    pairs = [(a, b), *zip(a.spawn(3), b.spawn(3))]
+    return all(x.bit_generator.state == y.bit_generator.state for x, y in pairs)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5])
+@pytest.mark.parametrize("point", [0, 2**32 + 3])
+@pytest.mark.parametrize("trial", [0, 2**32 + 3])
+def test_entropy_words_seed_the_list_form_streams(seed, point, trial):
+    # The CLI seeds from each value's uint32 words, which numpy's SeedSequence
+    # would build from the list [seed, point, trial, k] itself.
+    words = [word for value in (seed, point, trial) for word in cli._uint32_words(value)]
+    for k in (0, 1):
+        assert _same_streams(np.array(words + [k], dtype=np.uint32), seed, point, trial, k)
+
+
+@pytest.mark.parametrize("seed", [0, 2**32, 2**64 + 5])
+def test_cli_seeds_every_trial_as_the_list_form(monkeypatch, capsys, seed):
+    # Whatever the CLI hands to default_rng, stream k of (point, trial) must
+    # be default_rng([seed, point, trial, k]), spawned children included.
+    seen = []
+    default_rng = np.random.default_rng
+
+    def recording(entropy):
+        seen.append(entropy)
+        return default_rng(entropy)
+
+    monkeypatch.setattr(np.random, "default_rng", recording)
+    argv = ["--s", "2", "--u", "1", "--m", "2", "--p", "8", "--d", "2", "--trials", "2",
+            "--adversary", "flipflop", "--sweep", "p=8,16", "--seed", str(seed)]
+    assert main(argv) == 0
+    expected = [(point, trial, k) for point in (0, 1) for trial in (0, 1) for k in (0, 1)]
+    assert len(seen) == len(expected)
+    for entropy, (point, trial, k) in zip(seen, expected):
+        assert _same_streams(entropy, seed, point, trial, k), (point, trial, k)
+
+
 def _no_trials(monkeypatch):
     monkeypatch.setattr(cli, "random_gradients", lambda *args: pytest.fail("a trial ran"))
 
