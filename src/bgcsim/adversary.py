@@ -58,8 +58,10 @@ class ClaimedGradientTable:
     uint16 or uint32 as ``core.random_gradients`` draws it, is shared with
     the caller and only ever read; deviations and sums are int64.  No sum of
     the truth spans a chunk, so each accumulates in ``core.sum_dtype`` of its
-    dtype, the chunk and q: uint32 when a chunk of values q - 1 sums below
-    2**32.  The direct sums call ``np.add.reduce``, which skips the
+    dtype, the chunk and q: its own dtype at a power-of-two q, else uint32
+    when a chunk of values q - 1 sums below 2**32.  So each is exact mod q,
+    and exact outright unless q is a power of two, and every answer is
+    reduced mod q.  The direct sums call ``np.add.reduce``, which skips the
     ``.sum`` wrapper on this hot path.
 
     Sums of the truth are memoized on first use.  Each block gets a chunk

@@ -3,9 +3,10 @@
 Partial gradients are length-d vectors over the integers modulo q with every
 coordinate in [0, q).  The ground truth is drawn and held as a (p, d) numpy
 array, uint16 when q <= 2**16 and uint32 otherwise; claimed values and sums
-are int64, and a sum of the truth accumulates in uint32 wherever
-``sum_dtype`` proves that exact.  The full gradient is their coordinate-wise
-sum modulo q.  Workers are partitioned into m groups of s+u members each; all
+are int64, and a sum of the truth accumulates in ``sum_dtype``: the truth's
+own dtype at a power-of-two q, whose wrap is exact mod q, else uint32
+wherever that is exact.  The full gradient is their coordinate-wise sum
+modulo q.  Workers are partitioned into m groups of s+u members each; all
 workers in a group are assigned the same block of p/m consecutive gradient
 indices.  Worker ids and gradient indices are 1-based throughout.
 """
@@ -19,13 +20,14 @@ from fractions import Fraction
 import numpy as np
 
 # Every residue is below q <= 2**32, so the truth fits in uint32, and in
-# uint16 when q <= 2**16.  k residues sum to at most k * (q - 1), exact in
+# uint16 when q <= 2**16.  At a power-of-two q its sums wrap exactly mod q in
+# its own dtype; otherwise k residues sum to at most k * (q - 1), exact in
 # uint32 below 2**32 (``sum_dtype``).
-# Block sums, chunk prefix sums and label sums are int64 and reach
-# block_size * (q - 1); SchemeParams rejects configurations where that is 2**63
-# or more, whatever the alphabet.
+# Block sums, chunk prefix sums and label sums are int64, exact mod q, and
+# reach block_size * (q - 1) when q is not a power of two; SchemeParams
+# rejects configurations where that is 2**63 or more, whatever the alphabet.
 MAX_ALPHABET = 2**32
-COLUMN_CHUNK = 256  # wide rows per column_sums chunk: uint32 up to q = 2**24
+COLUMN_CHUNK = 256  # wide rows per column_sums chunk: exact uint32 up to q = 2**24
 RAW_SLAB = 2**15  # 64-bit words per raw read of a 16-bit truth (2**17 ran as fast, 2**13 slower)
 
 
@@ -123,47 +125,61 @@ def wide_rows(d: int) -> int:
 
 
 def sum_dtype(dtype, k: int, q: int):
-    """uint32 if k values of ``dtype`` in [0, q) sum exactly in it, else int64.
+    """The scalar type in which k values of ``dtype`` in [0, q) sum exactly mod q.
 
-    That holds for uint16 and uint32 values when k * (q - 1) < 2**32.
-    numpy's sums wrap silently, so this bound is the only guard.
+    uint16 and uint32 values sum in their own dtype when q is a power of two
+    that fits it (the sum wraps mod 2**16 or 2**32, which q divides), else in
+    uint32 when k * (q - 1) < 2**32 (exactly); anything else sums in int64.
+    numpy's sums wrap silently, so these bounds are the only guard.
     """
-    return np.uint32 if dtype in (np.uint16, np.uint32) and k * (q - 1) < 2**32 else np.int64
+    if dtype in (np.uint16, np.uint32):
+        if not q & (q - 1) and q <= 2 ** (8 * np.dtype(dtype).itemsize):
+            return np.dtype(dtype).type
+        if k * (q - 1) < 2**32:
+            return np.uint32
+    return np.int64
 
 
 def chunk_sums(rows: np.ndarray, chunk: int, q: int) -> np.ndarray:
-    """Exact int64 column sums of each whole chunk of ``chunk`` rows of a (k, d) array.
+    """int64 column sums of each whole chunk of ``chunk`` rows of a (k, d) array of values below q.
 
-    Returns shape (k // chunk, d); leftover rows are ignored.  ``chunk``
-    must be a multiple of w = wide_rows(d).  numpy reduces a narrow array
-    along axis 0 one short row at a time, so each chunk is summed as
-    chunk // w rows of w*d elements in ``sum_dtype(rows.dtype, chunk // w, q)``
-    and the w partial rows are folded by ``einsum`` in its int64 output's
-    dtype.  Integer addition wraps the same way in any order, so every output
-    bit matches the plain int64 sum.  Chunks are summed in slabs of about
-    2**18 elements, which keeps the temporary small.
+    Exact mod q, and exact outright unless q is a power of two.  Returns
+    shape (k // chunk, d); leftover rows are ignored.  ``chunk`` must be a
+    multiple of w = wide_rows(d).  numpy reduces a narrow array along axis 0
+    one short row at a time, so each chunk is summed as chunk // w rows of
+    w*d elements in ``acc = sum_dtype(rows.dtype, chunk // w, q)``, in slabs
+    of about 2**18 elements that keep any casting temporary small.  A uint16
+    ``acc`` comes only from the wrap branch, so its w partial rows fold in
+    place by halving at that width; any other ``acc`` folds by ``einsum``
+    into int64, so every output bit matches the plain int64 sum.
     """
     k, d = rows.shape
     w = wide_rows(d)
     n = k // chunk
     acc = sum_dtype(rows.dtype, chunk // w, q)
-    out = np.empty((n, d), dtype=np.int64)
+    part = np.empty((n, w * d), dtype=acc)
     step = max(1, 2**18 // (chunk * d))  # chunks per slab
     for i in range(0, n, step):
         slab = rows[i * chunk : min(i + step, n) * chunk]
-        part = slab.reshape(-1, chunk // w, w * d).sum(axis=1, dtype=acc)
-        np.einsum("ijk->ik", part.reshape(-1, w, d), out=out[i : i + step])
-    return out
+        np.add.reduce(slab.reshape(-1, chunk // w, w * d), axis=1, dtype=acc, out=part[i : i + step])
+    part = part.reshape(n, w, d)
+    if acc is not np.uint16:
+        return np.einsum("ijk->ik", part, dtype=np.int64)
+    while w > 1:  # fold the top half of the w partial rows onto the bottom half
+        w, h = (w + 1) // 2, w // 2
+        part[:, :h] += part[:, w : w + h]
+    return part[:, 0].astype(np.int64)
 
 
 def column_sums(rows: np.ndarray, q: int) -> np.ndarray:
-    """Exact int64 column sums of a (k, d) array of values below q, as ``rows.sum(axis=0, dtype=np.int64)``.
+    """int64 column sums of a (k, d) array of values below q, as ``rows.sum(axis=0, dtype=np.int64)``.
 
-    Whole groups of w = wide_rows(d) rows are summed by ``chunk_sums`` in
-    chunks of at most COLUMN_CHUNK of them (about 2**18 elements, uint32 up to
-    q = 2**24 for any k) and the leftover rows are added.  Short blocks,
-    zero-width rows and non-contiguous arrays, which the wide view would not
-    speed up, could not reshape or would copy, take the plain int64 sum.
+    Exact mod q, and exact outright unless q is a power of two.  Whole
+    groups of w = wide_rows(d) rows are summed by ``chunk_sums`` in chunks of
+    at most COLUMN_CHUNK of them (about 2**18 elements) and the leftover rows
+    are added.  Short blocks, zero-width rows and non-contiguous arrays, which
+    the wide view would not speed up, could not reshape or would copy, take
+    the plain int64 sum.
     """
     k, d = rows.shape
     w = wide_rows(d)

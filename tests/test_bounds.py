@@ -4,7 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from bgcsim.adversary import TableAdversary, symmetrization_attack, two_case_worlds
+from bgcsim.adversary import (
+    ClaimedGradientTable,
+    CommitQuery,
+    Responder,
+    TableAdversary,
+    symmetrization_attack,
+    two_case_worlds,
+)
 from bgcsim.bounds import (
     BoundsReport,
     comm_lower,
@@ -243,3 +250,42 @@ def test_golden_witness_worlds():
             h.update(w1.table.to_bytes() + b"".join(truths))
             h.update(repr((sorted(w1.malicious), sorted(w2.malicious))).encode())
     assert h.hexdigest() == digest
+
+
+class _DeepestLeafWitness:
+    """All s malicious workers sit in group 1, plant one wrong value on leaf 1
+    (the deepest, as the left child takes the ceiling half) and answer every
+    commit False."""
+
+    def instantiate(self, params, truth, rng):
+        table = ClaimedGradientTable(params, truth)
+        wrong = truth[0].astype(np.int64)
+        wrong[0] = (wrong[0] + 1) % params.q
+        for j in range(1, params.s + 1):
+            table.set(j, 1, wrong)
+
+        def answer(worker, query):
+            return False if isinstance(query, CommitQuery) else table.answer(worker, query)
+
+        return Responder(range(1, params.s + 1), answer)
+
+
+@pytest.mark.parametrize("q", [2, Q16])
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("block", [2, 3, 5, 37, 1000, 20000])
+def test_deepest_leaf_witness_reaches_the_upper_bounds(block, m, q):
+    # Blocks of 20000 rows send every match level through the chunk prefix.
+    # At u = 1 no commit is ever sent, so kappa falls short of kappa_upper by
+    # exactly the commit bits the bound charges: (s+1-u)(s+3u)/(2 log2 q).
+    for s in range(1, 9):
+        params = SchemeParams(s=s, u=1, m=m, p=m * block, d=2, q=q)
+        truth = random_gradients(params, [s, block, m, q])
+        for u in range(1, s + 1):
+            params = SchemeParams(s=s, u=u, m=m, p=m * block, d=2, q=q)
+            trial = run_trial(params, truth, _DeepestLeafWitness())
+            assert trial.breaches == [] and trial.violations == [], (s, u)
+            _, t_upper, kappa_upper = scheme_upper_bounds(params)
+            assert trial.metrics.T == t_upper, (s, u)
+            if u == 1:
+                kappa_upper -= (s + 1 - u) * (s + 3 * u) / (2 * math.log2(q))
+            assert math.isclose(trial.metrics.kappa, kappa_upper, rel_tol=1e-12, abs_tol=1e-12), (s, u)

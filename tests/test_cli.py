@@ -229,7 +229,8 @@ GOLDEN_CHUNKED = [
 # (argv, CSV digest, transcript dump digest), recorded while every sum of the
 # truth was still taken in int64.  At q = 2**20 every sum is uint32, at
 # 2**20 + 1 the chunk tables stay uint32 but the label sums are int64, and at
-# q = 2**32 every sum is int64.
+# q = 2**32 (id "int64", its accumulator when recorded) every sum now wraps in
+# uint32, exact mod q.
 GOLDEN_ACCUMULATORS = [
     (
         ["--s", "6", "--u", "2", "--p", "100003", "--d", "4", "--q", "1048576", "--trials", "2",

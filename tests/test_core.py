@@ -7,7 +7,8 @@ from itertools import accumulate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bgcsim.adversary import ClaimedGradientTable
+from bgcsim.adversary import ClaimedGradientTable, TableAdversary
+from bgcsim.bounds import run_trial
 from bgcsim.core import (
     COLUMN_CHUNK,
     RAW_SLAB,
@@ -360,6 +361,15 @@ def test_sum_dtype_cuts_at_two_to_the_32(k):
     assert sum_dtype(np.dtype(np.uint16), k, past) is np.int64
     for dtype in (np.int64, np.float64, np.int32, np.uint8):
         assert sum_dtype(np.dtype(dtype), k, top) is np.int64
+    # top is a power of two; just below it the exact rule alone gives uint32.
+    assert sum_dtype(np.dtype(np.uint32), k, top - 1) is np.uint32
+    # A power-of-two q that fits the dtype wraps in the dtype itself, whatever k.
+    for q in (2, 2**15, 2**16):
+        assert sum_dtype(np.dtype(np.uint16), k, q) is np.uint16
+    assert sum_dtype(np.dtype(np.uint16), k, 2**17) is np.uint32  # 2**17 does not divide 2**16
+    for q in (2**17, 2**32):
+        assert sum_dtype(np.dtype(np.uint32), k, q) is np.uint32
+    assert sum_dtype(np.dtype(np.uint32), k, 2**32 - 1) is np.int64
 
 
 @pytest.mark.parametrize("q", _CUTS[16])
@@ -422,3 +432,66 @@ def test_sums_of_a_uint16_truth_widen(d):
     for lo, hi in [(1, k + 1), (2, chunk + 1), (chunk - 5, 3 * chunk + 7), (5, 7)]:
         assert table.label(1, lo, hi, d) == (hi - lo) * (q - 1) % q, (lo, hi)
     assert table.z0(2).tolist() == [k * (q - 1) % q] * d
+
+
+# (q, truth dtype): a power-of-two q wraps every sum of the truth in the truth's
+# own dtype; its neighbours 3, 2**15 + 1, 2**16 - 1, 2**16 + 1 and 2**32 - 1 take
+# the exact rule, and so does a hand-built uint16 truth at q = 2**17, which
+# 2**16 is not a multiple of.  At 2**15 + 1 and 2**16 - 1 two values of q - 1
+# already overflow 16 bits.
+_WRAP_CASES = [
+    (2, np.uint16), (2**15, np.uint16), (2**16, np.uint16), (2**17, np.uint32), (2**32, np.uint32),
+    (3, np.uint16), (2**15 + 1, np.uint16), (2**16 - 1, np.uint16), (2**16 + 1, np.uint32),
+    (2**32 - 1, np.uint32), (2**17, np.uint16),
+]
+
+
+@pytest.mark.parametrize("values", ["top", "random"])
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize(
+    "q, dtype", _WRAP_CASES, ids=[f"{q}-{np.dtype(t).name}" for q, t in _WRAP_CASES]
+)
+def test_every_sum_of_the_truth_is_exact_mod_q(q, dtype, d, values):
+    # Blocks of three label chunks, two wide rows and a tail; at d = 3 the w = 341
+    # partial rows of a chunk fold at odd widths.  Every value is checked
+    # against Python-int sums mod q.
+    w = wide_rows(d)
+    chunk = ClaimedGradientTable.CHUNK * w
+    block = 3 * chunk + 2 * w + 5
+    params = SchemeParams(s=2, u=1, m=2, p=2 * block, d=d, q=q)
+    drawn = dtype is (np.uint16 if q <= 2**16 else np.uint32)
+    top = min(q - 1, np.iinfo(dtype).max)
+    if values == "top":
+        truth = np.full((params.p, d), top, dtype=dtype)
+    elif drawn:
+        truth = random_gradients(params, q)
+    else:
+        truth = np.random.default_rng(q).integers(0, top, size=(params.p, d), dtype=dtype, endpoint=True)
+    assert truth.dtype == dtype
+    columns = truth.T.tolist()
+    gradient = [sum(col) % q for col in columns]
+    assert full_gradient(truth, q).tolist() == gradient
+
+    table = ClaimedGradientTable(params, truth)
+    deviations = {1: chunk + 7, params.group_size + 1: block + 3 * chunk + 2}  # worker -> global index
+    for j, index in deviations.items():
+        table.set(j, index, [(int(v) + 1) % q for v in truth[index - 1]])
+    ranges = {(1, block + 1), (chunk + 1, block + 1), (1, 2 * chunk + 1), (chunk + 1, 3 * chunk + 1)}
+    ranges |= {(chunk - 5, 2 * chunk + 9), (2 * chunk + 3, 2 * chunk + 40), (2, 3), (3 * chunk + 1, block + 1)}
+    for g in (1, 2):
+        span = params.block_of_group(g)
+        prefix = [[0, *accumulate(col[span.start - 1 : span.stop - 1])] for col in columns]
+        for j in params.workers_of_group(g):
+            index = deviations.get(j)
+            delta = [0] * d if index is None else [(int(v) + 1) % q - int(v) for v in truth[index - 1]]
+            assert table.z0(j).tolist() == [(p[-1] + e) % q for p, e in zip(prefix, delta)], j
+            for coord in range(1, d + 1):
+                for lo, hi in sorted(ranges):
+                    expected = prefix[coord - 1][hi - 1] - prefix[coord - 1][lo - 1]
+                    if index is not None and lo <= index - span.start + 1 < hi:
+                        expected += delta[coord - 1]
+                    assert table.label(j, lo, hi, coord) == expected % q, (j, lo, hi)
+
+    trial = run_trial(params, truth, TableAdversary(table, frozenset(deviations)))
+    assert trial.breaches == [] and trial.violations == []
+    assert trial.ghat.tolist() == gradient
