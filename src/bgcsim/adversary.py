@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import SchemeParams, chunk_sums, column_sums, random_gradients, sum_dtype, wide_rows
+from .core import SchemeParams, as_truth, chunk_sums, column_sums, random_gradients, sum_dtype, wide_rows
 
 
 class InitialQuery(NamedTuple):
@@ -54,9 +54,9 @@ class ClaimedGradientTable:
     ``deviations[j]`` maps a global gradient index in worker j's block to the
     (d,) vector j claims there instead of the truth; a worker with no
     deviations is honest.  Values outside a worker's block are not
-    representable, matching the assignment structure.  The truth array,
-    uint16 or uint32 as ``core.random_gradients`` draws it, is shared with
-    the caller and only ever read; deviations and sums are int64.  No sum of
+    representable, matching the assignment structure.  The (p, d) truth
+    passes ``core.as_truth``, is shared with the caller when already in that
+    form, and is only ever read; deviations and sums are int64.  No sum of
     the truth spans a chunk, so each accumulates in ``core.sum_dtype`` of its
     dtype, the chunk and q: its own dtype at a power-of-two q, else uint32
     when a chunk of values q - 1 sums below 2**32.  So each is exact mod q,
@@ -79,7 +79,9 @@ class ClaimedGradientTable:
 
     def __init__(self, params: SchemeParams, truth: np.ndarray):
         self.params = params
-        self.truth = np.asarray(truth)
+        self.truth = as_truth(truth, params.q)
+        if self.truth.shape != (params.p, params.d):
+            raise ValueError(f"truth must have shape (p, d)={(params.p, params.d)}, got {self.truth.shape}")
         self.deviations = {}
         self._sums = {}  # block start -> (prefix sums, block sum mod q); (first, stop, coord) -> int
         self._chunk = self.CHUNK * wide_rows(params.d)  # rows per chunk
@@ -203,9 +205,6 @@ class ClaimedGradientTable:
                 parts.append(np.array([worker, index], dtype=np.int64).tobytes() + vec.tobytes())
         return b"".join(parts)
 
-    def identical_to(self, other: "ClaimedGradientTable") -> bool:
-        return self.params == other.params and self.to_bytes() == other.to_bytes()
-
 
 def _deviated(vec: np.ndarray, q: int, rng: np.random.Generator) -> np.ndarray:
     """Copy of ``vec`` with one uniformly chosen coordinate altered to a uniform other value.
@@ -249,12 +248,12 @@ def symmetrization_attack(
 
     if mode == "per-index":
         for chunk, index in enumerate(indices):
-            wrong = _deviated(truth[index - 1], params.q, rng)
+            wrong = _deviated(table.truth[index - 1], params.q, rng)
             for j in range(chunk * params.u + 1, (chunk + 1) * params.u + 1):
                 table.set(j, index, wrong)
     else:
         index = int(rng.choice(np.asarray(indices)))
-        wrong = _deviated(truth[index - 1], params.q, rng)
+        wrong = _deviated(table.truth[index - 1], params.q, rng)
         for j in range(1, params.s + 1):
             table.set(j, index, wrong)
 

@@ -103,11 +103,8 @@ class BoundsReport:
             draco_total_comm=draco_baseline(params).total_comm,
         )
 
-    def to_json(self) -> str:
-        return json.dumps(self.__dict__, separators=(",", ":"))
 
-
-def check_compliance(params: SchemeParams, metrics: Metrics, transcript: Transcript = None):
+def check_compliance(params: SchemeParams, metrics: Metrics, transcript: Transcript):
     """Violations of the per-run guarantees; empty list means compliant."""
     c_upper, t_upper, kappa_upper = scheme_upper_bounds(params)
     problems = []
@@ -117,7 +114,7 @@ def check_compliance(params: SchemeParams, metrics: Metrics, transcript: Transcr
         problems.append(f"T={metrics.T} exceeds bound {t_upper}")
     if metrics.kappa > kappa_upper + 1e-9:
         problems.append(f"kappa={metrics.kappa} exceeds bound {kappa_upper}")
-    if transcript is not None and transcript.kappa() != metrics.kappa:
+    if transcript.kappa() != metrics.kappa:
         problems.append("kappa recomputed from the message log disagrees with the metric")
     return problems
 

@@ -1,10 +1,10 @@
 """Finite-alphabet gradient arithmetic and the block-replicated data assignment.
 
 Partial gradients are length-d vectors over the integers modulo q with every
-coordinate in [0, q).  The ground truth is drawn and held as a (p, d) numpy
-array, uint16 when q <= 2**16 and uint32 otherwise; claimed values and sums
-are int64, and a sum of the truth accumulates in ``sum_dtype``: the truth's
-own dtype at a power-of-two q, whose wrap is exact mod q, else uint32
+coordinate in [0, q).  The ground truth is a (p, d) array, uint16 when
+q <= 2**16 and uint32 otherwise, as ``as_truth`` checks; claimed values and
+sums are int64, and a sum of the truth accumulates in ``sum_dtype``: the
+truth's own dtype at a power-of-two q, whose wrap is exact mod q, else uint32
 wherever that is exact.  The full gradient is their coordinate-wise sum
 modulo q.  Workers are partitioned into m groups of s+u members each; all
 workers in a group are assigned the same block of p/m consecutive gradient
@@ -22,13 +22,12 @@ import numpy as np
 # Every residue is below q <= 2**32, so the truth fits in uint32, and in
 # uint16 when q <= 2**16.  At a power-of-two q its sums wrap exactly mod q in
 # its own dtype; otherwise k residues sum to at most k * (q - 1), exact in
-# uint32 below 2**32 (``sum_dtype``).
-# Block sums, chunk prefix sums and label sums are int64, exact mod q, and
-# reach block_size * (q - 1) when q is not a power of two; SchemeParams
-# rejects configurations where that is 2**63 or more, whatever the alphabet.
+# uint32 below 2**32 (``sum_dtype``).  Block, chunk prefix and label sums are
+# int64, exact mod q, and reach block_size * (q - 1) unless q is a power of
+# two; SchemeParams rejects configurations where that is 2**63 or more.
 MAX_ALPHABET = 2**32
 COLUMN_CHUNK = 256  # wide rows per column_sums chunk: exact uint32 up to q = 2**24
-RAW_SLAB = 2**15  # 64-bit words per raw read of a 16-bit truth (2**17 ran as fast, 2**13 slower)
+RAW_SLAB = 2**15  # 64-bit words per raw read of the truth (2**17 ran as fast, 2**13 slower)
 
 
 @dataclass(frozen=True)
@@ -190,15 +189,25 @@ def column_sums(rows: np.ndarray, q: int) -> np.ndarray:
     return chunk_sums(rows[:head], chunk, q).sum(axis=0) + column_sums(rows[head:], q)
 
 
+def as_truth(truth, q: int) -> np.ndarray:
+    """``truth`` as a 2-D C-contiguous array of residues in [0, q): uint16 if q <= 2**16, else uint32.
+
+    Such an array comes back as it is and another integer array is copied into
+    that form; anything else, or a value outside [0, q), raises ValueError.  The
+    scan for values of q or more runs wherever the dtype can hold one.
+    """
+    arr = np.asarray(truth)
+    if arr.ndim != 2 or arr.dtype.kind not in "iu":
+        raise ValueError(f"truth must be a 2-D integer array: got {arr.dtype} of shape {arr.shape}")
+    signed = arr.dtype.kind == "i"
+    if arr.size and (signed and arr.min() < 0 or (1 << 8 * arr.itemsize - signed) > q and arr.max() >= q):
+        raise ValueError(f"truth values must be in [0, {q})")
+    return np.ascontiguousarray(arr, dtype=np.uint16 if q <= 2**16 else np.uint32)
+
+
 def full_gradient(gradients, q: int) -> np.ndarray:
-    """Coordinate-wise sum modulo q of a stack of equal-length integer gradient vectors, as int64."""
-    try:
-        arr = np.asarray(gradients)
-    except ValueError as exc:
-        raise ValueError("gradient dimensions do not match") from exc
-    if arr.ndim != 2:
-        raise ValueError(f"expected a (p, d) stack of vectors, got shape {arr.shape}")
-    return column_sums(arr, q) % q
+    """Coordinate-wise sum modulo q of a (p, d) truth (see ``as_truth``), as int64."""
+    return column_sums(as_truth(gradients, q), q) % q
 
 
 def random_gradients(params: SchemeParams, seed) -> np.ndarray:
@@ -210,10 +219,10 @@ def random_gradients(params: SchemeParams, seed) -> np.ndarray:
     a power-of-two q and no buffered half word, they are read from the raw
     stream: numpy's bounded draw takes one 32-bit half word per value, low
     half first, and its multiply-shift bound keeps the top log2(q) bits
-    without ever rejecting at a power-of-two range.  A 16-bit truth is read
-    RAW_SLAB words at a time, keeping only the high 16 bits of each half
-    word, so no 32-bit copy of it is ever held.  An odd count leaves the last
-    high half buffered in the bit generator, as numpy does.
+    without ever rejecting at a power-of-two range.  They are read RAW_SLAB
+    words at a time, only the high 16 bits of each half word for a 16-bit
+    truth, so no 32-bit copy of it is ever held.  An odd count leaves the
+    last high half buffered in the bit generator, as numpy does.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     q, shape = params.q, (params.p, params.d)
@@ -227,18 +236,11 @@ def random_gradients(params: SchemeParams, seed) -> np.ndarray:
         out = rng.integers(0, q, size=shape, dtype=np.uint32)
         return out.astype(np.uint16) if q <= 2**16 else out
     n = params.p * params.d
-    if q > 2**16:
-        raw = bits.random_raw((n + 1) // 2)
-        out = raw.view(np.uint32)[:n].reshape(shape)
-    elif n <= 2 * RAW_SLAB:  # the high 16 bits of each half word
-        raw = bits.random_raw((n + 1) // 2)
-        out = raw.view(np.uint16)[1 : 2 * n : 2].reshape(shape).copy()
-    else:
-        out = np.empty(shape, dtype=np.uint16)
-        flat = out.reshape(-1)
-        for i in range(0, n, 2 * RAW_SLAB):
-            raw = bits.random_raw(min(RAW_SLAB, (n - i + 1) // 2))
-            np.copyto(flat[i : i + 2 * RAW_SLAB], raw.view(np.uint16)[1 : 2 * (n - i) : 2])
+    out = np.empty(shape, dtype=np.uint16 if q <= 2**16 else np.uint32)
+    flat, k = out.reshape(-1), 4 // out.itemsize  # k values of out's dtype per half word
+    for i in range(0, n, 2 * RAW_SLAB):
+        raw = bits.random_raw(min(RAW_SLAB, (n - i + 1) // 2))
+        np.copyto(flat[i : i + 2 * RAW_SLAB], raw.view(out.dtype)[k - 1 : k * (n - i) : k])
     if n % 2:
         state = bits.state
         state["has_uint32"], state["uinteger"] = 1, int(raw[-1] >> np.uint64(32))

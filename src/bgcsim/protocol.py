@@ -204,9 +204,6 @@ class ProtocolRun:
         oracle_budget: int = None,
         random_draws: bool = False,
     ):
-        truth = np.asarray(truth)  # no copy: a table over this array is shared below
-        if truth.shape != (params.p, params.d):
-            raise ValueError(f"truth must have shape (p, d)={(params.p, params.d)}, got {truth.shape}")
         if len(responder.malicious) > params.s:
             raise ValueError(
                 f"adversary controls {len(responder.malicious)} workers; budget is s={params.s}"
@@ -214,7 +211,6 @@ class ProtocolRun:
         if random_draws and rng is None:
             raise ValueError("random draw order needs an RNG")
         self.params = params
-        self.truth = truth
         self.responder = responder
         self.rng = rng
         self.oracle_budget = oracle_budget
@@ -228,7 +224,8 @@ class ProtocolRun:
         if table is not None and table.params == params and table.truth is truth:
             self._honest = table.honest_twin()  # one memo of truth sums for both tables
         else:
-            self._honest = ClaimedGradientTable(params, truth)
+            self._honest = ClaimedGradientTable(params, truth)  # checks the truth (core.as_truth)
+        self.truth = self._honest.truth
         self._cost = {"initial": (params.d, 0), "label": (1, 0), "commit": (0, 1)}  # (symbols, bits)
 
     # -- plumbing ----------------------------------------------------------
@@ -488,13 +485,12 @@ class ProtocolRun:
         return total
 
     def execute(self):
-        z0 = self.initial_round()
-        pending = self.build_subsets(z0)
+        pending = self.build_subsets(self.initial_round())
+        ghat = None
         try:
             for g in sorted(pending):
-                survivor = self.elimination_tournament(g, pending[g])
-                self._resolved[g] = survivor.value
+                self._resolved[g] = self.elimination_tournament(g, pending[g]).value
+            ghat = self.decode()
         except _BudgetExhausted:
-            return None, metrics_from_transcript(self.params, self.transcript), self.transcript
-        ghat = self.decode()
+            pass
         return ghat, metrics_from_transcript(self.params, self.transcript), self.transcript

@@ -7,12 +7,13 @@ from itertools import accumulate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bgcsim.adversary import ClaimedGradientTable, TableAdversary
+from bgcsim.adversary import ClaimedGradientTable, NoAdversary, SymmetrizationAdversary, TableAdversary
 from bgcsim.bounds import run_trial
 from bgcsim.core import (
     COLUMN_CHUNK,
     RAW_SLAB,
     SchemeParams,
+    as_truth,
     build_fractional_repetition,
     chunk_sums,
     column_sums,
@@ -400,7 +401,7 @@ def test_column_sums_exact_at_the_uint32_bound(d, q):
 
 
 @pytest.mark.parametrize("q", [*_CUTS[4096], 2**22 + 1, 2**32 - 1])
-@pytest.mark.parametrize("dtype", [np.uint32, np.int64, np.float64])
+@pytest.mark.parametrize("dtype", [np.uint32, np.int64])
 def test_labels_exact_at_the_uint32_bound(dtype, q):
     # d=4: a label chunk is 16 wide rows of 256, and every direct sum is shorter.
     d = 4
@@ -495,3 +496,63 @@ def test_every_sum_of_the_truth_is_exact_mod_q(q, dtype, d, values):
     trial = run_trial(params, truth, TableAdversary(table, frozenset(deviations)))
     assert trial.breaches == [] and trial.violations == []
     assert trial.ghat.tolist() == gradient
+
+
+# The truth contract (core.as_truth): a 2-D integer array of residues in [0, q),
+# checked where a truth enters a table, a run or full_gradient.
+
+_WRAPPING_TRUTH = np.full((4096, 4), 2**31, dtype=np.uint32)  # a uint32 sum wraps; 3 does not divide 2**32
+
+
+def test_full_gradient_rejects_values_of_q_or_more():
+    # Summed as given, the values wrap the exact uint32 accumulator and sum to
+    # [0 0 0 0]; the true sums mod 3 are [2 2 2 2].
+    with pytest.raises(ValueError, match="must be in"):
+        full_gradient(_WRAPPING_TRUTH, 3)
+
+
+def test_run_rejects_values_of_q_or_more():
+    params = SchemeParams(s=2, u=1, m=1, p=4096, d=4, q=3)
+    with pytest.raises(ValueError, match="must be in"):
+        run_trial(params, _WRAPPING_TRUTH, NoAdversary())
+
+
+@pytest.mark.parametrize(
+    "column, seed",
+    [
+        ([6, 1, 0, 1, 0, 1, 1, 0], 1005),  # unchecked: an honest worker eliminated, a wrong decode
+        ([1, 0, 0, 0, 4, 1, 0, 0], 1002),  # unchecked: ProtocolError, every subset lost
+    ],
+)
+def test_out_of_range_truth_rejected_at_a_power_of_two_q(column, seed):
+    # A wrapped sum is exact mod 2, but commit comparisons and local
+    # computations read single values, so the range is checked at every q.
+    params = SchemeParams(s=2, u=1, m=1, p=8, d=1, q=2)
+    truth = np.array(column, dtype=np.uint16).reshape(8, 1)
+    with pytest.raises(ValueError, match="must be in"):
+        run_trial(params, truth, SymmetrizationAdversary(), np.random.default_rng(seed))
+
+
+def test_attack_on_a_narrow_truth_at_a_wide_alphabet():
+    # A uint16 truth at q = 2**17 is widened to uint32, so the planted values fit.
+    params = SchemeParams(s=2, u=1, m=1, p=8, d=1, q=2**17)
+    truth = np.full((8, 1), 2**16 - 1, dtype=np.uint16)
+    trial = run_trial(params, truth, SymmetrizationAdversary(), np.random.default_rng(0))
+    assert trial.breaches == [] and trial.ghat.tolist() == [8 * (2**16 - 1) % 2**17]
+
+
+def test_as_truth_keeps_a_canonical_truth_and_rejects_the_rest():
+    params = SchemeParams(s=1, u=1, m=1, p=4, d=2, q=2**16)
+    truth = random_gradients(params, 0)
+    assert ClaimedGradientTable(params, truth).truth is truth
+    for bad in (truth.astype(np.float64), truth.astype(bool), truth[0], -truth.astype(np.int64) - 1):
+        with pytest.raises(ValueError):
+            ClaimedGradientTable(params, bad)
+        with pytest.raises(ValueError):
+            full_gradient(bad, params.q)
+    with pytest.raises(ValueError, match="shape"):
+        ClaimedGradientTable(params, truth[:2])
+    assert as_truth(truth, 2**17).dtype == np.uint32
+    narrowed = as_truth(truth.astype(np.int64), params.q)
+    assert narrowed.dtype == np.uint16 and np.array_equal(narrowed, truth)
+    assert as_truth(truth.T, params.q).flags.c_contiguous

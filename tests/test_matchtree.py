@@ -124,7 +124,7 @@ def test_node_label_examples():
     assert table.label(2, 3, 4, 1) == 7
     assert table.label(2, 1, 5, 1) == 14
     assert table.label(1, 1, 5, 1) == 10  # worker 1 is unaffected
-    zeros = ClaimedGradientTable(SchemeParams(s=1, u=1, m=1, p=6, d=2, q=Q16), np.zeros((6, 2)))
+    zeros = ClaimedGradientTable(SchemeParams(s=1, u=1, m=1, p=6, d=2, q=Q16), np.zeros((6, 2), dtype=np.int64))
     assert zeros.label(1, 2, 5, 2) == 0
     # ranges are local to the worker's group block: group 2 holds gradients 5..8
     two = ClaimedGradientTable(
