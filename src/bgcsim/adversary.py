@@ -87,6 +87,7 @@ class ClaimedGradientTable:
         self._chunk = self.CHUNK * wide_rows(params.d)  # rows per chunk
         self._acc = sum_dtype(self.truth.dtype, self._chunk, params.q)
         self._blocks = [params.block_of_group(g) for g in range(1, params.m + 1)]
+        self._group_size = params.group_size  # read on every answer: an attribute, not the property
 
     def honest_twin(self) -> "ClaimedGradientTable":
         """A table with no deviations over the same truth, sharing its block list and memo."""
@@ -98,7 +99,7 @@ class ClaimedGradientTable:
         """The global gradient indices of ``worker``'s block (checking ``index`` is one)."""
         if not 1 <= worker <= self.params.n:
             raise ValueError(f"worker id out of range: {worker}")
-        block = self._blocks[(worker - 1) // self.params.group_size]
+        block = self._blocks[(worker - 1) // self._group_size]
         if index is not None and index not in block:
             raise ValueError(f"gradient {index} is not assigned to worker {worker}")
         return block
@@ -121,7 +122,8 @@ class ClaimedGradientTable:
 
     def z0(self, worker: int) -> np.ndarray:
         """The worker's initial response: its claimed block sum mod q."""
-        total = self._chunk_table(self._block(worker))[1]
+        block = self._block(worker)
+        total = (self._sums.get(block.start) or self._chunk_table(block))[1]  # no call on a memo hit
         own = self.deviations.get(worker)
         if not own:
             return total
@@ -282,7 +284,7 @@ def flip_world(params: SchemeParams, truth: np.ndarray, table: ClaimedGradientTa
     ]
     if not deviators:
         raise ValueError(f"no competing value planted at index {index}")
-    flipped = truth.copy()
+    flipped = table.truth.copy()  # canonical (core.as_truth), so the planted value fits
     flipped[index - 1] = table.value(deviators[0], index)
     malicious = frozenset(j for j in group if table.differs_from(j, flipped))
     return World(truth=flipped, table=table, malicious=malicious)

@@ -120,27 +120,24 @@ def replication_factor(assignment: np.ndarray) -> Fraction:
 
 def wide_rows(d: int) -> int:
     """Rows of width d summed as one wide row of about 1024 elements."""
-    return max(1, 1024 // max(d, 1))
+    return max(1, 1024 // d)
 
 
 def sum_dtype(dtype, k: int, q: int):
-    """The scalar type in which k values of ``dtype`` in [0, q) sum exactly mod q.
+    """The scalar type in which k values in [0, q) of a truth's uint16 or uint32 ``dtype`` sum exactly mod q.
 
-    uint16 and uint32 values sum in their own dtype when q is a power of two
-    that fits it (the sum wraps mod 2**16 or 2**32, which q divides), else in
-    uint32 when k * (q - 1) < 2**32 (exactly); anything else sums in int64.
-    numpy's sums wrap silently, so these bounds are the only guard.
+    They sum in their own dtype when q is a power of two that fits it (the
+    sum wraps mod 2**16 or 2**32, which q divides), else in uint32 when
+    k * (q - 1) < 2**32 (exactly), else in int64.  numpy's sums wrap
+    silently, so these bounds are the only guard.
     """
-    if dtype in (np.uint16, np.uint32):
-        if not q & (q - 1) and q <= 2 ** (8 * np.dtype(dtype).itemsize):
-            return np.dtype(dtype).type
-        if k * (q - 1) < 2**32:
-            return np.uint32
-    return np.int64
+    if not q & (q - 1) and q <= 2 ** (8 * np.dtype(dtype).itemsize):
+        return np.dtype(dtype).type
+    return np.uint32 if k * (q - 1) < 2**32 else np.int64
 
 
 def chunk_sums(rows: np.ndarray, chunk: int, q: int) -> np.ndarray:
-    """int64 column sums of each whole chunk of ``chunk`` rows of a (k, d) array of values below q.
+    """int64 column sums of each whole chunk of ``chunk`` rows of a (k, d) row slice of a truth.
 
     Exact mod q, and exact outright unless q is a power of two.  Returns
     shape (k // chunk, d); leftover rows are ignored.  ``chunk`` must be a
@@ -171,18 +168,17 @@ def chunk_sums(rows: np.ndarray, chunk: int, q: int) -> np.ndarray:
 
 
 def column_sums(rows: np.ndarray, q: int) -> np.ndarray:
-    """int64 column sums of a (k, d) array of values below q, as ``rows.sum(axis=0, dtype=np.int64)``.
+    """int64 column sums of a (k, d) row slice of a truth (``as_truth``), so C-contiguous.
 
     Exact mod q, and exact outright unless q is a power of two.  Whole
     groups of w = wide_rows(d) rows are summed by ``chunk_sums`` in chunks of
     at most COLUMN_CHUNK of them (about 2**18 elements) and the leftover rows
-    are added.  Short blocks, zero-width rows and non-contiguous arrays, which
-    the wide view would not speed up, could not reshape or would copy, take
+    are added.  Short blocks, which the wide view would not speed up, take
     the plain int64 sum.
     """
     k, d = rows.shape
     w = wide_rows(d)
-    if d == 0 or k < 2 * w or not rows.flags.c_contiguous:
+    if k < 2 * w:
         return np.add.reduce(rows, axis=0, dtype=np.int64)
     chunk = w * min(k // w, COLUMN_CHUNK)
     head = k - k % chunk
@@ -192,13 +188,14 @@ def column_sums(rows: np.ndarray, q: int) -> np.ndarray:
 def as_truth(truth, q: int) -> np.ndarray:
     """``truth`` as a 2-D C-contiguous array of residues in [0, q): uint16 if q <= 2**16, else uint32.
 
-    Such an array comes back as it is and another integer array is copied into
-    that form; anything else, or a value outside [0, q), raises ValueError.  The
-    scan for values of q or more runs wherever the dtype can hold one.
+    Such an array comes back as it is and another integer array of width
+    d >= 1 is copied into that form; anything else, or a value outside
+    [0, q), raises ValueError.  The scan for values of q or more runs
+    wherever the dtype can hold one.
     """
     arr = np.asarray(truth)
-    if arr.ndim != 2 or arr.dtype.kind not in "iu":
-        raise ValueError(f"truth must be a 2-D integer array: got {arr.dtype} of shape {arr.shape}")
+    if arr.ndim != 2 or not arr.shape[1] or arr.dtype.kind not in "iu":
+        raise ValueError(f"truth must be a 2-D integer array, d >= 1: got {arr.dtype} of shape {arr.shape}")
     signed = arr.dtype.kind == "i"
     if arr.size and (signed and arr.min() < 0 or (1 << 8 * arr.itemsize - signed) > q and arr.max() >= q):
         raise ValueError(f"truth values must be in [0, {q})")

@@ -28,18 +28,18 @@ Accounting rules:
   - c counts distinct gradient indices fetched from the local oracle.  A
     leaf that was already settled is decided from the cached value without
     touching the oracle again.
-  - every message is charged in one place (initial d symbols, label 1
-    symbol, commit 1 bit) whatever comes back; the charge appends it to the
+  - every worker, honest or malicious, is asked each query through one
+    reply path, which charges the message (initial d symbols, label 1
+    symbol, commit 1 bit) whatever comes back: it appends it to the
     message log and adds its t >= 1 symbols and bits to exact counters,
-    which kappa is computed from.
-  - honest workers are answered straight from the honest table, which
-    reduces every answer mod q, so their answers are not checked.  Only
-    adversary input goes through the ask path, which validates it: a
-    response of the wrong shape or type, or outside the alphabet,
-    incriminates its sender, who is eliminated on the spot (reasons
-    malformed_initial, malformed_label and malformed_commit); so is a
-    malicious responder that raises instead of answering.  A commit bit
-    must be a bool; anything else is not counted as a vote.
+    which kappa is computed from.  An honest worker is a worker with no
+    deviations: its answer comes from the honest table, which reduces
+    every answer mod q, so it is not checked.  A malicious worker's answer
+    is validated: a response of the wrong shape or type, or outside the
+    alphabet, incriminates its sender, who is eliminated on the spot
+    (reasons malformed_initial, malformed_label and malformed_commit); so
+    is a malicious responder that raises instead of answering.  A commit
+    bit must be a bool; anything else is not counted as a vote.
   - eliminated workers, representatives included, leave their consistent
     subsets once per tournament iteration, after the match and its votes.
 """
@@ -56,9 +56,6 @@ import numpy as np
 
 from .adversary import ClaimedGradientTable, CommitQuery, InitialQuery, LabelQuery
 from .core import SchemeParams
-
-
-_KIND = {InitialQuery: "initial", LabelQuery: "label", CommitQuery: "commit"}
 
 
 class Message(NamedTuple):
@@ -226,7 +223,9 @@ class ProtocolRun:
         else:
             self._honest = ClaimedGradientTable(params, truth)  # checks the truth (core.as_truth)
         self.truth = self._honest.truth
-        self._cost = {"initial": (params.d, 0), "label": (1, 0), "commit": (0, 1)}  # (symbols, bits)
+        self._cost = {  # query type -> (kind, symbols, bits) of the message answering it
+            InitialQuery: ("initial", params.d, 0), LabelQuery: ("label", 1, 0), CommitQuery: ("commit", 0, 1)
+        }
 
     # -- plumbing ----------------------------------------------------------
 
@@ -237,31 +236,29 @@ class ProtocolRun:
             )
             self._eliminated.update(workers)
 
-    def _charge(self, t, group, worker, kind):
-        """Log one worker-to-main message and count its cost towards kappa."""
-        symbols, bits = self._cost[kind]
+    def _reply(self, t, group, worker, query):
+        """Send ``query`` to ``worker``, charge the message and return the answer as the engine uses it.
+
+        Every message goes through here: it is logged and its t >= 1 cost is
+        added to the kappa counters whatever comes back.  An honest worker is
+        answered by the honest table.  A malicious worker's answer is
+        checked; it comes back in canonical form (an int64 vector, a symbol
+        or a bool), or as None after the sender is eliminated as
+        malformed_<kind>.  Anything the responder raises counts as a
+        malformed answer.
+        """
+        kind, symbols, bits = self._cost[type(query)]
         transcript = self.transcript
         transcript.messages.append(Message(t, group, worker, kind, symbols, bits))
         if t >= 1:
             transcript.kappa_symbols += symbols
             transcript.kappa_bits += bits
-
-    def _ask(self, t, group, worker, query):
-        """Send ``query`` to malicious ``worker``, charge the message and check the answer.
-
-        This is the only path adversary input takes.  Returns the answer as
-        the engine uses it (an int64 vector, a symbol or a bool), or None
-        after eliminating the sender as malformed_<kind>.  Anything the
-        responder raises counts as a malformed answer.  Honest workers never
-        come here: the stages read their answers from the honest table and
-        charge them directly.
-        """
-        kind = _KIND[type(query)]
+        if worker not in self.responder.malicious:
+            return self._honest.answer(worker, query)
         try:
             value = self._validate(kind, self.responder.respond(worker, query))
         except Exception:
             value = None
-        self._charge(t, group, worker, kind)
         if value is None:
             index = query.index if kind == "commit" else 0
             self._eliminate(t, group, (worker,), f"malformed_{kind}", index)
@@ -289,19 +286,12 @@ class ProtocolRun:
     def initial_round(self) -> dict:
         """t=0: every worker sends its claimed block sum (d symbols, not in kappa)."""
         z0 = {}
-        malicious = self.responder.malicious
         for g in range(1, self.params.m + 1):
-            workers = self.params.workers_of_group(g)
-            block_sum = self._honest.z0(workers[0])  # what every honest member sends
-            for j in workers:
-                if j in malicious:
-                    vec = self._ask(0, g, j, InitialQuery(group=g))
-                    if vec is None:
-                        continue
-                else:
-                    vec = block_sum
-                    self._charge(0, g, j, "initial")
-                z0[j] = vec
+            query = InitialQuery(group=g)
+            for j in self.params.workers_of_group(g):
+                vec = self._reply(0, g, j, query)
+                if vec is not None:
+                    z0[j] = vec
         return z0
 
     def build_subsets(self, z0: dict):
@@ -354,8 +344,7 @@ class ProtocolRun:
         garbage and was eliminated mid-match.  Both reps are asked at every
         level, even when the first answer is already malformed.
         """
-        reps = (sub1.representative, sub2.representative)
-        malicious = self.responder.malicious
+        rep1, rep2 = sub1.representative, sub2.representative
         differing = np.nonzero(sub1.value != sub2.value)[0]
         if differing.size == 0:
             raise ProtocolError("match requires representatives with differing responses")
@@ -368,14 +357,9 @@ class ProtocolRun:
             mid = lo + (hi - lo + 1) // 2  # the left child takes the ceiling half
             self.transcript.group_rounds[group] += 1
             t = self.transcript.group_rounds[group]
-            answers = []
-            for rep in reps:
-                if rep in malicious:
-                    answers.append(self._ask(t, group, rep, LabelQuery(group, lo, mid, coord)))
-                else:
-                    answers.append(self._honest.label(rep, lo, mid, coord))
-                    self._charge(t, group, rep, "label")
-            a1, a2 = answers
+            query = LabelQuery(group, lo, mid, coord)
+            a1 = self._reply(t, group, rep1, query)
+            a2 = self._reply(t, group, rep2, query)
             if a1 is None or a2 is None:
                 return None
             if a1 == a2:
@@ -398,13 +382,9 @@ class ProtocolRun:
         """
         t = self.transcript.group_rounds[group]
         committed = {subset.representative}
-        malicious = self.responder.malicious
+        query = CommitQuery(group, index, coord, value)
         for j in subset.workers:
-            if j in malicious:
-                bit = self._ask(t, group, j, CommitQuery(group, index, coord, value))
-            else:
-                bit = int(self._honest.value(j, index)[coord - 1]) == value
-                self._charge(t, group, j, "commit")
+            bit = self._reply(t, group, j, query)
             if bit is None:
                 committed.discard(j)
             elif bit:

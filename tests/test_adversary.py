@@ -203,6 +203,20 @@ def test_every_flip_yields_another_indistinguishable_world():
     assert len(sums) == 3
 
 
+def test_flip_world_plants_on_the_widened_truth():
+    # A uint16 truth at q = 2**17: the flipped world must hold the planted
+    # values, not their wrap mod 2**16, which named all three workers malicious.
+    params = SchemeParams(s=2, u=1, m=1, p=8, d=1, q=2**17)
+    truth = np.full((8, 1), 2**16 - 1, dtype=np.uint16)
+    table, dis = symmetrization_attack(params, truth, np.random.default_rng(0))
+    for index, deviator in zip(dis.indices, (1, 2)):
+        planted = table.value(deviator, index).tolist()
+        assert planted[0] > 2**16  # 100897 at index 6, 105883 at index 8
+        world = flip_world(params, truth, table, index)
+        assert world.truth[index - 1].tolist() == planted
+        assert world.malicious == frozenset({1, 2, 3} - {deviator})  # two of the three
+
+
 def test_flip_world_swaps_roles():
     params = SchemeParams(s=2, u=1, m=1, p=4, d=1, q=2**16)
     truth, table, dis = _attack(params, seed=8)

@@ -431,6 +431,25 @@ def test_table_adversary_from_file(tmp_path, run_and_check):
     assert metrics.c == 1
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
+def test_spread_withholding_coalitions_stay_within_kappa_upper(tmp_path):
+    # Two coalitions of 8 in the two groups of 18.  Each shares one wrong
+    # block sum, 12345, but its members claim distinct values at the disputed
+    # leaf, so the table's commit answers withhold.  The bound charges the
+    # commit bits as if every match were in one group: kappa_max reads
+    # 41.125 against a kappa_upper of 40.3125.
+    malicious = [*range(11, 19), *range(29, 37)]
+    claims = {str(j): [[100 + k], [(12345 - 100 - k) % 65536]] for k, j in enumerate(malicious)}
+    path = tmp_path / "spread.json"
+    path.write_text(json.dumps({"malicious": malicious, "claims": claims}))
+    out = tmp_path / "rows.csv"
+    argv = ["--s", "16", "--u", "2", "--m", "2", "--p", "4", "--d", "1", "--trials", "20",
+            "--seed", "0", "--adversary", f"table:{path}", "--out", str(out)]
+    code = main(argv)
+    (row,) = list(csv.DictReader(out.read_text().splitlines()))
+    assert row["bounds_ok"] == "1" and code == 0, (row["kappa_max"], row["kappa_upper"])
+
+
 def test_table_file_validation(tmp_path):
     from bgcsim.core import SchemeParams
 
