@@ -52,24 +52,25 @@ class ClaimedGradientTable:
     """What every worker claims: a reference truth plus sparse per-worker deviations.
 
     ``deviations[j]`` maps a global gradient index in worker j's block to the
-    (d,) vector j claims there instead of the truth; a worker with no
-    deviations is honest.  Values outside a worker's block are not
-    representable, matching the assignment structure.  The (p, d) truth
-    passes ``core.as_truth``, is shared with the caller when already in that
-    form, and is only ever read; deviations and sums are int64.  No sum of
-    the truth spans a chunk, so each accumulates in ``core.sum_dtype`` of its
-    dtype, the chunk and q: its own dtype at a power-of-two q, else uint32
-    when a chunk of values q - 1 sums below 2**32.  So each is exact mod q,
-    and exact outright unless q is a power of two, and every answer is
-    reduced mod q.  The direct sums call ``np.add.reduce``, which skips the
-    ``.sum`` wrapper on this hot path.
+    read-only (d,) vector j claims there instead of the truth, shared by the
+    workers one ``set`` gave it to; a worker with no deviations is honest.
+    Values outside a worker's block are not representable, matching the
+    assignment structure.  The (p, d) truth passes ``core.as_truth``, is
+    shared with the caller when already in that form, and is only ever read;
+    deviations and sums are int64.  No sum of the truth spans a chunk, so
+    each accumulates in ``core.sum_dtype`` of its dtype, the chunk and q: its
+    own dtype at a power-of-two q, else uint32 when a chunk of values q - 1
+    sums below 2**32.  So each is exact mod q, and exact outright unless q
+    is a power of two, and every answer is reduced mod q.  The direct sums
+    call ``np.add.reduce``, which skips the ``.sum`` wrapper on this hot path.
 
     Sums of the truth are memoized on first use.  Each block gets a chunk
     table in one pass: the int64 prefix sums at every boundary of a chunk of
-    CHUNK wide rows (``core.wide_rows``), shape (n_chunks + 1, d), and the
-    block sum mod q.  Each label slice sum is kept by (first, stop, coord)
-    (global, half-open); a range of at least one chunk is two prefix entries
-    plus at most two partial chunks, a shorter one is summed directly.
+    CHUNK wide rows (``core.wide_rows``), shape (n_chunks + 1, d), or None
+    in a block shorter than one chunk, and the block sum mod q.  Each label
+    slice sum is kept by (first, stop, coord) (global, half-open); a range of
+    at least one chunk is two prefix entries plus at most two partial
+    chunks, a shorter one is summed directly.
     ``z0`` and ``label`` add a worker's own deviations on top of them.  A
     table and its ``honest_twin`` share one memo, so the memo relies on the
     truth array not changing while any table over it is alive.
@@ -83,7 +84,7 @@ class ClaimedGradientTable:
         if self.truth.shape != (params.p, params.d):
             raise ValueError(f"truth must have shape (p, d)={(params.p, params.d)}, got {self.truth.shape}")
         self.deviations = {}
-        self._sums = {}  # block start -> (prefix sums, block sum mod q); (first, stop, coord) -> int
+        self._sums = {}  # block start -> (prefix sums or None, block sum mod q); (first, stop, coord) -> int
         self._chunk = self.CHUNK * wide_rows(params.d)  # rows per chunk
         self._acc = sum_dtype(self.truth.dtype, self._chunk, params.q)
         self._blocks = [params.block_of_group(g) for g in range(1, params.m + 1)]
@@ -104,17 +105,22 @@ class ClaimedGradientTable:
             raise ValueError(f"gradient {index} is not assigned to worker {worker}")
         return block
 
-    def set(self, worker: int, index: int, vector) -> None:
-        """Make ``worker`` claim ``vector`` (reduced mod q) at global ``index``."""
-        self._block(worker, index)
+    def set(self, workers, index: int, vector) -> None:
+        """Make ``workers`` (one id, or a range of ids) claim ``vector`` (reduced mod q) at global ``index``."""
+        workers = workers if isinstance(workers, range) else (workers,)
+        for worker in workers:
+            self._block(worker, index)
         vec = np.asarray(vector, dtype=np.int64) % self.params.q
         if vec.shape != (self.params.d,):
             raise ValueError(f"claimed vector must have shape ({self.params.d},): got {vec.shape}")
-        own = self.deviations.setdefault(worker, {})
-        if vec.tolist() == self.truth[index - 1].tolist():
-            own.pop(index, None)
-        else:
-            own[index] = vec
+        vec.setflags(write=False)
+        truthful = vec.tolist() == self.truth[index - 1].tolist()
+        for worker in workers:
+            own = self.deviations.setdefault(worker, {})
+            if truthful:
+                own.pop(index, None)
+            else:
+                own[index] = vec
 
     def value(self, worker: int, index: int) -> np.ndarray:
         self._block(worker, index)
@@ -161,14 +167,15 @@ class ClaimedGradientTable:
         return total % self.params.q
 
     def _chunk_table(self, block: range):
-        """The block's (prefix sums at chunk boundaries, block sum mod q), built on first use."""
+        """The block's (prefix sums at chunk boundaries, or None with no whole chunk; block sum mod q)."""
         entry = self._sums.get(block.start)
         if entry is None:
             rows = self.truth[block.start - 1 : block.stop - 1]
             head = len(rows) - len(rows) % self._chunk
-            prefix = np.zeros((head // self._chunk + 1, self.params.d), dtype=np.int64)
-            total = column_sums(rows[head:], self.params.q)
+            prefix = None  # a block with no whole chunk keeps only its sum
+            total = column_sums(rows[head:], self.params.q) if head < len(rows) else 0
             if head:
+                prefix = np.zeros((head // self._chunk + 1, self.params.d), dtype=np.int64)
                 np.cumsum(chunk_sums(rows, self._chunk, self.params.q), axis=0, out=prefix[1:])
                 total = total + prefix[-1]
             total = total % self.params.q
@@ -251,13 +258,10 @@ def symmetrization_attack(
     if mode == "per-index":
         for chunk, index in enumerate(indices):
             wrong = _deviated(table.truth[index - 1], params.q, rng)
-            for j in range(chunk * params.u + 1, (chunk + 1) * params.u + 1):
-                table.set(j, index, wrong)
+            table.set(range(chunk * params.u + 1, (chunk + 1) * params.u + 1), index, wrong)
     else:
         index = int(rng.choice(np.asarray(indices)))
-        wrong = _deviated(table.truth[index - 1], params.q, rng)
-        for j in range(1, params.s + 1):
-            table.set(j, index, wrong)
+        table.set(range(1, params.s + 1), index, _deviated(table.truth[index - 1], params.q, rng))
 
     return table, DisagreementSet(group=1, indices=indices)
 

@@ -168,7 +168,7 @@ def run_trial(
     ghat, metrics, transcript = run.execute()
     breaches = verify_run(params, truth, responder.malicious, ghat, transcript)
     violations = check_compliance(params, metrics, transcript)
-    return Trial(ghat, metrics, transcript, breaches, violations)
+    return tuple.__new__(Trial, (ghat, metrics, transcript, breaches, violations))  # as namedtuple._make does
 
 
 def disagreement_coverage_check(transcript: Transcript, disagreement, table) -> bool:

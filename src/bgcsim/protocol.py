@@ -82,6 +82,11 @@ class EliminationEvent(NamedTuple):
     index: int  # disputed gradient index, or 0 when not tied to one
 
 
+_record = tuple.__new__  # a NamedTuple from a tuple of its fields, as namedtuple._make builds it
+# query type -> (kind, symbols, bits) of the message answering it; None: d symbols
+_COST = {InitialQuery: ("initial", None, 0), LabelQuery: ("label", 1, 0), CommitQuery: ("commit", 0, 1)}
+
+
 class ProtocolError(RuntimeError):
     """Internal invariant violated; indicates a bug, not adversary behaviour."""
 
@@ -223,16 +228,13 @@ class ProtocolRun:
         else:
             self._honest = ClaimedGradientTable(params, truth)  # checks the truth (core.as_truth)
         self.truth = self._honest.truth
-        self._cost = {  # query type -> (kind, symbols, bits) of the message answering it
-            InitialQuery: ("initial", params.d, 0), LabelQuery: ("label", 1, 0), CommitQuery: ("commit", 0, 1)
-        }
 
     # -- plumbing ----------------------------------------------------------
 
     def _eliminate(self, t, group, workers, reason, index=0):
         if workers:
             self.transcript.eliminations.append(
-                EliminationEvent(t, group, tuple(sorted(workers)), reason, index)
+                _record(EliminationEvent, (t, group, tuple(sorted(workers)), reason, index))
             )
             self._eliminated.update(workers)
 
@@ -247,9 +249,11 @@ class ProtocolRun:
         malformed_<kind>.  Anything the responder raises counts as a
         malformed answer.
         """
-        kind, symbols, bits = self._cost[type(query)]
+        kind, symbols, bits = _COST[type(query)]
+        if symbols is None:
+            symbols = self.params.d
         transcript = self.transcript
-        transcript.messages.append(Message(t, group, worker, kind, symbols, bits))
+        transcript.messages.append(_record(Message, (t, group, worker, kind, symbols, bits)))
         if t >= 1:
             transcript.kappa_symbols += symbols
             transcript.kappa_bits += bits
@@ -287,7 +291,7 @@ class ProtocolRun:
         """t=0: every worker sends its claimed block sum (d symbols, not in kappa)."""
         z0 = {}
         for g in range(1, self.params.m + 1):
-            query = InitialQuery(group=g)
+            query = _record(InitialQuery, (g,))
             for j in self.params.workers_of_group(g):
                 vec = self._reply(0, g, j, query)
                 if vec is not None:
@@ -308,7 +312,7 @@ class ProtocolRun:
                 if j not in z0:
                     continue
                 buckets.setdefault(z0[j].tobytes(), []).append(j)
-            subsets = sorted(buckets.values(), key=lambda ws: ws[0])
+            subsets = buckets.values()  # in first-worker order, as the workers were visited
             big = [ws for ws in subsets if len(ws) > self.params.s]
             if big:
                 if len(big) > 1:
@@ -357,7 +361,7 @@ class ProtocolRun:
             mid = lo + (hi - lo + 1) // 2  # the left child takes the ceiling half
             self.transcript.group_rounds[group] += 1
             t = self.transcript.group_rounds[group]
-            query = LabelQuery(group, lo, mid, coord)
+            query = _record(LabelQuery, (group, lo, mid, coord))
             a1 = self._reply(t, group, rep1, query)
             a2 = self._reply(t, group, rep2, query)
             if a1 is None or a2 is None:
@@ -382,7 +386,7 @@ class ProtocolRun:
         """
         t = self.transcript.group_rounds[group]
         committed = {subset.representative}
-        query = CommitQuery(group, index, coord, value)
+        query = _record(CommitQuery, (group, index, coord, value))
         for j in subset.workers:
             bit = self._reply(t, group, j, query)
             if bit is None:
@@ -404,7 +408,7 @@ class ProtocolRun:
             raise _BudgetExhausted
         t = self.transcript.group_rounds[group]
         vec = self.truth[index - 1].copy()
-        self.transcript.oracle_calls.append(OracleCall(t, group, index, coord))
+        self.transcript.oracle_calls.append(_record(OracleCall, (t, group, index, coord)))
         self.transcript.oracle_values[index] = vec
         return int(vec[coord - 1])
 

@@ -11,6 +11,7 @@ from bgcsim.adversary import (
     LabelQuery,
     SymmetrizationAdversary,
     TableAdversary,
+    _deviated,
     flip_world,
     symmetrization_attack,
     two_case_worlds,
@@ -269,6 +270,52 @@ def test_table_adversary_validates_honest_rows():
         TableAdversary(table, frozenset({1})).instantiate(  # ...but only 1 is malicious
             params, truth, None
         )
+
+
+@pytest.mark.parametrize("mode", ["per-index", "collusive"])
+@pytest.mark.parametrize(
+    "params",
+    [
+        SchemeParams(s=1, u=1, m=1, p=4, d=1, q=2**16),
+        SchemeParams(s=5, u=2, m=1, p=8, d=4, q=2**16),
+        SchemeParams(s=6, u=1, m=2, p=64, d=2, q=2),
+        SchemeParams(s=4, u=3, m=3, p=24, d=3, q=2**17),
+    ],
+    ids=["s1", "s5-u2", "q2-m2", "q17-m3"],
+)
+def test_planting_on_a_range_of_workers_matches_one_set_per_worker(params, mode):
+    # symmetrization_attack writes each planted vector once for all its
+    # workers; replay its draws and write the same vectors worker by worker.
+    truth = random_gradients(params, 7)
+    table, dis = symmetrization_attack(params, truth, np.random.default_rng(8), mode)
+    rng = np.random.default_rng(8)
+    reference = ClaimedGradientTable(params, truth)
+    picks = rng.choice(params.block_size, size=params.s // params.u, replace=False)
+    assert tuple(sorted(int(x) + 1 for x in picks)) == dis.indices
+    if mode == "per-index":
+        for chunk, index in enumerate(dis.indices):
+            wrong = _deviated(reference.truth[index - 1], params.q, rng)
+            for j in range(chunk * params.u + 1, (chunk + 1) * params.u + 1):
+                reference.set(j, index, wrong)
+    else:
+        index = int(rng.choice(np.asarray(dis.indices)))
+        wrong = _deviated(reference.truth[index - 1], params.q, rng)
+        for j in range(1, params.s + 1):
+            reference.set(j, index, wrong)
+    assert table.to_bytes() == reference.to_bytes()
+    assert table.deviations.keys() == reference.deviations.keys()
+
+
+def test_planting_the_truth_on_a_range_clears_it():
+    params = SchemeParams(s=3, u=1, m=1, p=8, d=2, q=2**16)
+    truth = random_gradients(params, 1)
+    table = ClaimedGradientTable(params, truth)
+    table.set(range(1, 4), 5, truth[4] + 1)
+    assert all(table.differs_from(j, truth) for j in (1, 2, 3))
+    with pytest.raises(ValueError, match="read-only"):
+        table.value(2, 5)[0] = 0  # the workers share one vector, so none may change it
+    table.set(range(2, 4), 5, truth[4].astype(np.int64) + params.q)  # the truth, mod q
+    assert [table.differs_from(j, truth) for j in (1, 2, 3)] == [True, False, False]
 
 
 def test_claimed_table_rejects_unassigned_index():

@@ -26,7 +26,8 @@ from bgcsim.cli import (
     parse_config,
     run_experiments,
 )
-from bgcsim.core import random_gradients
+from bgcsim.adversary import ClaimedGradientTable, CommitQuery, Responder
+from bgcsim.core import SchemeParams, random_gradients
 from bgcsim.protocol import ProtocolError, ProtocolRun
 
 
@@ -448,6 +449,41 @@ def test_spread_withholding_coalitions_stay_within_kappa_upper(tmp_path):
     code = main(argv)
     (row,) = list(csv.DictReader(out.read_text().splitlines()))
     assert row["bounds_ok"] == "1" and code == 0, (row["kappa_max"], row["kappa_upper"])
+
+
+class _WithholdingCoalitions:
+    """The last four workers of each group plant one wrong value on the last leaf
+    of its block, so each coalition shares one wrong block sum, and answer every
+    commit False.  At q = 2 a member has only one other value to claim at the
+    disputed leaf, so the members' split leaf claims are written as withheld
+    commits: each match eliminates only the coalition's representative."""
+
+    def instantiate(self, params, truth, rng):
+        table = ClaimedGradientTable(params, truth)
+        malicious = []
+        for g in range(1, params.m + 1):
+            coalition = range(params.workers_of_group(g).stop - 4, params.workers_of_group(g).stop)
+            leaf = params.block_of_group(g).stop - 1
+            table.set(coalition, leaf, (truth[leaf - 1].astype(np.int64) + 1) % params.q)
+            malicious += coalition
+
+        def answer(worker, query):
+            return False if isinstance(query, CommitQuery) else table.answer(worker, query)
+
+        return Responder(malicious, answer)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
+def test_spread_withholding_coalitions_stay_within_kappa_upper_at_q2():
+    # Two coalitions of 4 in the two groups of 10 each last s_g - u + 1 = 3
+    # matches, and each group's commit bits restart at full group size:
+    # kappa reads 66.0 against a kappa_upper of 63.0.
+    params = SchemeParams(s=8, u=2, m=2, p=4, d=1, q=2)
+    truth = random_gradients(params, np.random.default_rng(0))
+    trial = bounds.run_trial(params, truth, _WithholdingCoalitions())
+    if trial.breaches:  # not an AssertionError: a run that breaks its contract fails, it does not xfail
+        pytest.fail(f"the run breaks its contract: {trial.breaches}")
+    assert not trial.violations, (trial.metrics.kappa, bounds.scheme_upper_bounds(params)[2])
 
 
 def test_table_file_validation(tmp_path):

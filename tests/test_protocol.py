@@ -19,9 +19,10 @@ from bgcsim.adversary import (
     flip_world,
     symmetrization_attack,
 )
-from bgcsim.bounds import check_compliance, run_trial, verify_run
+from bgcsim.bounds import Trial, check_compliance, run_trial, verify_run
 from bgcsim.core import SchemeParams, full_gradient, random_gradients, wide_rows
-from bgcsim.protocol import ProtocolRun, metrics_from_transcript
+from bgcsim.protocol import EliminationEvent, Message, OracleCall, ProtocolRun, metrics_from_transcript
+from test_acceptance import ADVERSARIES, GRID, _grid_params
 
 Q16 = 2**16
 
@@ -437,6 +438,62 @@ def test_smoke_grid_all_adversaries(run_and_check):
             for seed in range(50):
                 truth = random_gradients(params, np.random.default_rng([seed, 0]))
                 run_and_check(params, truth, adversary, np.random.default_rng([seed, 1]))
+
+
+def _exact_record(record):
+    """Whether ``record`` is an exact instance of its NamedTuple type, equal to its field-wise construction."""
+    cls = type(record)
+    return cls in (Message, OracleCall, EliminationEvent, Trial, InitialQuery, LabelQuery, CommitQuery) and (
+        record == cls(*record)
+    )
+
+
+def test_records_are_exact_namedtuples_over_the_criterion_1_grid():
+    # The engine builds its records with tuple.__new__, skipping the generated
+    # __new__, so check that nothing but the declared fields ends up in them.
+    for entry in GRID:
+        params = _grid_params(entry)
+        for adversary in ADVERSARIES.values():
+            for seed in range(3):
+                truth = random_gradients(params, np.random.default_rng([seed, 0]))
+                trial = run_trial(params, truth, adversary, np.random.default_rng([seed, 1]))
+                transcript = trial.transcript
+                assert type(trial) is Trial and _exact_record(trial)
+                assert all(type(m) is Message and _exact_record(m) for m in transcript.messages)
+                assert all(type(c) is OracleCall and _exact_record(c) for c in transcript.oracle_calls)
+                assert all(type(e) is EliminationEvent and _exact_record(e) for e in transcript.eliminations)
+
+
+def test_callback_adversary_receives_exact_query_types():
+    seen = set()
+
+    def answering_from(table):
+        def fn(worker, query, rng):
+            assert type(query) in (InitialQuery, LabelQuery, CommitQuery) and _exact_record(query)
+            seen.add(type(query))
+            return table.answer(worker, query)
+
+        return fn
+
+    for entry in GRID:
+        params = _grid_params(entry)
+        for mode in ("per-index", "collusive"):
+            truth = random_gradients(params, np.random.default_rng([entry[0], 0]))
+            table, _ = symmetrization_attack(params, truth, np.random.default_rng([entry[0], 1]), mode)
+            adversary = CallbackAdversary(frozenset(range(1, params.s + 1)), answering_from(table))
+            assert not run_trial(params, truth, adversary).breaches
+    assert seen == {InitialQuery, LabelQuery, CommitQuery}
+
+
+def test_build_subsets_in_first_worker_order():
+    params = SchemeParams(s=5, u=1, m=2, p=8, d=1, q=Q16)
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        run = ProtocolRun(params, random_gradients(params, rng), NoAdversary().instantiate(params, None, None))
+        z0 = {j: np.array([int(rng.integers(3))], dtype=np.int64) for j in range(1, params.n + 1)}
+        for g, subsets in run.build_subsets(z0).items():
+            firsts = [sub.workers[0] for sub in subsets]
+            assert firsts == sorted(firsts) and all(sub.workers == sorted(sub.workers) for sub in subsets)
 
 
 def test_honest_answers_share_sums_only_over_the_runs_truth():
