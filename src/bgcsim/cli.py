@@ -4,10 +4,13 @@ Reproducibility contract: the master seed is split into one substream per
 (sweep point, trial) via numpy's SeedSequence entropy lists,
 ``default_rng([seed, point, trial, stream])`` with stream 0 feeding truth
 synthesis and stream 1 the adversary; message-level adversaries further
-split stream 1 per group.  The list goes to numpy as the uint32 words
-SeedSequence would build from it, which skips its per-int coercion and
-gives the same streams.  The protocol itself is deterministic, so a
-(config, seed) pair always produces byte-identical output files.
+split stream 1 per group.  No per-trial ``default_rng`` call is made: the
+uint32 words SeedSequence would build from each list are hashed for a batch
+of trials at once (``_seed_states``, numpy's SeedSequence hash in uint32
+array arithmetic), and PCG64 is handed the resulting seed words.  Every
+stream, and every stream spawned from it, is bit-identical to the list
+form's.  The protocol itself is deterministic, so a (config, seed) pair
+always produces byte-identical output files.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -314,6 +318,108 @@ def _uint32_words(value: int) -> list:
     return [value & 0xFFFFFFFF, *_uint32_words(value >> 32)] if value >> 32 else [value]
 
 
+# numpy's SeedSequence hash constants (bit_generator.pyx).
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _SHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
+_OTHER_LANES = [np.array([lane for lane in range(4) if lane != src]) for src in range(4)]
+_SEED_CHUNK = 256  # trials seeded per batch
+
+
+def _hash_constants(init: int, mult: int, steps: int):
+    """(xor, multiply) columns of ``steps`` successive SeedSequence hash steps.
+
+    The running constant is a Python int masked to 32 bits: numpy scalar
+    arithmetic would warn as it wraps.
+    """
+    consts = [init]
+    for _ in range(steps):
+        consts.append(consts[-1] * mult & 0xFFFFFFFF)
+    consts = np.array(consts, dtype=np.uint32)[:, None]
+    return consts[:-1], consts[1:]
+
+
+def _hash(values, consts, start: int, stop: int):
+    """numpy's ``hashmix`` with steps start..stop-1 of ``consts``, one per row of ``values``.
+
+    uint32 arrays wrap silently; only numpy scalar arithmetic warns.
+    """
+    xors, mults = consts
+    values = (values ^ xors[start:stop]) * mults[start:stop]
+    return values ^ values >> _SHIFT
+
+
+def _mix(x, y):
+    """numpy's ``mix`` of pool words x with hashed words y."""
+    out = x * _MIX_L - y * _MIX_R
+    return out ^ out >> _SHIFT
+
+
+def _seed_states(entropy) -> np.ndarray:
+    """Row i is ``SeedSequence(entropy[i]).generate_state(4, np.uint64)``; entropy is (k, L >= 4) uint32.
+
+    numpy's pool mixing and output hash, run on every row at once with the
+    four pool lanes as rows.  The hash constants advance the same way for
+    every entropy row, one step per hashed word.
+    """
+    entropy = entropy.T
+    width = entropy.shape[0]
+    steps = _hash_constants(_INIT_A, _MULT_A, 4 * width)
+    pool = _hash(entropy[:4], steps, 0, 4)
+    for src, dst in enumerate(_OTHER_LANES):  # every pool word into the other three
+        pool[dst] = _mix(pool[dst], _hash(pool[src], steps, 4 + 3 * src, 7 + 3 * src))
+    for src in range(4, width):  # words past the pool into all four
+        pool = _mix(pool, _hash(entropy[src], steps, 4 * src, 4 * src + 4))
+    out = _hash(np.concatenate([pool, pool]), _hash_constants(_INIT_B, _MULT_B, 8), 0, 8)
+    out = out.astype(np.uint64)  # 8 words, each uint64 is a (low, high) pair
+    return np.ascontiguousarray((out[0::2] | out[1::2] << np.uint64(32)).T)
+
+
+class _Seeded(np.random.bit_generator.ISpawnableSeedSequence):
+    """``SeedSequence(entropy)`` whose PCG64 seed words ``_seed_states`` hashed in advance.
+
+    Any other request, and every spawn, goes to one real SeedSequence made
+    on first need, so spawned children and their numbering are numpy's own.
+    """
+
+    def __init__(self, entropy, state):
+        self.entropy, self.state = entropy, state
+
+    @cached_property
+    def _sequence(self):
+        return np.random.SeedSequence(self.entropy)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words == 4 and dtype is np.uint64:  # what PCG64 asks for when it is made
+            return self.state
+        return self._sequence.generate_state(n_words, dtype)
+
+    def spawn(self, n_children):
+        return self._sequence.spawn(n_children)
+
+
+def _trial_generators(prefix_words, trials: range):
+    """(stream 0, stream 1) of each trial: ``default_rng([*prefix, trial, k])`` for k = 0, 1.
+
+    Trials are seeded _SEED_CHUNK at a time, so memory does not grow with
+    their number; rows of each width (a trial from 2**32 on takes two
+    words) are hashed together.
+    """
+    for start in range(0, len(trials), _SEED_CHUNK):
+        rows = [
+            [*prefix_words, *_uint32_words(trial), k]
+            for trial in trials[start : start + _SEED_CHUNK]
+            for k in (0, 1)
+        ]
+        seeds = [None] * len(rows)
+        for width in {len(row) for row in rows}:
+            at = [i for i, row in enumerate(rows) if len(row) == width]
+            entropy = np.array([rows[i] for i in at], dtype=np.uint32)
+            for i, row, state in zip(at, entropy, _seed_states(entropy)):
+                seeds[i] = _Seeded(row, state)
+        streams = (np.random.Generator(np.random.PCG64(seed)) for seed in seeds)
+        yield from zip(streams, streams)
+
+
 def run_experiments(config: ExperimentConfig):
     """Execute every (sweep point, trial); return aggregated result rows.
 
@@ -332,11 +438,9 @@ def run_experiments(config: ExperimentConfig):
     for point_idx, (params, adversary) in enumerate(zip(points, adversaries)):
         values = {metric: [] for metric in METRICS}
         bounds_ok = True
+        trials = range(config.trials)
         prefix = _uint32_words(config.seed) + _uint32_words(point_idx)
-        for trial in range(config.trials):
-            words = prefix + _uint32_words(trial)
-            truth_rng = np.random.default_rng(np.array(words + [0], dtype=np.uint32))
-            adv_rng = np.random.default_rng(np.array(words + [1], dtype=np.uint32))
+        for trial, (truth_rng, adv_rng) in zip(trials, _trial_generators(prefix, trials)):
             truth = random_gradients(params, truth_rng)
             try:
                 result = run_trial(params, truth, adversary, adv_rng)

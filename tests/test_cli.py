@@ -641,10 +641,9 @@ def test_previous_truth_freed_before_the_next_draw(monkeypatch, capsys, adversar
     assert len(refs) == 6
 
 
-def _same_streams(entropy, seed, point, trial, k):
-    """Whether ``default_rng(entropy)`` and its spawned children match the list form's."""
-    a, b = np.random.default_rng(entropy), np.random.default_rng([seed, point, trial, k])
-    pairs = [(a, b), *zip(a.spawn(3), b.spawn(3))]
+def _same_streams(a, b):
+    """Whether generators a and b, and the children of two successive ``spawn(3)`` calls, agree."""
+    pairs = [(a, b), *zip(a.spawn(3), b.spawn(3)), *zip(a.spawn(3), b.spawn(3))]
     return all(x.bit_generator.state == y.bit_generator.state for x, y in pairs)
 
 
@@ -656,28 +655,70 @@ def test_entropy_words_seed_the_list_form_streams(seed, point, trial):
     # would build from the list [seed, point, trial, k] itself.
     words = [word for value in (seed, point, trial) for word in cli._uint32_words(value)]
     for k in (0, 1):
-        assert _same_streams(np.array(words + [k], dtype=np.uint32), seed, point, trial, k)
+        a = np.random.default_rng(np.array(words + [k], dtype=np.uint32))
+        assert _same_streams(a, np.random.default_rng([seed, point, trial, k]))
+
+
+_WORD = st.one_of(st.sampled_from([0, 2**32 - 1]), st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(4, 8).flatmap(
+        lambda width: st.lists(st.lists(_WORD, min_size=width, max_size=width), min_size=1, max_size=300)
+    )
+)
+def test_seed_states_are_seed_sequence_states(rows):
+    entropy = np.array(rows, dtype=np.uint32)
+    expected = [np.random.SeedSequence(row).generate_state(4, np.uint64) for row in entropy]
+    assert np.array_equal(cli._seed_states(entropy), expected)
+
+
+@pytest.mark.parametrize(
+    "seed, point, trials",
+    [
+        (2**64 + 5, 3, range(cli._SEED_CHUNK + 2)),  # past the first chunk
+        (2**32, 2, range(2**32 - 2, 2**32 + 2)),  # a trial's words go from one to two
+    ],
+)
+def test_trial_generators_are_the_list_form(seed, point, trials):
+    prefix = cli._uint32_words(seed) + cli._uint32_words(point)
+    pairs = list(cli._trial_generators(prefix, trials))
+    assert len(pairs) == len(trials)
+    for trial, pair in zip(trials, pairs):
+        for k, rng in enumerate(pair):
+            assert _same_streams(rng, np.random.default_rng([seed, point, trial, k])), (trial, k)
 
 
 @pytest.mark.parametrize("seed", [0, 2**32, 2**64 + 5])
 def test_cli_seeds_every_trial_as_the_list_form(monkeypatch, capsys, seed):
-    # Whatever the CLI hands to default_rng, stream k of (point, trial) must
-    # be default_rng([seed, point, trial, k]), spawned children included.
-    seen = []
-    default_rng = np.random.default_rng
+    # The generators the CLI hands to truth synthesis (k = 0) and to
+    # run_trial (k = 1) must be default_rng([seed, point, trial, k]).  A
+    # list-form twin goes through the same call, so flip-flop's group
+    # streams are spawned from both before their later spawns are compared.
+    order = [(point, trial) for point in (0, 1) for trial in (0, 1)]
+    seen = {0: [], 1: []}
 
-    def recording(entropy):
-        seen.append(entropy)
-        return default_rng(entropy)
+    def against_twin(k, real):
+        def call(*args):
+            *head, rng = args
+            point, trial = order[len(seen[k])]
+            twin = np.random.default_rng([seed, point, trial, k])
+            assert rng.bit_generator.state == twin.bit_generator.state, (point, trial, k)
+            out = real(*head, rng)
+            real(*head, twin)
+            assert _same_streams(rng, twin), (point, trial, k)
+            seen[k].append((point, trial))
+            return out
 
-    monkeypatch.setattr(np.random, "default_rng", recording)
+        return call
+
+    monkeypatch.setattr(cli, "random_gradients", against_twin(0, random_gradients))
+    monkeypatch.setattr(cli, "run_trial", against_twin(1, bounds.run_trial))
     argv = ["--s", "2", "--u", "1", "--m", "2", "--p", "8", "--d", "2", "--trials", "2",
             "--adversary", "flipflop", "--sweep", "p=8,16", "--seed", str(seed)]
     assert main(argv) == 0
-    expected = [(point, trial, k) for point in (0, 1) for trial in (0, 1) for k in (0, 1)]
-    assert len(seen) == len(expected)
-    for entropy, (point, trial, k) in zip(seen, expected):
-        assert _same_streams(entropy, seed, point, trial, k), (point, trial, k)
+    assert seen == {0: order, 1: order}
 
 
 def _no_trials(monkeypatch):
