@@ -7,8 +7,9 @@ synthesis and stream 1 the adversary; message-level adversaries further
 split stream 1 per group.  No per-trial ``default_rng`` call is made: the
 uint32 words SeedSequence would build from each list are hashed for a batch
 of trials at once (``_seed_states``, numpy's SeedSequence hash in uint32
-array arithmetic), and PCG64 is handed the resulting seed words.  Every
-stream, and every stream spawned from it, is bit-identical to the list
+array arithmetic), and PCG64 is handed the resulting seed words; so are the
+first children a stream spawns, whose words are its own plus their index.
+Every stream, and every stream spawned from it, is bit-identical to the list
 form's.  The protocol itself is deterministic, so a (config, seed) pair
 always produces byte-identical output files.
 """
@@ -19,7 +20,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 
 import numpy as np
@@ -102,6 +103,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
+@cache  # argparse keeps no state between parses; building one costs ~0.8 ms
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="bgcsim",
@@ -377,16 +379,19 @@ def _seed_states(entropy) -> np.ndarray:
 class _Seeded(np.random.bit_generator.ISpawnableSeedSequence):
     """``SeedSequence(entropy)`` whose PCG64 seed words ``_seed_states`` hashed in advance.
 
-    Any other request, and every spawn, goes to one real SeedSequence made
-    on first need, so spawned children and their numbering are numpy's own.
+    ``batch`` is its stream's entropy rows in a chunk of trials and their
+    children hashed so far, by count; ``at`` is its row.  A first spawn
+    before any other request takes its children from there; anything else
+    goes to one real SeedSequence made on first need and told of them, so
+    later children, grandchildren and their numbering are numpy's own.
     """
 
-    def __init__(self, entropy, state):
-        self.entropy, self.state = entropy, state
+    def __init__(self, entropy, state, batch=None, at=None):
+        self.entropy, self.state, self._batch, self._at, self._spawned = entropy, state, batch, at, 0
 
     @cached_property
     def _sequence(self):
-        return np.random.SeedSequence(self.entropy)
+        return np.random.SeedSequence(self.entropy, n_children_spawned=self._spawned)
 
     def generate_state(self, n_words, dtype=np.uint32):
         if n_words == 4 and dtype is np.uint64:  # what PCG64 asks for when it is made
@@ -394,7 +399,17 @@ class _Seeded(np.random.bit_generator.ISpawnableSeedSequence):
         return self._sequence.generate_state(n_words, dtype)
 
     def spawn(self, n_children):
-        return self._sequence.spawn(n_children)
+        batch, self._batch = self._batch, None
+        if batch is None or "_sequence" in vars(self):
+            return self._sequence.spawn(n_children)
+        entropy, hashed = batch
+        if n_children not in hashed:  # child i's entropy is its parent's row + [i]
+            index = np.tile(np.arange(n_children, dtype=np.uint32), len(entropy))
+            rows = np.column_stack([np.repeat(entropy, n_children, axis=0), index])
+            hashed[n_children] = rows, _seed_states(rows)
+        rows, states = hashed[n_children]
+        self._spawned, first = n_children, self._at * n_children
+        return [_Seeded(rows[i], states[i]) for i in range(first, first + n_children)]
 
 
 def _trial_generators(prefix_words, trials: range):
@@ -402,7 +417,7 @@ def _trial_generators(prefix_words, trials: range):
 
     Trials are seeded _SEED_CHUNK at a time, so memory does not grow with
     their number; rows of each width (a trial from 2**32 on takes two
-    words) are hashed together.
+    words) are hashed together, and each stream's rows of a width are a batch.
     """
     for start in range(0, len(trials), _SEED_CHUNK):
         rows = [
@@ -412,10 +427,13 @@ def _trial_generators(prefix_words, trials: range):
         ]
         seeds = [None] * len(rows)
         for width in {len(row) for row in rows}:
-            at = [i for i, row in enumerate(rows) if len(row) == width]
+            at = [i for i, row in enumerate(rows) if len(row) == width]  # a trial's k = 0, 1 in turn
             entropy = np.array([rows[i] for i in at], dtype=np.uint32)
-            for i, row, state in zip(at, entropy, _seed_states(entropy)):
-                seeds[i] = _Seeded(row, state)
+            states = _seed_states(entropy)
+            for k in (0, 1):
+                batch = entropy[k::2], {}
+                for j, (i, row, state) in enumerate(zip(at[k::2], batch[0], states[k::2])):
+                    seeds[i] = _Seeded(row, state, batch, j)
         streams = (np.random.Generator(np.random.PCG64(seed)) for seed in seeds)
         yield from zip(streams, streams)
 

@@ -5,6 +5,8 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import weakref
 from pathlib import Path
@@ -107,6 +109,28 @@ def test_config_file_with_flag_override(tmp_path):
     assert config.s == 2 and config.trials == 9
 
 
+def test_in_process_calls_print_the_bytes_of_fresh_ones(tmp_path, capsys):
+    # One argument parser serves every call in a process: a config file read
+    # by one call must leave nothing behind for the next, flags-only, call.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"s": 2, "u": 1, "m": 2, "p": 8, "d": 2, "seed": 9, "adversary": "flipflop"}))
+    calls = [
+        ["--config", str(config), "--trials", "4"],
+        ["--s", "3", "--u", "1", "--p", "8", "--d", "1", "--trials", "3"],
+    ]
+    in_process = []
+    for argv in calls:
+        assert main(argv) == 0
+        in_process.append(capsys.readouterr().out)
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    fresh = [
+        subprocess.run([sys.executable, "-m", "bgcsim", *argv], capture_output=True, text=True, env=env).stdout
+        for argv in calls
+    ]
+    assert in_process == fresh and fresh[0] != fresh[1]
+
+
 def test_config_file_unknown_keys_rejected(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"s": 2, "u": 1, "p": 8, "d": 1, "bogus": 1}))
@@ -171,6 +195,31 @@ GOLDEN_DUMP = (
      "--trials", "20", "--adversary", "flipflop"],
     "5d5561a8e59e566899a59c807df0134e815d15be46243fbb2de5d9a3b24a0ed9",
 )
+# Flip-flop runs at u=2 over three groups: (argv, CSV digest, transcript
+# dump digest).  At q=3 malicious initial answers collide, so labels and
+# commit bits are drawn in turn and answer values reach the output.  At the
+# three large alphabets no two random answers agree, so every malicious
+# worker is cut after the initial round: those runs share one dump digest
+# and pin only message counts and the CSV's bit costs at that q, not the
+# values numpy's bounded draw gives.
+GOLDEN_FLIPFLOP_ALPHABETS = [
+    (
+        ["--s", "6", "--u", "2", "--m", "3", "--p", "24", "--d", "2", "--q", str(q), "--seed", "13",
+         "--trials", "30", "--adversary", "flipflop"],
+        csv_digest,
+        dump_digest,
+    )
+    for q, csv_digest, dump_digest in [
+        (3, "5aa563911b2cf0695e0214624f85bee806d994963f18cc6bb19d424b70147c10",
+         "53d2d401b0586db604710229ea45a674d1c878142dc1bef262a2a6877eced060"),
+        (65521, "35f036884ad5b8b40c4d3bffd63ed5949ada9025cdb92016a24cfbb428337e08",
+         "acb0289a7f16e81cddea21101a9aa1b4d90b2ceb1f126dc45f1f6364bbd716de"),
+        (2**31 + 1, "a2e53bd478888f90f89e14f135e0afe1cb97eac8b581ec665f321601fcc1f490",
+         "acb0289a7f16e81cddea21101a9aa1b4d90b2ceb1f126dc45f1f6364bbd716de"),
+        (2**32, "5230d0eefa5c02d1fb9842582e791f5f7d8ced649226facf678d44e9b15512d5",
+         "acb0289a7f16e81cddea21101a9aa1b4d90b2ceb1f126dc45f1f6364bbd716de"),
+    ]
+]
 # Runs with commit rounds against table-backed adversaries: (argv, CSV digest,
 # transcript dump digest), recorded before honest answers stopped going
 # through the ask path.
@@ -300,6 +349,16 @@ def test_golden_csv_bytes(tmp_path, argv, digest):
     out = tmp_path / "rows.csv"
     assert main(argv + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, csv_digest, dump_digest", GOLDEN_FLIPFLOP_ALPHABETS, ids=["q3", "q65521", "q2^31+1", "q2^32"]
+)
+def test_golden_flipflop_alphabets(tmp_path, argv, csv_digest, dump_digest):
+    test_golden_wide_blocks(tmp_path, argv, csv_digest, dump_digest)
+    if argv[argv.index("--q") + 1] == "3":
+        kinds = b"".join(path.read_bytes() for path in (tmp_path / "dump").iterdir())
+        assert b'"kind":"label"' in kinds and b'"kind":"commit"' in kinds
 
 
 def test_golden_transcript_dump(tmp_path):
@@ -641,9 +700,10 @@ def test_previous_truth_freed_before_the_next_draw(monkeypatch, capsys, adversar
     assert len(refs) == 6
 
 
-def _same_streams(a, b):
-    """Whether generators a and b, and the children of two successive ``spawn(3)`` calls, agree."""
-    pairs = [(a, b), *zip(a.spawn(3), b.spawn(3)), *zip(a.spawn(3), b.spawn(3))]
+def _same_streams(a, b, n=3):
+    """Whether generators a and b agree, as do the children of two ``spawn(n)`` calls and the first child's."""
+    first = list(zip(a.spawn(n), b.spawn(n)))
+    pairs = [(a, b), *first, *zip(a.spawn(n), b.spawn(n)), *zip(first[0][0].spawn(2), first[0][1].spawn(2))]
     return all(x.bit_generator.state == y.bit_generator.state for x, y in pairs)
 
 
@@ -681,13 +741,19 @@ def test_seed_states_are_seed_sequence_states(rows):
         (2**32, 2, range(2**32 - 2, 2**32 + 2)),  # a trial's words go from one to two
     ],
 )
-def test_trial_generators_are_the_list_form(seed, point, trials):
+def test_trial_generators_are_the_list_form(monkeypatch, seed, point, trials):
+    # Every fourth trial spawns two children, the rest three, so members of
+    # one spawn batch ask for different counts.  Nothing is hashed for a
+    # stream before it spawns, and every first spawn is served by its batch.
+    real, hashed = cli._seed_states, []
+    monkeypatch.setattr(cli, "_seed_states", lambda entropy: hashed.append(len(entropy)) or real(entropy))
     prefix = cli._uint32_words(seed) + cli._uint32_words(point)
     pairs = list(cli._trial_generators(prefix, trials))
-    assert len(pairs) == len(trials)
+    assert len(pairs) == len(trials) and sum(hashed) == 2 * len(trials)
     for trial, pair in zip(trials, pairs):
         for k, rng in enumerate(pair):
-            assert _same_streams(rng, np.random.default_rng([seed, point, trial, k])), (trial, k)
+            twin, n = np.random.default_rng([seed, point, trial, k]), 2 if trial % 4 == 3 else 3
+            assert _same_streams(rng, twin, n) and rng.bit_generator.seed_seq._spawned == n, (trial, k)
 
 
 @pytest.mark.parametrize("seed", [0, 2**32, 2**64 + 5])
