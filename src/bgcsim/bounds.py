@@ -43,15 +43,31 @@ def comm_lower(params: SchemeParams) -> float:
 def scheme_upper_bounds(params: SchemeParams):
     """(c_upper, T_upper, kappa_upper) guaranteed by the tournament scheme.
 
-    At most s+1-u matches happen, each spanning at most ceil(log2(p/m))
-    rounds at two symbols per round, and the commit bits across all matches
-    telescope to (s+1-u)(s+3u)/2 bits.  For u > s+1 no interaction is ever
-    needed, so the match count clamps at zero.
+    Let group g hold s_g malicious workers; h = ceil(log2(p/m)).  If s_g < u,
+    t=0 cuts every malicious subset and g plays no match.  Else each match
+    eliminates a worker of g and never an honest one: a representative sending
+    garbage, an undersupported commit set (it holds its representative) or the
+    >= u backers of a wrong settled claim.  A malicious subset leaves with at
+    most u-1 members never eliminated, or in a match eliminating u or more, so
+    g plays at most s_g-u+1 <= s+1-u matches of <= h levels (T_upper; groups
+    run concurrently), and a local computation removes >= u workers (c_upper).
+    Match i of g (from 0) sends two label symbols per level and commit bits to
+    at most s+u-i live members, so kappa_g <= B(s_g) = (s_g-u+1)(2h +
+    (2s+3u-s_g)/(2 log2 q)).  B increases and is concave on [u, s], so the
+    balanced split over G <= min(m, s//u) groups is the worst: kappa_upper =
+    max over G of r B(a+1) + (G-r) B(a), a = s//G, r = s%G.  At u = 1 no
+    commit is sent, so kappa <= 2hs <= B(s), kept.  No step uses the pairing.
     """
-    matches = max(0, params.s + 1 - params.u)
-    height = (params.block_size - 1).bit_length()  # ceil(log2(p/m)), exactly
-    kappa = matches * (2 * height + (params.s + 3 * params.u) / (2 * math.log2(params.q)))
-    return params.s // params.u, matches * height, kappa
+    s, u = params.s, params.u
+    height = (params.block_size - 1).bit_length()  # h = ceil(log2(p/m)), exactly
+
+    def cost(k):  # B(k)
+        return (k - u + 1) * (2 * height + (2 * s + 3 * u - k) / (2 * math.log2(params.q)))
+
+    kappa = cost(s) if s >= u else 0.0  # G = 1, the only shape kept at u = 1
+    for g in range(2, min(params.m, s // u) + 1) if u > 1 else ():
+        kappa = max(kappa, (s % g) * cost(s // g + 1) + (g - s % g) * cost(s // g))
+    return s // u, max(0, s + 1 - u) * height, kappa
 
 
 def ratio_limit(params: SchemeParams) -> float:

@@ -6,20 +6,18 @@ consistent subsets by exact equality of the initial responses, an
 elimination tournament per unresolved group, and final decoding by summing
 the surviving group values.
 
-A tournament iteration draws two subsets, runs a match between their
-representatives (binary search down the sum-tree, one differing coordinate,
-two symbols per round), collects one commit bit from every member of both
-subsets, and settles the disputed leaf with a local computation when both
-claims have at least u backers.  Rounds count match levels only; commit bits
-are charged to the communication overhead but not to the round count.
-Groups advance independently, so the round total is the maximum over groups.
+A tournament iteration pairs the two subsets with the lowest-numbered
+representatives, runs a match between them (binary search down the
+sum-tree, one differing coordinate, two symbols per round), collects one
+commit bit from every member of both subsets, and settles the disputed leaf
+with a local computation when both claims have at least u backers.  Rounds
+count match levels only; commit bits are charged to the communication
+overhead but not to the round count.  Groups advance independently, so the
+round total is the maximum over groups.
 
 For u = 1 the commit exchange is skipped: a single backer suffices and the
 representative vouches for its own claim by having sent it, so every match
-is settled directly by a local computation (the pairwise flow).  Skipping
-also keeps the commit traffic inside its budget when malicious workers are
-spread over several groups, each of which would otherwise restart the
-shrinking vote count at full group size.
+is settled directly by a local computation (the pairwise flow).
 
 Accounting rules:
   - kappa sums worker-to-main symbols for rounds t >= 1 (labels are one
@@ -202,21 +200,16 @@ class ProtocolRun:
         params: SchemeParams,
         truth: np.ndarray,
         responder,
-        rng: np.random.Generator = None,
+        rng: np.random.Generator = None,  # unread; perfbench/child.py's replay still passes it
         oracle_budget: int = None,
-        random_draws: bool = False,
     ):
         if len(responder.malicious) > params.s:
             raise ValueError(
                 f"adversary controls {len(responder.malicious)} workers; budget is s={params.s}"
             )
-        if random_draws and rng is None:
-            raise ValueError("random draw order needs an RNG")
         self.params = params
         self.responder = responder
-        self.rng = rng
         self.oracle_budget = oracle_budget
-        self.random_draws = random_draws
         self.transcript = Transcript(
             params=params, group_rounds={g: 0 for g in range(1, params.m + 1)}
         )
@@ -396,26 +389,20 @@ class ProtocolRun:
         return committed
 
     def local_compute(self, group: int, index: int, coord: int) -> int:
-        """Fetch the true gradient at ``index`` from the oracle (one unit of c).
+        """The true value of gradient ``index`` at ``coord``.
 
-        The full vector is computed and cached; calling again for an index
-        already in the computed list is a protocol bug.
+        The first call for an index is one oracle call (one unit of c), which
+        caches the full vector; a later call reads the cache and logs nothing.
         """
-        if index in self.transcript.oracle_values:
-            raise ValueError(f"gradient {index} was already computed locally")
-        if self.oracle_budget is not None and len(self.transcript.oracle_calls) >= self.oracle_budget:
-            self.transcript.truncated = True
-            raise _BudgetExhausted
-        t = self.transcript.group_rounds[group]
-        vec = self.truth[index - 1].copy()
-        self.transcript.oracle_calls.append(_record(OracleCall, (t, group, index, coord)))
-        self.transcript.oracle_values[index] = vec
+        vec = self.transcript.oracle_values.get(index)
+        if vec is None:
+            if self.oracle_budget is not None and len(self.transcript.oracle_calls) >= self.oracle_budget:
+                self.transcript.truncated = True
+                raise _BudgetExhausted
+            t = self.transcript.group_rounds[group]
+            vec = self.transcript.oracle_values[index] = self.truth[index - 1].copy()
+            self.transcript.oracle_calls.append(_record(OracleCall, (t, group, index, coord)))
         return int(vec[coord - 1])
-
-    def _settle(self, group: int, index: int, coord: int) -> int:
-        if index in self.transcript.oracle_values:
-            return int(self.transcript.oracle_values[index][coord - 1])
-        return self.local_compute(group, index, coord)
 
     def elimination_tournament(self, group: int, subsets: list) -> ConsistentSubset:
         """Run matches until one consistent subset is left; return it.
@@ -429,11 +416,7 @@ class ProtocolRun:
         u = self.params.u
         while len(subsets) > 1:
             subsets.sort(key=lambda sub: sub.workers[0])
-            if self.random_draws:
-                i1, i2 = sorted(self.rng.choice(len(subsets), size=2, replace=False))
-                sub1, sub2 = subsets[int(i1)], subsets[int(i2)]
-            else:
-                sub1, sub2 = subsets[0], subsets[1]
+            sub1, sub2 = subsets[0], subsets[1]
             outcome = self.match(group, sub1, sub2)
             if outcome is not None:
                 index, coord, claim1, claim2 = outcome
@@ -447,7 +430,7 @@ class ProtocolRun:
                 for backers in short:
                     self._eliminate(t, group, backers, "undersupported_commit", index)
                 if not short:
-                    true_value = self._settle(group, index, coord)
+                    true_value = self.local_compute(group, index, coord)
                     for backers, claim in zip(votes, (claim1, claim2)):
                         if claim != true_value:
                             self._eliminate(t, group, backers, "wrong_value", index)

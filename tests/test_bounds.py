@@ -5,9 +5,6 @@ import numpy as np
 import pytest
 
 from bgcsim.adversary import (
-    ClaimedGradientTable,
-    CommitQuery,
-    Responder,
     TableAdversary,
     symmetrization_attack,
     two_case_worlds,
@@ -24,6 +21,8 @@ from bgcsim.bounds import (
     scheme_upper_bounds,
 )
 from bgcsim.core import SchemeParams, random_gradients
+
+from adversaries import balanced_sizes, deepest_leaf_coalitions
 
 Q16 = 2**16
 
@@ -252,22 +251,10 @@ def test_golden_witness_worlds():
     assert h.hexdigest() == digest
 
 
-class _DeepestLeafWitness:
-    """All s malicious workers sit in group 1, plant one wrong value on leaf 1
-    (the deepest, as the left child takes the ceiling half) and answer every
-    commit False."""
-
-    def instantiate(self, params, truth, rng):
-        table = ClaimedGradientTable(params, truth)
-        wrong = truth[0].astype(np.int64)
-        wrong[0] = (wrong[0] + 1) % params.q
-        for j in range(1, params.s + 1):
-            table.set(j, 1, wrong)
-
-        def answer(worker, query):
-            return False if isinstance(query, CommitQuery) else table.answer(worker, query)
-
-        return Responder(range(1, params.s + 1), answer)
+def _group_cost(params, k):
+    """B(k): the most kappa one group holding k >= u withholding members can cost."""
+    h = (params.block_size - 1).bit_length()
+    return (k - params.u + 1) * (2 * h + (2 * params.s + 3 * params.u - k) / (2 * math.log2(params.q)))
 
 
 @pytest.mark.parametrize("q", [2, Q16])
@@ -275,17 +262,30 @@ class _DeepestLeafWitness:
 @pytest.mark.parametrize("block", [2, 3, 5, 37, 1000, 20000])
 def test_deepest_leaf_witness_reaches_the_upper_bounds(block, m, q):
     # Blocks of 20000 rows send every match level through the chunk prefix.
-    # At u = 1 no commit is ever sent, so kappa falls short of kappa_upper by
-    # exactly the commit bits the bound charges: (s+1-u)(s+3u)/(2 log2 q).
+    # All s malicious workers in group 1 reach T_upper and B(s).  Split as
+    # evenly as possible over the worst number of groups, they reach
+    # kappa_upper.  At u = 1 no commit is ever sent, so both fall short of
+    # B(s) = kappa_upper by exactly the commit bits it charges:
+    # (s+1-u)(s+3u)/(2 log2 q).
     for s in range(1, 9):
         params = SchemeParams(s=s, u=1, m=m, p=m * block, d=2, q=q)
         truth = random_gradients(params, [s, block, m, q])
         for u in range(1, s + 1):
             params = SchemeParams(s=s, u=u, m=m, p=m * block, d=2, q=q)
-            trial = run_trial(params, truth, _DeepestLeafWitness())
+            trial = run_trial(params, truth, deepest_leaf_coalitions(params, [s]))
             assert trial.breaches == [] and trial.violations == [], (s, u)
             _, t_upper, kappa_upper = scheme_upper_bounds(params)
             assert trial.metrics.T == t_upper, (s, u)
+            single = _group_cost(params, s)
             if u == 1:
-                kappa_upper -= (s + 1 - u) * (s + 3 * u) / (2 * math.log2(q))
-            assert math.isclose(trial.metrics.kappa, kappa_upper, rel_tol=1e-12, abs_tol=1e-12), (s, u)
+                assert math.isclose(kappa_upper, single, rel_tol=1e-12), s
+                kappa_upper = single = single - (s + 1 - u) * (s + 3 * u) / (2 * math.log2(q))
+            assert math.isclose(trial.metrics.kappa, single, rel_tol=1e-12, abs_tol=1e-12), (s, u)
+
+            def split_cost(groups):
+                return sum(_group_cost(params, k) for k in balanced_sizes(s, groups))
+
+            groups = max(range(1, min(m, s // u) + 1), key=split_cost)
+            trial = run_trial(params, truth, deepest_leaf_coalitions(params, balanced_sizes(s, groups)))
+            assert trial.breaches == [] and trial.violations == [], (s, u, groups)
+            assert math.isclose(trial.metrics.kappa, kappa_upper, rel_tol=1e-12, abs_tol=1e-12), (s, u, groups)

@@ -28,9 +28,9 @@ from bgcsim.cli import (
     parse_config,
     run_experiments,
 )
-from bgcsim.adversary import ClaimedGradientTable, CommitQuery, Responder
 from bgcsim.core import SchemeParams, random_gradients
 from bgcsim.protocol import ProtocolError, ProtocolRun
+from adversaries import PlantedCoalitions
 
 
 def test_parse_flagship_configuration():
@@ -491,13 +491,12 @@ def test_table_adversary_from_file(tmp_path, run_and_check):
     assert metrics.c == 1
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
 def test_spread_withholding_coalitions_stay_within_kappa_upper(tmp_path):
     # Two coalitions of 8 in the two groups of 18.  Each shares one wrong
     # block sum, 12345, but its members claim distinct values at the disputed
-    # leaf, so the table's commit answers withhold.  The bound charges the
-    # commit bits as if every match were in one group: kappa_max reads
-    # 41.125 against a kappa_upper of 40.3125.
+    # leaf, so the table's commit answers withhold.  Each group's commit bits
+    # restart at full group size: kappa_max reads 41.125, which is the
+    # balanced split's kappa_upper; the single-group value is 40.3125.
     malicious = [*range(11, 19), *range(29, 37)]
     claims = {str(j): [[100 + k], [(12345 - 100 - k) % 65536]] for k, j in enumerate(malicious)}
     path = tmp_path / "spread.json"
@@ -508,41 +507,29 @@ def test_spread_withholding_coalitions_stay_within_kappa_upper(tmp_path):
     code = main(argv)
     (row,) = list(csv.DictReader(out.read_text().splitlines()))
     assert row["bounds_ok"] == "1" and code == 0, (row["kappa_max"], row["kappa_upper"])
+    assert float(row["kappa_max"]) == float(row["kappa_upper"]) == 41.125
 
 
-class _WithholdingCoalitions:
-    """The last four workers of each group plant one wrong value on the last leaf
-    of its block, so each coalition shares one wrong block sum, and answer every
-    commit False.  At q = 2 a member has only one other value to claim at the
-    disputed leaf, so the members' split leaf claims are written as withheld
-    commits: each match eliminates only the coalition's representative."""
-
-    def instantiate(self, params, truth, rng):
-        table = ClaimedGradientTable(params, truth)
-        malicious = []
-        for g in range(1, params.m + 1):
-            coalition = range(params.workers_of_group(g).stop - 4, params.workers_of_group(g).stop)
-            leaf = params.block_of_group(g).stop - 1
-            table.set(coalition, leaf, (truth[leaf - 1].astype(np.int64) + 1) % params.q)
-            malicious += coalition
-
-        def answer(worker, query):
-            return False if isinstance(query, CommitQuery) else table.answer(worker, query)
-
-        return Responder(malicious, answer)
-
-
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
 def test_spread_withholding_coalitions_stay_within_kappa_upper_at_q2():
-    # Two coalitions of 4 in the two groups of 10 each last s_g - u + 1 = 3
-    # matches, and each group's commit bits restart at full group size:
-    # kappa reads 66.0 against a kappa_upper of 63.0.
+    # Two coalitions of 4, the last four workers of each group of 10, plant
+    # one wrong value on the last leaf of their block and withhold every
+    # commit.  At q = 2 a member has only one other value to claim at the
+    # disputed leaf, so split leaf claims are written as withheld commits:
+    # each match eliminates only the coalition's representative.  Each
+    # coalition lasts s_g - u + 1 = 3 matches and each group's commit bits
+    # restart at full group size: kappa reads 66.0, the balanced split's
+    # kappa_upper (the single-group value is 63.0).
     params = SchemeParams(s=8, u=2, m=2, p=4, d=1, q=2)
     truth = random_gradients(params, np.random.default_rng(0))
-    trial = bounds.run_trial(params, truth, _WithholdingCoalitions())
-    if trial.breaches:  # not an AssertionError: a run that breaks its contract fails, it does not xfail
-        pytest.fail(f"the run breaks its contract: {trial.breaches}")
+    coalitions = [params.workers_of_group(g)[-4:] for g in (1, 2)]
+    adversary = PlantedCoalitions(
+        [(workers, params.block_of_group(g).stop - 1, 1) for g, workers in enumerate(coalitions, start=1)],
+        withhold=[j for workers in coalitions for j in workers],
+    )
+    trial = bounds.run_trial(params, truth, adversary)
+    assert not trial.breaches, trial.breaches
     assert not trial.violations, (trial.metrics.kappa, bounds.scheme_upper_bounds(params)[2])
+    assert trial.metrics.kappa == bounds.scheme_upper_bounds(params)[2] == 66.0
 
 
 def test_table_file_validation(tmp_path):
