@@ -438,13 +438,20 @@ def _trial_generators(prefix_words, trials: range):
         yield from zip(streams, streams)
 
 
+def _handle(point: int, trial: int, config: ExperimentConfig) -> str:
+    """What reproduces one run: its sweep point, its trial and the master seed."""
+    return f"point={point} trial={trial} seed={config.seed}"
+
+
 def run_experiments(config: ExperimentConfig):
     """Execute every (sweep point, trial); return aggregated result rows.
 
     Any breach of the per-run contract (``bounds.verify_run``), or a
     ``ProtocolError`` raised inside a run, aborts immediately with the
     reproduction handle (point, trial, master seed) in the exception
-    message; bound violations only clear ``bounds_ok``.
+    message; a breaching run's transcript is dumped first and named there.
+    Bound violations clear ``bounds_ok``, and the first violating run of a
+    point prints one line with its handle and violations on standard error.
     """
     points = expand_sweep(config)
     adversaries = [make_adversary(config.adversary, params) for params in points]
@@ -462,18 +469,23 @@ def run_experiments(config: ExperimentConfig):
             truth = random_gradients(params, truth_rng)
             try:
                 result = run_trial(params, truth, adversary, adv_rng)
-                breaches = result.breaches
             except ProtocolError as exc:  # an engine invariant broke: a bug, reported like a breach
-                breaches = [f"protocol error: {exc}"]
-            if breaches:
-                handle = f"point={point_idx} trial={trial} seed={config.seed}"
-                raise CorrectnessFailure(f"{'; '.join(breaches)} at {handle}")
+                handle = _handle(point_idx, trial, config)
+                raise CorrectnessFailure(f"protocol error: {exc} at {handle}") from None
+            if dump_dir is not None:  # before a breach is raised, so the failed run is dumped too
+                dumped = dump_dir / f"transcript_p{point_idx:03d}_t{trial:05d}.jsonl"
+                _write(dumped, result.transcript.to_jsonl())
+            if result.breaches:
+                handle = _handle(point_idx, trial, config)
+                if dump_dir is not None:
+                    handle += f"; transcript {dumped}"
+                raise CorrectnessFailure(f"{'; '.join(result.breaches)} at {handle}")
+            if result.violations and bounds_ok:  # the first violating run of this point
+                handle, violations = _handle(point_idx, trial, config), "; ".join(result.violations)
+                print(f"bgcsim: bound violated at {handle}: {violations}", file=sys.stderr)
             bounds_ok = bounds_ok and not result.violations
             for metric in METRICS:
                 values[metric].append(getattr(result.metrics, metric))
-            if dump_dir is not None:
-                name = f"transcript_p{point_idx:03d}_t{trial:05d}.jsonl"
-                _write(dump_dir / name, result.transcript.to_jsonl())
             del truth, result  # so the next trial's truth is drawn with this one freed
         cells = {
             "point": point_idx,

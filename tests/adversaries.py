@@ -1,16 +1,33 @@
-"""Table-backed adversaries that drive a run to its T and kappa bounds.
+"""The one catalogue of test adversaries: coalitions, random tables and
+malformed answers.
 
-``PlantedCoalitions`` is the one shape: malicious workers plant wrong values
-in a claimed table, may withhold their commit bits and may lie on labels.
-The bound witnesses and the search for coalitions spread over groups are all
-built from it.
+``PlantedCoalitions`` is the one table-backed shape: malicious workers plant
+wrong values in a claimed table, may withhold their commit bits, may lie on
+labels and may send junk, or raise, in place of any kind of answer.  Which
+shape reaches which bound:
+
+- the deepest leaf (``deepest_leaf_coalitions`` with ``sizes=[s]``) reaches
+  T_upper and kappa's single-group bound B(s);
+- the balanced split over the worst group count (``balanced_sizes``)
+  reaches kappa_upper;
+- the built-in per-index symmetrization (``SymmetrizationAdversary``)
+  reaches c_upper.
+
+``spread_coalitions`` searches coalitions spread over groups,
+``deviation_table`` draws random consistent tables, and
+``malformed_answers`` any answer a malicious worker might send, over the
+configurations of ``scheme_params``.
 """
 
 import numpy as np
 from hypothesis import strategies as st
 
-from bgcsim.adversary import ClaimedGradientTable, CommitQuery, LabelQuery, Responder
+from bgcsim.adversary import ClaimedGradientTable, CommitQuery, InitialQuery, LabelQuery, Responder, TableAdversary
 from bgcsim.core import SchemeParams, random_gradients
+
+
+class RAISE:
+    """A junk answer: the responder raises instead of answering."""
 
 
 class PlantedCoalitions:
@@ -18,16 +35,22 @@ class PlantedCoalitions:
     coordinate 1 of its claim at global gradient ``index``.  Plants compose,
     so workers that take the same plants share one block sum.  A member of
     ``withhold`` answers every commit False, and a worker in ``lies`` adds its
-    shift to every label it sends.  Every worker named anywhere is malicious;
-    one that plants nothing sits in the honest subset."""
+    shift to every label it sends.  ``junk`` maps a query type to the answer
+    every malicious worker sends to each query of that type in place of its
+    claim; ``RAISE`` makes the responder raise.  Every worker named anywhere
+    is malicious; one that plants nothing sits in the honest subset."""
 
-    def __init__(self, plants, withhold=(), lies=None):
+    def __init__(self, plants, withhold=(), lies=None, junk=None):
         self.plants = [(tuple(workers), index, shift) for workers, index, shift in plants]
         self.withhold = frozenset(withhold)
         self.lies = dict(lies or {})
+        self.junk = dict(junk or {})
 
     def __repr__(self):  # what a falsifying example shows
-        return f"PlantedCoalitions({self.plants!r}, withhold={sorted(self.withhold)!r}, lies={self.lies!r})"
+        return (
+            f"PlantedCoalitions({self.plants!r}, withhold={sorted(self.withhold)!r}, "
+            f"lies={self.lies!r}, junk={self.junk!r})"
+        )
 
     def instantiate(self, params, truth, rng):
         table = ClaimedGradientTable(params, truth)
@@ -40,6 +63,10 @@ class PlantedCoalitions:
         malicious |= self.withhold | set(self.lies)
 
         def answer(worker, query):
+            if type(query) in self.junk:
+                if self.junk[type(query)] is RAISE:
+                    raise RuntimeError(f"worker {worker} will not answer")
+                return self.junk[type(query)]
             if isinstance(query, CommitQuery) and worker in self.withhold:
                 return False
             value = table.answer(worker, query)
@@ -120,3 +147,80 @@ def spread_coalitions(draw):
             if draw(st.booleans()):
                 withhold.add(j)
     return params, truth, PlantedCoalitions(plants, withhold, lies)
+
+
+@st.composite
+def scheme_params(draw):
+    """Configurations for the fuzz: half the time s <= 6, u <= s + 1, m <= 3,
+    blocks of 2, 3, 4, 8 or 17 and q in {2, 5, 2**16}, the rest a search
+    point, where coalitions split over groups can cost the most kappa; d <= 4."""
+    if draw(st.booleans(), label="search point"):
+        s, u, m, block, q = draw(st.sampled_from(SEARCH_POINTS))
+    else:
+        s = draw(st.integers(1, 6), label="s")
+        u, m = draw(st.integers(1, s + 1), label="u"), draw(st.integers(1, 3), label="m")
+        block, q = draw(st.sampled_from([2, 3, 4, 8, 17])), draw(st.sampled_from([2, 5, 2**16]))
+    return SchemeParams(s=s, u=u, m=m, p=m * block, d=draw(st.integers(1, 4), label="d"), q=q)
+
+
+def malformed_answers(params, query, honest):
+    """Every kind of answer a malicious worker might send to ``query``: the
+    honest one, other valid ones, malformed ones, and ``RAISE``."""
+    q, d = params.q, params.d
+    junk = st.sampled_from([None, "7", "", 2.5, float("nan"), [], object()])
+    raising = st.just(RAISE)
+    if isinstance(query, InitialQuery):
+        valid = st.lists(st.integers(0, q - 1), min_size=d, max_size=d)
+        return st.one_of(
+            st.just(honest),  # the honest block sum, so liars can join the honest subset
+            valid.map(lambda v: np.array(v, dtype=np.int64)),
+            valid,  # a plain list of ints is a valid vector too
+            valid.map(lambda v: np.array(v, dtype=np.float64)),  # wrong dtype
+            valid.map(lambda v: np.array([v], dtype=np.int64)),  # wrong shape
+            st.integers(0, d + 2).filter(lambda k: k != d).map(lambda k: np.zeros(k, dtype=np.int64)),
+            st.sampled_from([-1, q, 2**63, 2**64]).map(lambda x: [x] * d),  # out of the alphabet
+            valid.map(lambda v: [bool(x % 2) for x in v]),  # bools where symbols belong
+            junk,
+            raising,
+        )
+    if isinstance(query, LabelQuery):
+        valid = st.integers(0, q - 1)
+        return st.one_of(
+            st.just(honest),
+            valid,
+            valid.map(np.int64),
+            valid.map(np.uint64),
+            st.integers(min_value=q, max_value=2**70),  # out of the alphabet
+            st.integers(max_value=-1),
+            st.booleans(),  # a bool is not a label
+            st.booleans().map(np.bool_),
+            valid.map(lambda x: np.array([x])),  # wrong shape
+            st.floats(),
+            junk,
+            raising,
+        )
+    return st.one_of(
+        st.booleans(),
+        st.booleans().map(np.bool_),
+        st.integers(0, 1),  # an int is not a commit bit
+        st.just(np.array([True])),
+        junk,
+        raising,
+    )
+
+
+def deviation_table(params: SchemeParams, truth, rng) -> TableAdversary:
+    """Up to s workers drawn from all n, each claiming uniform noise on a
+    random subset of the entries of its block: several subsets may dispute
+    one index, mimics join the honest subset, and liars sit in any group."""
+    count = int(rng.integers(0, params.s + 1))
+    malicious = frozenset(int(j) + 1 for j in rng.choice(params.n, size=count, replace=False))
+    table = ClaimedGradientTable(params, truth)
+    for j in malicious:
+        block = params.block_of_group(params.group_of_worker(j))
+        mask = rng.integers(0, 2, size=(len(block), params.d)).astype(bool)
+        noise = rng.integers(0, params.q, size=(len(block), params.d))
+        rows = np.where(mask, noise, truth[block.start - 1 : block.stop - 1])
+        for index, row in zip(block, rows):
+            table.set(j, index, row)
+    return TableAdversary(table, malicious)

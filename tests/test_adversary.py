@@ -1,3 +1,5 @@
+import hashlib
+import json
 import warnings
 
 import numpy as np
@@ -259,6 +261,32 @@ def test_flipflop_is_inconsistent():
     query = LabelQuery(group=1, lo=1, hi=5, coord=1)
     answers = {responder.respond(worker, query) for _ in range(32)}
     assert len(answers) > 1  # same query, different rounds, different answers
+
+
+# sha256 of the answer sequence below, recorded before any change to the flip-flop
+# reader.  At q = 2**31 + 1 about half of numpy's 32-bit draws are rejected, and
+# q = 2**32 takes the whole word; the CLI goldens cannot see either, since a random
+# answer at these alphabets never agrees with another one.
+FLIPFLOP_ANSWERS = {
+    65521: "f4c1897db237892db95fdbaab88b2d4bd61e46e34a03868c5c6a435582787086",
+    2**31 + 1: "0adea270560b97fd4163cbb8b47d63c70dd5777cc95c11b044d769ed9e2b09b9",
+    2**32: "0b6683969c4171c753f3172fdf181b08caa616f8027cd8a5e560235a4d190b51",
+}
+
+
+@pytest.mark.parametrize("q", sorted(FLIPFLOP_ANSWERS))
+def test_flipflop_answer_values_at_large_alphabets(q):
+    params = SchemeParams(s=3, u=1, m=2, p=8, d=3, q=q)
+    responder = FlipFlopAdversary().instantiate(params, None, np.random.default_rng(2024))
+    seen = [sorted(responder.malicious)]
+    for worker in sorted(responder.malicious):
+        g = params.group_of_worker(worker)
+        for lo in range(1, 5):
+            for query in (InitialQuery(g), LabelQuery(g, lo, 5, 1 + lo % 3), CommitQuery(g, 4 * g - 4 + lo, 1, 0)):
+                answer = responder.respond(worker, query)
+                seen.append(answer.tolist() if isinstance(answer, np.ndarray) else answer)
+    assert all(0 <= x < q for a in seen[1:] if not isinstance(a, bool) for x in np.ravel(a))
+    assert hashlib.sha256(json.dumps(seen).encode()).hexdigest() == FLIPFLOP_ANSWERS[q]
 
 
 def test_table_adversary_validates_honest_rows():

@@ -131,37 +131,33 @@ def test_bounds_report_serializes():
     assert vars(report)["c_lower"] == 2  # the CLI writes its rows from vars(report)
 
 
-def test_coverage_per_index_attack():
+def test_coverage_per_index_attack(run_and_check):
     params = SchemeParams(s=3, u=1, m=1, p=8, d=1, q=Q16)
     for seed in range(25):
         truth = random_gradients(params, np.random.default_rng([seed, 0]))
         rng = np.random.default_rng([seed, 1])
         table, disagreement = symmetrization_attack(params, truth, rng)
-        _, metrics, transcript, _, _ = run_trial(
-            params, truth, TableAdversary(table, frozenset({1, 2, 3}))
-        )
+        _, metrics, transcript = run_and_check(params, truth, TableAdversary(table, frozenset({1, 2, 3})))
         assert metrics.c == 3
         assert set(transcript.computed_indices()) == set(disagreement.indices)
         assert disagreement_coverage_check(transcript, disagreement, table)
 
 
-def test_coverage_trivial_when_honest():
+def test_coverage_trivial_when_honest(run_and_check):
     params = SchemeParams(s=0, u=2, m=1, p=4, d=1, q=Q16)
     truth = random_gradients(params, 0)
     table, disagreement = symmetrization_attack(params, truth, np.random.default_rng(0))
-    _, _, transcript, _, _ = run_trial(params, truth, TableAdversary(table, frozenset()))
+    _, _, transcript = run_and_check(params, truth, TableAdversary(table, frozenset()))
     assert disagreement_coverage_check(transcript, disagreement, table)
 
 
-def test_coverage_collusive_single_call():
+def test_coverage_collusive_single_call(run_and_check):
     params = SchemeParams(s=4, u=2, m=1, p=8, d=1, q=Q16)
     for seed in range(25):
         truth = random_gradients(params, np.random.default_rng([seed, 0]))
         rng = np.random.default_rng([seed, 1])
         table, disagreement = symmetrization_attack(params, truth, rng, mode="collusive")
-        _, metrics, transcript, _, _ = run_trial(
-            params, truth, TableAdversary(table, frozenset({1, 2, 3, 4}))
-        )
+        _, metrics, transcript = run_and_check(params, truth, TableAdversary(table, frozenset({1, 2, 3, 4})))
         assert metrics.c <= 1
         assert set(transcript.computed_indices()) <= set(disagreement.indices)
         assert disagreement_coverage_check(transcript, disagreement, table)

@@ -978,8 +978,10 @@ def test_run_experiments_raises_typed_failure(monkeypatch):
         run_experiments(config)
 
 
-def test_protocol_error_reported_with_reproduction_handle(monkeypatch, capsys):
-    """An engine invariant breaking inside a run is one FAILED: line with the handle, exit 1."""
+def test_protocol_error_reported_with_reproduction_handle(tmp_path, monkeypatch, capsys):
+    """An engine invariant breaking inside a run is one FAILED: line with the handle, exit 1.
+
+    It leaves no transcript to dump, so only the runs before it are dumped."""
     calls = []
 
     def execute(self):
@@ -990,13 +992,51 @@ def test_protocol_error_reported_with_reproduction_handle(monkeypatch, capsys):
 
     original = ProtocolRun.execute
     monkeypatch.setattr(ProtocolRun, "execute", execute)
-    argv = ["--s", "1", "--u", "1", "--p", "4", "--d", "1", "--trials", "2", "--sweep", "p=4,8", "--seed", "7"]
+    argv = ["--s", "1", "--u", "1", "--p", "4", "--d", "1", "--trials", "2", "--sweep", "p=4,8", "--seed", "7",
+            "--dump-transcripts", str(tmp_path)]
     assert main(argv) == 1
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.splitlines() == [
         "FAILED: protocol error: group 1 lost every consistent subset at point=1 trial=0 seed=7"
     ]
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["transcript_p000_t00000.jsonl", "transcript_p000_t00001.jsonl"]
+
+
+def test_first_violation_of_each_point_is_one_stderr_line(monkeypatch, capsys):
+    # With kappa_upper forced to 0, every symmetrization run violates it; each
+    # point names only its first violating run, and the CSV still comes out.
+    real = bounds.scheme_upper_bounds
+    monkeypatch.setattr(bounds, "scheme_upper_bounds", lambda params: (*real(params)[:2], 0.0))
+    argv = ["--s", "1", "--u", "1", "--p", "4", "--d", "1", "--trials", "3", "--adversary", "symmetrization",
+            "--sweep", "p=4,8", "--seed", "5"]
+    assert main(argv) == 1
+    out = capsys.readouterr()
+    assert [row["bounds_ok"] for row in csv.DictReader(out.out.splitlines())] == ["0", "0"]
+    assert out.err.splitlines() == [
+        "bgcsim: bound violated at point=0 trial=0 seed=5: kappa=4.0 exceeds bound 0.0",
+        "bgcsim: bound violated at point=1 trial=0 seed=5: kappa=6.0 exceeds bound 0.0",
+    ]
+
+
+def test_breaching_run_dumps_its_transcript_and_names_it(tmp_path, monkeypatch, capsys):
+    argv = ["--s", "1", "--u", "1", "--p", "4", "--d", "1", "--trials", "3", "--adversary", "symmetrization",
+            "--seed", "7", "--dump-transcripts"]
+    clean = tmp_path / "clean"
+    assert main([*argv, str(clean)]) == 0
+    calls, real = [], bounds.verify_run
+
+    def verify_run(*args):  # the second run breaches
+        calls.append(1)
+        return ["decode mismatch"] if len(calls) == 2 else real(*args)
+
+    monkeypatch.setattr(bounds, "verify_run", verify_run)
+    dump = tmp_path / "dump"
+    assert main([*argv, str(dump)]) == 1
+    failed = dump / "transcript_p000_t00001.jsonl"
+    assert capsys.readouterr().err.splitlines() == [f"FAILED: decode mismatch at point=0 trial=1 seed=7; transcript {failed}"]
+    assert sorted(path.name for path in dump.iterdir()) == ["transcript_p000_t00000.jsonl", failed.name]
+    assert failed.read_bytes() == (clean / failed.name).read_bytes()  # the breaching run's own transcript
 
 
 # Property: whatever the config file and flags hold, a run ends in exit 0;
