@@ -3,7 +3,6 @@
 from .adversary import (
     CallbackAdversary,
     ClaimedGradientTable,
-    DisagreementSet,
     FlipFlopAdversary,
     NoAdversary,
     SymmetrizationAdversary,
@@ -37,7 +36,6 @@ __all__ = [
     "BoundsReport",
     "CallbackAdversary",
     "ClaimedGradientTable",
-    "DisagreementSet",
     "FlipFlopAdversary",
     "Metrics",
     "NoAdversary",

@@ -40,14 +40,6 @@ class CommitQuery(NamedTuple):
     value: int  # the representative's claimed residue at (index, coord)
 
 
-@dataclass(frozen=True)
-class DisagreementSet:
-    """Gradient indices the attack plants competing values on (global, sorted)."""
-
-    group: int
-    indices: tuple
-
-
 class ClaimedGradientTable:
     """What every worker claims: a reference truth plus sparse per-worker deviations.
 
@@ -237,7 +229,8 @@ def symmetrization_attack(
     s mod u leftover workers claim the truth.  In collusive mode all s
     workers plant the same wrong value on a single index drawn from the set.
 
-    Returns (table, disagreement_set).
+    Returns (table, indices): the sorted global indices of the disagreement
+    set, all in group 1's block (empty when s < u).
     """
     if mode not in ("per-index", "collusive"):
         raise ValueError(f"unknown attack mode: {mode!r}")
@@ -245,7 +238,7 @@ def symmetrization_attack(
     table = ClaimedGradientTable(params, truth)
     n_dev = params.s // params.u
     if n_dev == 0:
-        return table, DisagreementSet(group=1, indices=())
+        return table, ()
     block = params.block_size
     if n_dev > block:
         raise ValueError(
@@ -263,7 +256,7 @@ def symmetrization_attack(
         index = int(rng.choice(np.asarray(indices)))
         table.set(range(1, params.s + 1), index, _deviated(table.truth[index - 1], params.q, rng))
 
-    return table, DisagreementSet(group=1, indices=indices)
+    return table, indices
 
 
 @dataclass(frozen=True)
@@ -297,12 +290,12 @@ def flip_world(params: SchemeParams, truth: np.ndarray, table: ClaimedGradientTa
 def attacked_world(params: SchemeParams, rng: np.random.Generator):
     """A truth drawn from ``rng`` under the per-index attack of workers 1..s.
 
-    Returns (world, disagreement_set).
+    Returns (world, the attack's sorted disputed indices).
     """
     truth = random_gradients(params, rng)
-    table, disagreement = symmetrization_attack(params, truth, rng)
+    table, indices = symmetrization_attack(params, truth, rng)
     world = World(truth=truth, table=table, malicious=frozenset(range(1, params.s + 1)))
-    return world, disagreement
+    return world, indices
 
 
 def two_case_worlds(params: SchemeParams, rng):
@@ -316,8 +309,8 @@ def two_case_worlds(params: SchemeParams, rng):
     if params.s < params.u:
         raise ValueError(f"requires floor(s/u) >= 1: s={params.s}, u={params.u}")
     rng = np.random.default_rng(rng)  # a Generator is used as it is
-    world1, disagreement = attacked_world(params, rng)
-    flip_index = int(rng.choice(np.asarray(disagreement.indices)))
+    world1, indices = attacked_world(params, rng)
+    flip_index = int(rng.choice(np.asarray(indices)))
     world2 = flip_world(params, world1.truth, world1.table, flip_index)
     if len(world2.malicious) > params.s:
         raise AssertionError("flipped world exceeds the malicious budget")

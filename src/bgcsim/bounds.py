@@ -187,18 +187,20 @@ def run_trial(
     return tuple.__new__(Trial, (ghat, metrics, transcript, breaches, violations))  # as namedtuple._make does
 
 
-def disagreement_coverage_check(transcript: Transcript, disagreement, table) -> bool:
+def disagreement_coverage_check(transcript: Transcript, indices, table) -> bool:
     """True when every actually-disputed planted index was settled.
 
-    An index is disputed when two workers of the attacked group claim
-    different values for it in ``table``.  Settling means the index was
-    computed locally or its backers were wiped out by an undersized commit.
+    ``indices`` are the global gradient indices ``symmetrization_attack``
+    planted on, all in group 1's block.  An index is disputed when two
+    workers of group 1 claim different values for it in ``table``.  Settling
+    means the index was computed locally or its backers were wiped out by an
+    undersized commit.
     """
     disputed = set()
-    for index in disagreement.indices:
+    for index in indices:
         seen = {
             tuple(table.value(j, index).tolist())  # the uint16/uint32 truth and int64 claims compare by value
-            for j in table.params.workers_of_group(disagreement.group)
+            for j in table.params.workers_of_group(1)
         }
         if len(seen) > 1:
             disputed.add(index)
@@ -251,13 +253,13 @@ def indistinguishability_check(params: SchemeParams, budget: int, seed=0) -> Wit
     n_dev = params.s // params.u
     if budget >= n_dev:
         raise ValueError(f"no witness guaranteed at budget {budget} >= floor(s/u)={n_dev}")
-    world1, disagreement = attacked_world(params, np.random.default_rng(seed))
+    world1, indices = attacked_world(params, np.random.default_rng(seed))
     table = world1.table
     transcript1 = run_trial(
         params, world1.truth, TableAdversary(table, world1.malicious), oracle_budget=budget
     ).transcript
     computed = set(transcript1.computed_indices())
-    flip = min(i for i in disagreement.indices if i not in computed)
+    flip = min(i for i in indices if i not in computed)
 
     world2 = flip_world(params, world1.truth, table, flip)
     transcript2 = run_trial(

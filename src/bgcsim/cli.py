@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import cache, cached_property
 from pathlib import Path
 
@@ -37,7 +37,12 @@ from .core import SchemeParams, random_gradients
 from .protocol import ProtocolError
 
 ADVERSARIES = ("none", "symmetrization", "symmetrization-collusive", "flipflop")
-FIGURES = ("fig1", "appendixF-ratio", "appendixF-convergence")
+_FIGURE_COLUMNS = {
+    "fig1": ("u", "c_max", "total_comm_symbols", "draco_total_comm", "reduction_fraction"),
+    "appendixF-ratio": ("p", "kappa_upper", "kappa_lower"),
+    "appendixF-convergence": ("p", "ratio", "ratio_limit"),
+}
+FIGURES = tuple(_FIGURE_COLUMNS)
 SWEEP_AXES = ("s", "u", "m", "p", "d", "q")
 # Keys --figure rejects: a figure is analytic and runs no simulation.
 SIMULATION_ONLY = ("sweep", "adversary", "trials", "seed", "dump_transcripts")
@@ -114,7 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--config", type=Path, help="JSON config file; flags override it")
-    parser.add_argument("--n", type=int, help="worker count; defaults to m*(s+u)")
+    parser.add_argument("--n", type=int, help="worker count; must equal m*(s+u)")
     parser.add_argument("--s", type=int, help="maximum number of malicious workers")
     parser.add_argument("--u", type=int, help="guaranteed honest workers per group")
     parser.add_argument("--m", type=int, help="number of groups (default 1)")
@@ -212,8 +217,8 @@ def _sweep_values(spec: str):
 def expand_sweep(config: ExperimentConfig):
     """List of SchemeParams, one per sweep point (a single point without --sweep).
 
-    n is recomputed as m*(s+u) at every point unless pinned explicitly, in
-    which case it must match everywhere.
+    SchemeParams derives n = m*(s+u) at every point; this is the one place a
+    pinned --n is checked, and it must match everywhere.
     """
     base = {k: getattr(config, k) for k in ("s", "u", "m", "p", "d", "q")}
     points = [dict(base)]
@@ -234,16 +239,12 @@ class ConfigError(ValueError):
     """A configuration that parses but cannot run; reported as one line with exit 2."""
 
 
-class TableFileError(ConfigError):
-    """A ``table:<file>`` adversary that cannot be read or does not fit the configuration."""
-
-
 def load_table_adversary(path, params: SchemeParams) -> "_TableFileAdversary":
     """Claimed-table adversary from JSON: {"malicious": [...], "claims": {"j": [[...]...]}}.
 
     Each claims entry is the worker's full (p/m) x d block of JSON integers,
     keyed by the worker id in decimal, and is diffed against the truth when a
-    run binds it; omitted workers claim the truth.  Raises TableFileError
+    run binds it; omitted workers claim the truth.  Raises ConfigError
     when the file cannot be read or does not fit ``params``.
     """
     try:
@@ -252,25 +253,25 @@ def load_table_adversary(path, params: SchemeParams) -> "_TableFileAdversary":
         claims = spec.get("claims", {})
         overrides = {int(j): np.asarray(v, dtype=np.int64) for j, v in claims.items()}
     except (OSError, ValueError, TypeError, AttributeError, OverflowError, RecursionError) as exc:
-        raise TableFileError(f"cannot read table file {path}: {exc}") from exc
+        raise ConfigError(f"cannot read table file {path}: {exc}") from exc
     if not all(isinstance(j, int) and not isinstance(j, bool) for j in ids):
-        raise TableFileError(f"cannot read table file {path}: worker ids must be JSON integers")
+        raise ConfigError(f"cannot read table file {path}: worker ids must be JSON integers")
     if not all(str(int(j)) == j for j in claims):
-        raise TableFileError(f"cannot read table file {path}: claims keys must be decimal worker ids")
+        raise ConfigError(f"cannot read table file {path}: claims keys must be decimal worker ids")
     malicious = frozenset(ids)
     if not all(1 <= j <= params.n for j in malicious):
-        raise TableFileError(f"malicious worker ids must be in 1..{params.n}: got {sorted(malicious)}")
+        raise ConfigError(f"malicious worker ids must be in 1..{params.n}: got {sorted(malicious)}")
     if len(malicious) > params.s:
-        raise TableFileError(f"{len(malicious)} malicious workers exceed the budget s={params.s}")
+        raise ConfigError(f"{len(malicious)} malicious workers exceed the budget s={params.s}")
     for j, block in overrides.items():
         if j not in malicious:
-            raise TableFileError(f"claims given for worker {j} not listed as malicious")
+            raise ConfigError(f"claims given for worker {j} not listed as malicious")
         if block.shape != (params.block_size, params.d):
-            raise TableFileError(
+            raise ConfigError(
                 f"claims for worker {j} must have shape {(params.block_size, params.d)}"
             )
         if not all(type(x) is int for row in claims[str(j)] for x in row):  # no bools or floats
-            raise TableFileError(f"cannot read table file {path}: claims must be JSON integers")
+            raise ConfigError(f"cannot read table file {path}: claims must be JSON integers")
     return _TableFileAdversary(malicious, overrides)
 
 
@@ -505,69 +506,42 @@ def run_experiments(config: ExperimentConfig):
     return rows
 
 
-def _figure_grid(config: ExperimentConfig):
-    """Doubling grid of p values up to config.p, all valid for the configuration."""
-    params = SchemeParams(s=config.s, u=config.u, m=config.m, p=config.p, d=config.d, q=config.q)
-    n_dev = params.s // params.u
-    block = max(2, n_dev + 1)
-    blocks = []
-    while block < params.block_size:
-        blocks.append(block)
-        block *= 2
-    blocks.append(params.block_size)
-    return [
-        SchemeParams(s=config.s, u=config.u, m=config.m, p=b * config.m, d=config.d, q=config.q)
-        for b in blocks
-    ]
-
-
 def emit_figure_data(which: str, config: ExperimentConfig):
-    """Analytic figure tables; returns (column names, rows)."""
+    """Analytic figure tables; returns (column names, rows).
+
+    fig1 has one row per u = 1..s+1; the appendix figures have one per p/m
+    in a doubling grid from max(2, floor(s/u) + 1) up to the configured p/m.
+    """
+    if which not in FIGURES:
+        raise ValueError(f"unknown figure: {which!r}")
+    base = SchemeParams(s=config.s, u=config.u, m=config.m, p=config.p, d=config.d, q=config.q)
     if which == "fig1":
-        columns = ["u", "c_max", "total_comm_symbols", "draco_total_comm", "reduction_fraction"]
-        rows = []
-        for u in range(1, config.s + 2):
-            params = SchemeParams(s=config.s, u=u, m=config.m, p=config.p, d=config.d, q=config.q)
-            report = BoundsReport.from_params(params)
-            total = params.n * params.d + report.kappa_upper
-            draco = report.draco_total_comm
-            rows.append(
-                {
-                    "u": u,
-                    "c_max": report.c_upper,
-                    "total_comm_symbols": total,
-                    "draco_total_comm": draco,
-                    "reduction_fraction": 1.0 - total / draco,
-                }
+        points = [replace(base, u=u) for u in range(1, base.s + 2)]
+    else:
+        block, blocks = max(2, base.s // base.u + 1), []
+        while block < base.block_size:
+            blocks.append(block)
+            block *= 2
+        points = [replace(base, p=b * base.m) for b in [*blocks, base.block_size]]
+    rows = []
+    for params in points:
+        report = BoundsReport.from_params(params)
+        if which == "appendixF-convergence" and not report.kappa_lower:
+            raise ConfigError(
+                f"appendixF-convergence needs floor(s/u) >= 1: got s={config.s}, u={config.u}"
             )
-        return columns, rows
-    if which == "appendixF-ratio":
-        columns = ["p", "kappa_upper", "kappa_lower"]
-        rows = []
-        for params in _figure_grid(config):
-            report = BoundsReport.from_params(params)
-            rows.append(
-                {"p": params.p, "kappa_upper": report.kappa_upper, "kappa_lower": report.kappa_lower}
-            )
-        return columns, rows
-    if which == "appendixF-convergence":
-        columns = ["p", "ratio", "ratio_limit"]
-        rows = []
-        for params in _figure_grid(config):
-            report = BoundsReport.from_params(params)
-            if report.kappa_lower is None or report.kappa_lower == 0.0:
-                raise ConfigError(
-                    f"appendixF-convergence needs floor(s/u) >= 1: got s={config.s}, u={config.u}"
-                )
-            rows.append(
-                {
-                    "p": params.p,
-                    "ratio": report.kappa_upper / report.kappa_lower,
-                    "ratio_limit": report.ratio_limit,
-                }
-            )
-        return columns, rows
-    raise ValueError(f"unknown figure: {which!r}")
+        total = params.n * params.d + report.kappa_upper
+        cells = {
+            **vars(report),
+            "u": params.u,
+            "p": params.p,
+            "c_max": report.c_upper,
+            "total_comm_symbols": total,
+            "reduction_fraction": 1.0 - total / report.draco_total_comm,
+            "ratio": report.kappa_lower and report.kappa_upper / report.kappa_lower,  # printed only where > 0
+        }
+        rows.append({column: cells[column] for column in _FIGURE_COLUMNS[which]})
+    return list(_FIGURE_COLUMNS[which]), rows
 
 
 def format_rows(columns, rows, fmt: str) -> str:

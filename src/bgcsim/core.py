@@ -6,15 +6,16 @@ q <= 2**16 and uint32 otherwise, as ``as_truth`` checks; claimed values and
 sums are int64, and a sum of the truth accumulates in ``sum_dtype``: the
 truth's own dtype at a power-of-two q, whose wrap is exact mod q, else uint32
 wherever that is exact.  The full gradient is their coordinate-wise sum
-modulo q.  Workers are partitioned into m groups of s+u members each; all
-workers in a group are assigned the same block of p/m consecutive gradient
-indices.  Worker ids and gradient indices are 1-based throughout.
+modulo q.  Workers are partitioned into m groups of s+u members each, so
+their number n = m(s+u) is derived, never set; all workers in a group are
+assigned the same block of p/m consecutive gradient indices.  Worker ids and
+gradient indices are 1-based throughout.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -32,10 +33,7 @@ RAW_SLAB = 2**15  # 64-bit words per raw read of the truth (2**17 ran as fast, 2
 
 @dataclass(frozen=True)
 class SchemeParams:
-    """One system configuration (n, s, u, m, p, d, q).
-
-    n defaults to m * (s + u) when omitted; an explicit n must match.
-    """
+    """One system configuration (s, u, m, p, d, q); the worker count n = m * (s + u) is derived."""
 
     s: int
     u: int
@@ -43,11 +41,10 @@ class SchemeParams:
     p: int
     d: int
     q: int = 65536
-    n: int = None  # type: ignore[assignment]
+    n: int = field(init=False)  # an attribute, not a property: every claimed answer reads it
 
     def __post_init__(self):
-        if self.n is None:
-            object.__setattr__(self, "n", self.m * (self.s + self.u))
+        object.__setattr__(self, "n", self.m * (self.s + self.u))
         if self.m < 1:
             raise ValueError(f"m must be >= 1: got m={self.m}")
         if self.u < 1:
@@ -58,10 +55,6 @@ class SchemeParams:
             raise ValueError(f"d must be >= 1: got d={self.d}")
         if not 2 <= self.q <= MAX_ALPHABET:
             raise ValueError(f"q must be in [2, 2**32]: got q={self.q}")
-        if self.n != self.m * (self.s + self.u):
-            raise ValueError(
-                f"n must equal m*(s+u): got n={self.n}, m*(s+u)={self.m * (self.s + self.u)}"
-            )
         if self.p % self.m != 0:
             raise ValueError(f"m must divide p: got p={self.p}, m={self.m}")
         if self.p // self.m < 2:

@@ -159,8 +159,7 @@ class Transcript:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class Metrics:
+class Metrics(NamedTuple):
     T: int
     c: int
     r: Fraction
@@ -170,20 +169,15 @@ class Metrics:
 
 def metrics_from_transcript(params: SchemeParams, transcript: Transcript) -> Metrics:
     kappa = _kappa(params.q, transcript.kappa_symbols, transcript.kappa_bits)
-    return Metrics(
-        T=max(transcript.group_rounds.values(), default=0),
-        c=len(transcript.oracle_calls),
-        r=Fraction(params.group_size),
-        kappa=kappa,
-        total_comm=params.n * params.d + kappa,
-    )
+    T = max(transcript.group_rounds.values(), default=0)
+    r = Fraction(params.group_size)
+    return _record(Metrics, (T, len(transcript.oracle_calls), r, kappa, params.n * params.d + kappa))
 
 
 @dataclass
 class ConsistentSubset:
     """Workers of one group that returned identical initial responses."""
 
-    group: int
     workers: list  # sorted worker ids; shrinks as members are eliminated
     value: np.ndarray  # the shared initial response, shape (d,)
 
@@ -323,9 +317,7 @@ class ProtocolRun:
             if len(keep) == 1:
                 self._resolved[g] = z0[keep[0][0]]
             else:
-                pending[g] = [
-                    ConsistentSubset(group=g, workers=ws, value=z0[ws[0]]) for ws in keep
-                ]
+                pending[g] = [ConsistentSubset(workers=ws, value=z0[ws[0]]) for ws in keep]
         return pending
 
     def match(self, group: int, sub1: ConsistentSubset, sub2: ConsistentSubset):

@@ -25,8 +25,8 @@ from bgcsim.core import SchemeParams, full_gradient, random_gradients
 def _attack(params, seed=0, **kwargs):
     truth = random_gradients(params, seed)
     rng = np.random.default_rng(seed + 1)
-    table, dis = symmetrization_attack(params, truth, rng, **kwargs)
-    return truth, table, dis
+    table, indices = symmetrization_attack(params, truth, rng, **kwargs)
+    return truth, table, indices
 
 
 def _row(params, table, j):
@@ -46,10 +46,10 @@ def _deviating_workers(params, truth, table, index):
 def test_per_index_shape_smallest():
     # u=1, s=2, p=4: two disputed indices, one deviator each, worker 3 honest
     params = SchemeParams(s=2, u=1, m=1, p=4, d=1, q=2**16)
-    truth, table, dis = _attack(params)
-    assert len(dis.indices) == 2
+    truth, table, indices = _attack(params)
+    assert len(indices) == 2
     deviators = set()
-    for index in dis.indices:
+    for index in indices:
         who = _deviating_workers(params, truth, table, index)
         assert len(who) == 1
         deviators.update(who)
@@ -61,17 +61,17 @@ def test_per_index_shape_smallest():
 def test_s_zero_table_is_truth():
     params = SchemeParams(s=0, u=2, m=1, p=4, d=1, q=2**16)
     truth = random_gradients(params, 3)
-    table, dis = symmetrization_attack(params, truth, np.random.default_rng(0))
-    assert dis.indices == ()
+    table, indices = symmetrization_attack(params, truth, np.random.default_rng(0))
+    assert indices == ()
     assert table.to_bytes() == ClaimedGradientTable(params, truth).to_bytes()
 
 
 def test_leftover_workers_claim_truth():
     # s=5, u=2: floor(5/2)=2 deviating pairs; the fifth malicious worker stays truthful
     params = SchemeParams(s=5, u=2, m=1, p=8, d=1, q=2**16)
-    truth, table, dis = _attack(params, seed=9)
-    assert len(dis.indices) == 2
-    for chunk, index in enumerate(dis.indices):
+    truth, table, indices = _attack(params, seed=9)
+    assert len(indices) == 2
+    for chunk, index in enumerate(indices):
         who = _deviating_workers(params, truth, table, index)
         assert who == [2 * chunk + 1, 2 * chunk + 2]
         # both members of the pair plant the same value
@@ -83,12 +83,12 @@ def test_leftover_workers_claim_truth():
 def test_per_index_invariants(s):
     for u in range(1, s + 1):
         params = SchemeParams(s=s, u=u, m=1, p=8, d=2, q=2**16)
-        truth, table, dis = _attack(params, seed=100 + 10 * s + u)
+        truth, table, indices = _attack(params, seed=100 + 10 * s + u)
         n_dev = s // u
-        assert len(dis.indices) == n_dev
-        assert set(dis.indices) <= set(params.block_of_group(1))
+        assert len(indices) == n_dev
+        assert set(indices) <= set(params.block_of_group(1))
         touched = set()
-        for index in dis.indices:
+        for index in indices:
             who = _deviating_workers(params, truth, table, index)
             assert len(who) == u  # exactly one size-u subset deviates per index
             touched.update(who)
@@ -101,20 +101,20 @@ def test_per_index_invariants(s):
             ]
             if j > s:
                 assert diff == []
-            assert set(diff) <= set(dis.indices)
+            assert set(diff) <= set(indices)
         assert len(touched) <= s
 
 
 def test_collusive_single_index():
     params = SchemeParams(s=4, u=2, m=1, p=8, d=1, q=2**16)
-    truth, table, dis = _attack(params, seed=5, mode="collusive")
+    truth, table, indices = _attack(params, seed=5, mode="collusive")
     disputed = [
         i
         for i in params.block_of_group(1)
         if _deviating_workers(params, truth, table, i)
     ]
     assert len(disputed) == 1
-    assert disputed[0] in dis.indices
+    assert disputed[0] in indices
     who = _deviating_workers(params, truth, table, disputed[0])
     assert who == [1, 2, 3, 4]
     values = {table.value(j, disputed[0]).tobytes() for j in who}
@@ -139,9 +139,9 @@ def test_attack_at_the_top_of_the_largest_alphabet(mode):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for seed in range(4):
-            table, dis = symmetrization_attack(params, truth, np.random.default_rng(seed), mode)
+            table, indices = symmetrization_attack(params, truth, np.random.default_rng(seed), mode)
             planted = [vec for own in table.deviations.values() for vec in own.values()]
-            assert planted and dis.indices
+            assert planted and indices
             for vec in planted:
                 assert vec.dtype == np.int64 and ((0 <= vec) & (vec < params.q)).all()
                 assert not np.array_equal(vec, truth[0])
@@ -152,7 +152,7 @@ def test_attack_at_the_top_of_the_largest_alphabet(mode):
 
 def test_attack_confined_to_first_group():
     params = SchemeParams(s=2, u=1, m=2, p=8, d=1, q=2**16)
-    truth, table, dis = _attack(params, seed=4)
+    truth, table, indices = _attack(params, seed=4)
     for j in params.workers_of_group(2):
         block = params.block_of_group(2)
         assert np.array_equal(_row(params, table, j), truth[block.start - 1 : block.stop - 1])
@@ -194,10 +194,10 @@ def test_every_flip_yields_another_indistinguishable_world():
     # s=2, u=1: the baseline world plus one flip per disputed index gives
     # three pairwise-distinct ground truths behind a single claimed table.
     params = SchemeParams(s=2, u=1, m=1, p=4, d=1, q=2**16)
-    truth, table, dis = _attack(params, seed=12)
-    assert len(dis.indices) == 2
+    truth, table, indices = _attack(params, seed=12)
+    assert len(indices) == 2
     worlds = [truth]
-    for index in dis.indices:
+    for index in indices:
         world = flip_world(params, truth, table, index)
         assert world.table.to_bytes() == table.to_bytes()
         assert len(world.malicious) == params.s
@@ -211,8 +211,8 @@ def test_flip_world_plants_on_the_widened_truth():
     # values, not their wrap mod 2**16, which named all three workers malicious.
     params = SchemeParams(s=2, u=1, m=1, p=8, d=1, q=2**17)
     truth = np.full((8, 1), 2**16 - 1, dtype=np.uint16)
-    table, dis = symmetrization_attack(params, truth, np.random.default_rng(0))
-    for index, deviator in zip(dis.indices, (1, 2)):
+    table, indices = symmetrization_attack(params, truth, np.random.default_rng(0))
+    for index, deviator in zip(indices, (1, 2)):
         planted = table.value(deviator, index).tolist()
         assert planted[0] > 2**16  # 100897 at index 6, 105883 at index 8
         world = flip_world(params, truth, table, index)
@@ -222,11 +222,11 @@ def test_flip_world_plants_on_the_widened_truth():
 
 def test_flip_world_swaps_roles():
     params = SchemeParams(s=2, u=1, m=1, p=4, d=1, q=2**16)
-    truth, table, dis = _attack(params, seed=8)
-    world = flip_world(params, truth, table, dis.indices[0])
+    truth, table, indices = _attack(params, seed=8)
+    world = flip_world(params, truth, table, indices[0])
     assert len(world.malicious) == params.s
     # the flipped index's deviator is honest in the new world
-    old = set(_deviating_workers(params, truth, table, dis.indices[0]))
+    old = set(_deviating_workers(params, truth, table, indices[0]))
     assert old.isdisjoint(world.malicious)
 
 
@@ -234,13 +234,13 @@ def test_table_responder_answers_from_table():
     params = SchemeParams(s=2, u=1, m=1, p=4, d=2, q=2**16)
     truth = random_gradients(params, 21)
     rng = np.random.default_rng(22)
-    table, dis = symmetrization_attack(params, truth, rng)
+    table, indices = symmetrization_attack(params, truth, rng)
     responder = SymmetrizationAdversary().instantiate(params, truth, np.random.default_rng(22))
     z0 = responder.respond(1, InitialQuery(group=1))
     assert np.array_equal(z0, responder.table.z0(1))
     label = responder.respond(1, LabelQuery(group=1, lo=1, hi=3, coord=2))
     assert label == responder.table.label(1, 1, 3, 2)
-    index = dis.indices[0] if dis.indices else 1
+    index = indices[0] if indices else 1
     value = int(responder.table.value(1, index)[0])
     assert responder.respond(1, CommitQuery(group=1, index=index, coord=1, value=value))
 
@@ -315,18 +315,18 @@ def test_planting_on_a_range_of_workers_matches_one_set_per_worker(params, mode)
     # symmetrization_attack writes each planted vector once for all its
     # workers; replay its draws and write the same vectors worker by worker.
     truth = random_gradients(params, 7)
-    table, dis = symmetrization_attack(params, truth, np.random.default_rng(8), mode)
+    table, indices = symmetrization_attack(params, truth, np.random.default_rng(8), mode)
     rng = np.random.default_rng(8)
     reference = ClaimedGradientTable(params, truth)
     picks = rng.choice(params.block_size, size=params.s // params.u, replace=False)
-    assert tuple(sorted(int(x) + 1 for x in picks)) == dis.indices
+    assert tuple(sorted(int(x) + 1 for x in picks)) == indices
     if mode == "per-index":
-        for chunk, index in enumerate(dis.indices):
+        for chunk, index in enumerate(indices):
             wrong = _deviated(reference.truth[index - 1], params.q, rng)
             for j in range(chunk * params.u + 1, (chunk + 1) * params.u + 1):
                 reference.set(j, index, wrong)
     else:
-        index = int(rng.choice(np.asarray(dis.indices)))
+        index = int(rng.choice(np.asarray(indices)))
         wrong = _deviated(reference.truth[index - 1], params.q, rng)
         for j in range(1, params.s + 1):
             reference.set(j, index, wrong)

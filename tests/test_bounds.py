@@ -136,19 +136,19 @@ def test_coverage_per_index_attack(run_and_check):
     for seed in range(25):
         truth = random_gradients(params, np.random.default_rng([seed, 0]))
         rng = np.random.default_rng([seed, 1])
-        table, disagreement = symmetrization_attack(params, truth, rng)
+        table, indices = symmetrization_attack(params, truth, rng)
         _, metrics, transcript = run_and_check(params, truth, TableAdversary(table, frozenset({1, 2, 3})))
         assert metrics.c == 3
-        assert set(transcript.computed_indices()) == set(disagreement.indices)
-        assert disagreement_coverage_check(transcript, disagreement, table)
+        assert set(transcript.computed_indices()) == set(indices)
+        assert disagreement_coverage_check(transcript, indices, table)
 
 
 def test_coverage_trivial_when_honest(run_and_check):
     params = SchemeParams(s=0, u=2, m=1, p=4, d=1, q=Q16)
     truth = random_gradients(params, 0)
-    table, disagreement = symmetrization_attack(params, truth, np.random.default_rng(0))
+    table, indices = symmetrization_attack(params, truth, np.random.default_rng(0))
     _, _, transcript = run_and_check(params, truth, TableAdversary(table, frozenset()))
-    assert disagreement_coverage_check(transcript, disagreement, table)
+    assert disagreement_coverage_check(transcript, indices, table)
 
 
 def test_coverage_collusive_single_call(run_and_check):
@@ -156,11 +156,11 @@ def test_coverage_collusive_single_call(run_and_check):
     for seed in range(25):
         truth = random_gradients(params, np.random.default_rng([seed, 0]))
         rng = np.random.default_rng([seed, 1])
-        table, disagreement = symmetrization_attack(params, truth, rng, mode="collusive")
+        table, indices = symmetrization_attack(params, truth, rng, mode="collusive")
         _, metrics, transcript = run_and_check(params, truth, TableAdversary(table, frozenset({1, 2, 3, 4})))
         assert metrics.c <= 1
-        assert set(transcript.computed_indices()) <= set(disagreement.indices)
-        assert disagreement_coverage_check(transcript, disagreement, table)
+        assert set(transcript.computed_indices()) <= set(indices)
+        assert disagreement_coverage_check(transcript, indices, table)
 
 
 def test_witness_smallest_instance():

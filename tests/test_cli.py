@@ -102,6 +102,17 @@ def test_explicit_n_must_match_every_point(capsys):
     assert "contradicts" in capsys.readouterr().err
 
 
+def test_config_file_n_contradicting_m_s_u_is_one_line_error(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"s": 2, "u": 1, "m": 2, "p": 8, "d": 1, "n": 3}))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--config", str(config)])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("bgcsim: error: n=3 contradicts m*(s+u)=6")
+
+
 def test_config_file_with_flag_override(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"s": 2, "u": 1, "p": 8, "d": 1, "trials": 7}))
@@ -336,6 +347,18 @@ GOLDEN_TABLE_FILE = (
 )
 
 
+# The README's three --figure commands; CI checks the same digests through the
+# console script.
+GOLDEN_FIGURES = [
+    (["--s", "10", "--u", "1", "--p", "10000", "--d", "1000000", "--figure", "fig1"],
+     "5bf31db6a93062a1108c5f47073736d59824c12f29cc23c04e4e23f2ab591149"),
+    (["--s", "10", "--u", "2", "--p", "1000000", "--d", "1", "--figure", "appendixF-ratio"],
+     "641812d9a8fa1d1c2306d2b892d1e09a1cbb5423f774ff367f0c7d5bacec4826"),
+    (["--s", "10", "--u", "5", "--p", "1000000", "--d", "1", "--figure", "appendixF-convergence"],
+     "5072285567f67cc927e5a42a1445f8af38ef7d37f5dbcea7cab36dc6943b005e"),
+]
+
+
 def _dump_digest(dump):
     h = hashlib.sha256()
     for path in sorted(dump.iterdir()):  # names and bytes, in sorted order
@@ -349,6 +372,12 @@ def test_golden_csv_bytes(tmp_path, argv, digest):
     out = tmp_path / "rows.csv"
     assert main(argv + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_FIGURES, ids=["fig1", "ratio", "convergence"])
+def test_golden_figures(capsys, argv, digest):
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -35,7 +36,7 @@ def test_params_derive_n():
 @pytest.mark.parametrize(
     "kwargs, fragment",
     [
-        (dict(s=2, u=1, m=1, p=8, d=1, q=65536, n=4), "m*(s+u)"),
+        (dict(s=1, u=1, m=0, p=4, d=1, q=65536), "m must be"),
         (dict(s=1, u=1, m=2, p=7, d=1, q=65536), "divide p"),
         (dict(s=1, u=1, m=2, p=2, d=1, q=65536), "p/m must be >= 2"),
         (dict(s=1, u=0, m=1, p=4, d=1, q=65536), "u must be"),
@@ -49,6 +50,19 @@ def test_params_rejects_invalid(kwargs, fragment):
     with pytest.raises(ValueError) as err:
         SchemeParams(**kwargs)
     assert fragment in str(err.value)
+
+
+def test_params_take_no_n():
+    with pytest.raises(TypeError):
+        SchemeParams(s=2, u=1, m=1, p=8, d=1, q=65536, n=4)
+
+
+def test_replaced_params_derive_n_again():
+    # The figures sweep u by dataclasses.replace, which must recompute n.
+    params = SchemeParams(s=4, u=1, m=2, p=8, d=1)
+    assert dataclasses.replace(params, u=3).n == params.m * (params.s + 3) == 14
+    with pytest.raises(ValueError):
+        dataclasses.replace(params, n=14)
 
 
 def test_worker_and_block_indexing():

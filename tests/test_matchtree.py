@@ -36,7 +36,7 @@ def _match(block, answer, claims=(1, 2)):
     responder = CallbackAdversary(frozenset({1, 2}), record).instantiate(params, truth, None)
     run = ProtocolRun(params, truth, responder)
     sub1, sub2 = (
-        ConsistentSubset(group=1, workers=[j], value=np.array([c], dtype=np.int64))
+        ConsistentSubset(workers=[j], value=np.array([c], dtype=np.int64))
         for j, c in zip((1, 2), claims)
     )
     outcome = run.match(1, sub1, sub2)

@@ -410,7 +410,7 @@ def test_honest_answers_share_sums_only_over_the_runs_truth():
     chunk = ClaimedGradientTable.CHUNK * wide_rows(2)
     params = SchemeParams(s=2, u=1, m=1, p=2 * chunk + 3, d=2, q=Q16)  # two chunks and a tail
     truth = random_gradients(params, 3)
-    table, disagreement = symmetrization_attack(params, truth, np.random.default_rng(4))
+    table, indices = symmetrization_attack(params, truth, np.random.default_rng(4))
     responder = TableAdversary(table, frozenset({1, 2})).instantiate(params, truth, None)
     twin = ProtocolRun(params, truth, responder)._honest
     assert twin._sums is table._sums and not twin.deviations  # one memo over one truth
@@ -418,7 +418,7 @@ def test_honest_answers_share_sums_only_over_the_runs_truth():
     # World 2 runs over a flipped copy of the truth against the same table, whose
     # reference truth is world 1's: the run must answer honest workers from its
     # own truth and keep its sums apart from the table's.
-    world2 = flip_world(params, truth, table, disagreement.indices[0])
+    world2 = flip_world(params, truth, table, indices[0])
     responder = TableAdversary(table, world2.malicious).instantiate(params, world2.truth, None)
     run = ProtocolRun(params, world2.truth, responder)
     assert run._honest.truth is world2.truth and run._honest._sums is not table._sums
@@ -447,8 +447,8 @@ def test_match_rejects_identical_responses():
     z0 = run.initial_round()
     from bgcsim.protocol import ConsistentSubset, ProtocolError
 
-    twin1 = ConsistentSubset(group=1, workers=[1], value=z0[1])
-    twin2 = ConsistentSubset(group=1, workers=[2], value=z0[2])
+    twin1 = ConsistentSubset(workers=[1], value=z0[1])
+    twin2 = ConsistentSubset(workers=[2], value=z0[2])
     with pytest.raises(ProtocolError, match="differing responses"):
         run.match(1, twin1, twin2)
 
