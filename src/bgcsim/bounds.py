@@ -1,7 +1,7 @@
 """Closed-form bounds, the DRACO baseline, and executable converse checks.
 
-All binomials are evaluated exactly on big integers; the only floating-point
-step is the final logarithm.
+Binomials are exact big integers, and the compliance check uses no floats:
+it compares a run's label-symbol and commit-bit counts with each worst shape's.
 """
 
 from __future__ import annotations
@@ -40,6 +40,32 @@ def comm_lower(params: SchemeParams) -> float:
     return math.log2(math.comb(block, n_dev)) / math.log2(params.q)
 
 
+def _upper_shapes(params: SchemeParams):
+    """c_upper, T_upper and each worst split's (label symbols, commit bits, kappa): see scheme_upper_bounds."""
+    s, u, two_log2q = params.s, params.u, 2 * math.log2(params.q)
+    height = (params.block_size - 1).bit_length()  # h = ceil(log2(p/m)), exactly
+
+    def group(k):  # k-u+1 matches; match i sends 2h label symbols and s+u-i commit bits; B(k) last
+        matches, span = k - u + 1, 2 * s + 3 * u - k
+        return 2 * height * matches, matches * span // 2, matches * (2 * height + span / two_log2q)
+
+    shapes = [(0, 0, 0.0)]  # no group plays a match
+    for g in range(1, min(params.m if u > 1 else 1, s // u) + 1):  # r groups of a+1 and g-r of a
+        a, r = divmod(s, g)
+        (sym1, bits1, kappa1), (sym0, bits0, kappa0) = group(a + 1), group(a)
+        shapes.append((r * sym1 + (g - r) * sym0, r * bits1 + (g - r) * bits0, r * kappa1 + (g - r) * kappa0))
+    return s // u, max(0, s + 1 - u) * height, shapes
+
+
+def _fits(q: int, a: int, b: int) -> bool:
+    """a * log2(q) <= b, that is q**a <= 2**b, decided on integers."""
+    if a > 0 and b > 0:
+        return q**a <= 1 << b
+    if a < 0 and b < 0:
+        return 1 << -b <= q**-a
+    return a <= 0 <= b
+
+
 def scheme_upper_bounds(params: SchemeParams):
     """(c_upper, T_upper, kappa_upper) guaranteed by the tournament scheme.
 
@@ -58,16 +84,8 @@ def scheme_upper_bounds(params: SchemeParams):
     max over G of r B(a+1) + (G-r) B(a), a = s//G, r = s%G.  At u = 1 no
     commit is sent, so kappa <= 2hs <= B(s), kept.  No step uses the pairing.
     """
-    s, u = params.s, params.u
-    height = (params.block_size - 1).bit_length()  # h = ceil(log2(p/m)), exactly
-
-    def cost(k):  # B(k)
-        return (k - u + 1) * (2 * height + (2 * s + 3 * u - k) / (2 * math.log2(params.q)))
-
-    kappa = cost(s) if s >= u else 0.0  # G = 1, the only shape kept at u = 1
-    for g in range(2, min(params.m, s // u) + 1) if u > 1 else ():
-        kappa = max(kappa, (s % g) * cost(s // g + 1) + (g - s % g) * cost(s // g))
-    return s // u, max(0, s + 1 - u) * height, kappa
+    c_upper, t_upper, shapes = _upper_shapes(params)
+    return c_upper, t_upper, max(kappa for _, _, kappa in shapes)
 
 
 def ratio_limit(params: SchemeParams) -> float:
@@ -121,17 +139,18 @@ class BoundsReport:
 
 
 def check_compliance(params: SchemeParams, metrics: Metrics, transcript: Transcript):
-    """Violations of the per-run guarantees; empty list means compliant."""
-    c_upper, t_upper, kappa_upper = scheme_upper_bounds(params)
+    """Violations of the per-run guarantees, kappa's decided on exact counts; empty list means compliant."""
+    c_upper, t_upper, shapes = _upper_shapes(params)
     problems = []
     if metrics.c > c_upper:
         problems.append(f"c={metrics.c} exceeds bound {c_upper}")
     if metrics.T > t_upper:
         problems.append(f"T={metrics.T} exceeds bound {t_upper}")
-    if metrics.kappa > kappa_upper + 1e-9:
-        problems.append(f"kappa={metrics.kappa} exceeds bound {kappa_upper}")
-    if transcript.kappa() != metrics.kappa:
-        problems.append("kappa recomputed from the message log disagrees with the metric")
+    for shape_symbols, shape_bits, _ in shapes:
+        if _fits(params.q, transcript.kappa_symbols - shape_symbols, shape_bits - transcript.kappa_bits):
+            break
+    else:
+        problems.append(f"kappa={metrics.kappa} exceeds bound {scheme_upper_bounds(params)[2]}")
     return problems
 
 

@@ -93,19 +93,10 @@ class _BudgetExhausted(Exception):
     pass
 
 
-def _kappa(q: int, symbols: int, bits: int) -> float:
-    """Overhead in alphabet symbols: symbols plus bits at 1/log2(q) symbols each."""
-    kappa = float(symbols)
-    if bits:
-        kappa += bits / math.log2(q)
-    return kappa
-
-
 @dataclass
 class Transcript:
     """Everything a run transmitted, computed and decided, in order."""
 
-    params: SchemeParams
     messages: list = field(default_factory=list)
     kappa_symbols: int = 0  # symbols and bits of the t >= 1 messages, counted as charged
     kappa_bits: int = 0
@@ -117,14 +108,6 @@ class Transcript:
 
     def computed_indices(self) -> list:
         return [call.index for call in self.oracle_calls]
-
-    def kappa(self) -> float:
-        """Protocol overhead in alphabet symbols, recomputed from the raw log."""
-        symbols = bits = 0
-        for m in self.messages:
-            if m.t >= 1:
-                symbols, bits = symbols + m.symbols, bits + m.bits
-        return _kappa(self.params.q, symbols, bits)
 
     def eliminated_workers(self) -> set:
         out = set()
@@ -168,7 +151,7 @@ class Metrics(NamedTuple):
 
 
 def metrics_from_transcript(params: SchemeParams, transcript: Transcript) -> Metrics:
-    kappa = _kappa(params.q, transcript.kappa_symbols, transcript.kappa_bits)
+    kappa = transcript.kappa_symbols + transcript.kappa_bits / math.log2(params.q)  # bits at 1/log2(q) symbols
     T = max(transcript.group_rounds.values(), default=0)
     r = Fraction(params.group_size)
     return _record(Metrics, (T, len(transcript.oracle_calls), r, kappa, params.n * params.d + kappa))
@@ -204,9 +187,7 @@ class ProtocolRun:
         self.params = params
         self.responder = responder
         self.oracle_budget = oracle_budget
-        self.transcript = Transcript(
-            params=params, group_rounds={g: 0 for g in range(1, params.m + 1)}
-        )
+        self.transcript = Transcript(group_rounds={g: 0 for g in range(1, params.m + 1)})
         self._resolved = {}  # group -> surviving value, shape (d,)
         self._eliminated = set()  # every worker eliminated so far, in any group
         table = getattr(responder, "table", None)

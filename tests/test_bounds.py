@@ -1,8 +1,11 @@
 import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bgcsim.adversary import (
     TableAdversary,
@@ -11,6 +14,9 @@ from bgcsim.adversary import (
 )
 from bgcsim.bounds import (
     BoundsReport,
+    _fits,
+    _upper_shapes,
+    check_compliance,
     comm_lower,
     disagreement_coverage_check,
     draco_baseline,
@@ -21,6 +27,7 @@ from bgcsim.bounds import (
     scheme_upper_bounds,
 )
 from bgcsim.core import SchemeParams, random_gradients
+from bgcsim.protocol import Transcript, metrics_from_transcript
 
 from adversaries import balanced_sizes, deepest_leaf_coalitions
 
@@ -72,15 +79,14 @@ def test_scheme_upper_bounds_pinned_case():
     # independent evaluation: s=2, u=1, p=8 -> (2, 2*3, 2*(2*3 + 5/32))
     c_up, t_up, kappa_up = scheme_upper_bounds(_params(2, 1, p=8))
     assert (c_up, t_up) == (2, 6)
-    assert kappa_up == 2 * (2 * math.ceil(math.log2(8)) + (2 + 3) / (2 * 16))
-    assert abs(kappa_up - 12.3125) < 1e-12
+    assert kappa_up == 2 * (2 * math.ceil(math.log2(8)) + (2 + 3) / (2 * 16)) == 12.3125
 
 
 def test_scheme_upper_bounds_degenerate_and_large():
     assert scheme_upper_bounds(_params(3, 4, p=4)) == (0, 0, 0.0)
     c_up, t_up, kappa_up = scheme_upper_bounds(_params(10, 1, p=10**4))
     assert (c_up, t_up) == (10, 140)  # ceil(log2(1e4)) = 14
-    assert abs(kappa_up - 284.0625) < 1e-12  # 10 * (28 + 13/32)
+    assert kappa_up == 284.0625  # 10 * (28 + 13/32)
     # float log2(2**49 + 1) rounds to 49.0; the match depth is 50
     _, t_up, _ = scheme_upper_bounds(SchemeParams(s=1, u=1, m=1, p=2**49 + 1, d=1, q=2))
     assert t_up == 50
@@ -247,22 +253,88 @@ def test_golden_witness_worlds():
     assert h.hexdigest() == digest
 
 
-def _group_cost(params, k):
-    """B(k): the most kappa one group holding k >= u withholding members can cost."""
+# sha256 over repr(scheme_upper_bounds(params)), one update per point in loop
+# order: s in 0..12, u in 1..7, m in {1, 2, 3, 5}, p/m in {2, 3, 8, 1000},
+# d = 1 and the nine alphabets below.  Recorded while kappa_upper was still
+# computed without the exact shapes, so the float it reports has not moved.
+GOLDEN_KAPPA_UPPER = "3bdba56f22d9e614a927e2bfa52ded2e315bb5950bb7952ed833ef059e17e25c"
+
+
+def test_golden_kappa_upper():
+    h = hashlib.sha256()
+    for s in range(13):
+        for u in range(1, 8):
+            for m in (1, 2, 3, 5):
+                for block in (2, 3, 8, 1000):
+                    for q in (2, 3, 5, 7, 256, 65521, 2**16, 2**31 + 1, 2**32):
+                        params = SchemeParams(s=s, u=u, m=m, p=m * block, d=1, q=q)
+                        h.update(repr(scheme_upper_bounds(params)).encode())
+    assert h.hexdigest() == GOLDEN_KAPPA_UPPER
+
+
+@pytest.mark.parametrize("counts, complies", [((81, 34), False), ((80, 65), True), ((79, 96), True)])
+def test_kappa_at_the_worst_shape_is_decided_exactly(counts, complies):
+    # At q = 2**31+1 a commit bit is worth just under 1/31 symbol.  The worst
+    # shape is 80 label symbols and 65 bits; 81 and 34 exceed it by 2.2e-11
+    # symbols, below any float tolerance such as 1e-9.  The shape itself reads
+    # one ulp above the float bound, and must still comply.
+    params = SchemeParams(s=10, u=1, m=1, p=16, d=1, q=2**31 + 1)
+    kappa_upper = scheme_upper_bounds(params)[2]
+    assert max(_upper_shapes(params)[2], key=lambda shape: shape[2])[:2] == (80, 65)
+    transcript = Transcript(kappa_symbols=counts[0], kappa_bits=counts[1])
+    metrics = metrics_from_transcript(params, transcript)
+    expected = [] if complies else [f"kappa={metrics.kappa} exceeds bound {kappa_upper}"]
+    assert check_compliance(params, metrics, transcript) == expected
+    if counts == (80, 65):
+        assert metrics.kappa > kappa_upper  # so no float comparison without a tolerance passes it
+
+
+ALPHABETS = [2, 3, 5, 65521, 2**16, 2**31 + 1, 2**32]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    q=st.sampled_from(ALPHABETS),
+    a=st.integers(-400, 400),
+    b=st.integers(-400, 400),
+    near=st.booleans(),
+    offset=st.integers(-1, 2),
+)
+@example(q=2**16, a=1, b=16, near=False, offset=0)  # q**a == 2**b: ties comply
+@example(q=2**16, a=-1, b=-16, near=False, offset=0)
+@example(q=2**16, a=1, b=15, near=False, offset=0)
+@example(q=2**31 + 1, a=1, b=31, near=False, offset=0)  # counts (81, 34) against the shape (80, 65)
+@example(q=2**31 + 1, a=-1, b=-31, near=False, offset=0)
+@example(q=3, a=0, b=0, near=False, offset=0)
+@example(q=3, a=0, b=-1, near=False, offset=0)
+@example(q=3, a=1, b=0, near=False, offset=0)
+def test_fits_agrees_with_exact_rationals(q, a, b, near, offset):
+    """_fits(q, a, b) says whether a * log2(q) <= b, i.e. q**a <= 2**b."""
+    if near:  # b next to a * log2(q), where the two sides nearly tie
+        b = math.floor(a * math.log2(q)) + offset
+    assert _fits(q, a, b) == (Fraction(q) ** a <= Fraction(2) ** b), (q, a, b)
+
+
+def _shape(params, sizes):
+    """Exact (label symbols, commit bits) of withholding coalitions of these
+    sizes, one per group: a coalition of k >= u plays k-u+1 matches of h
+    levels, two label symbols per level, and match i collects a commit bit
+    from each of its group's s+u-i live members."""
     h = (params.block_size - 1).bit_length()
-    return (k - params.u + 1) * (2 * h + (2 * params.s + 3 * params.u - k) / (2 * math.log2(params.q)))
+    matches = [range(k - params.u + 1) for k in sizes]
+    return 2 * h * sum(map(len, matches)), sum(params.s + params.u - i for played in matches for i in played)
 
 
-@pytest.mark.parametrize("q", [2, Q16])
+@pytest.mark.parametrize("q", [2, 3, Q16])
 @pytest.mark.parametrize("m", [1, 3])
 @pytest.mark.parametrize("block", [2, 3, 5, 37, 1000, 20000])
 def test_deepest_leaf_witness_reaches_the_upper_bounds(block, m, q):
     # Blocks of 20000 rows send every match level through the chunk prefix.
-    # All s malicious workers in group 1 reach T_upper and B(s).  Split as
-    # evenly as possible over the worst number of groups, they reach
-    # kappa_upper.  At u = 1 no commit is ever sent, so both fall short of
-    # B(s) = kappa_upper by exactly the commit bits it charges:
-    # (s+1-u)(s+3u)/(2 log2 q).
+    # All s malicious workers in group 1 reach T_upper and the single-group
+    # shape's counts exactly.  Split as evenly as possible over the number of
+    # groups whose shape kappa_upper reports, they reach that shape's counts.
+    # At u = 1 no commit is ever sent, so both runs count the shape's label
+    # symbols and no bits.
     for s in range(1, 9):
         params = SchemeParams(s=s, u=1, m=m, p=m * block, d=2, q=q)
         truth = random_gradients(params, [s, block, m, q])
@@ -270,18 +342,12 @@ def test_deepest_leaf_witness_reaches_the_upper_bounds(block, m, q):
             params = SchemeParams(s=s, u=u, m=m, p=m * block, d=2, q=q)
             trial = run_trial(params, truth, deepest_leaf_coalitions(params, [s]))
             assert trial.breaches == [] and trial.violations == [], (s, u)
-            _, t_upper, kappa_upper = scheme_upper_bounds(params)
-            assert trial.metrics.T == t_upper, (s, u)
-            single = _group_cost(params, s)
-            if u == 1:
-                assert math.isclose(kappa_upper, single, rel_tol=1e-12), s
-                kappa_upper = single = single - (s + 1 - u) * (s + 3 * u) / (2 * math.log2(q))
-            assert math.isclose(trial.metrics.kappa, single, rel_tol=1e-12, abs_tol=1e-12), (s, u)
+            assert trial.metrics.T == scheme_upper_bounds(params)[1], (s, u)
+            symbols, bits = _shape(params, [s])
+            assert (trial.transcript.kappa_symbols, trial.transcript.kappa_bits) == (symbols, 0 if u == 1 else bits)
 
-            def split_cost(groups):
-                return sum(_group_cost(params, k) for k in balanced_sizes(s, groups))
-
-            groups = max(range(1, min(m, s // u) + 1), key=split_cost)
+            worst = max(_upper_shapes(params)[2], key=lambda shape: shape[2])[:2]  # kappa_upper's shape
+            groups = next(g for g in range(1, min(m, s // u) + 1) if _shape(params, balanced_sizes(s, g)) == worst)
             trial = run_trial(params, truth, deepest_leaf_coalitions(params, balanced_sizes(s, groups)))
             assert trial.breaches == [] and trial.violations == [], (s, u, groups)
-            assert math.isclose(trial.metrics.kappa, kappa_upper, rel_tol=1e-12, abs_tol=1e-12), (s, u, groups)
+            assert (trial.transcript.kappa_symbols, trial.transcript.kappa_bits) == (worst[0], 0 if u == 1 else worst[1])

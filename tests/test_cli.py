@@ -1033,10 +1033,11 @@ def test_protocol_error_reported_with_reproduction_handle(tmp_path, monkeypatch,
 
 
 def test_first_violation_of_each_point_is_one_stderr_line(monkeypatch, capsys):
-    # With kappa_upper forced to 0, every symmetrization run violates it; each
-    # point names only its first violating run, and the CSV still comes out.
-    real = bounds.scheme_upper_bounds
-    monkeypatch.setattr(bounds, "scheme_upper_bounds", lambda params: (*real(params)[:2], 0.0))
+    # With every worst shape forced to no overhead, kappa_upper reads 0 and
+    # every symmetrization run violates it; each point names only its first
+    # violating run, and the CSV still comes out.
+    real = bounds._upper_shapes
+    monkeypatch.setattr(bounds, "_upper_shapes", lambda params: (*real(params)[:2], [(0, 0, 0.0)]))
     argv = ["--s", "1", "--u", "1", "--p", "4", "--d", "1", "--trials", "3", "--adversary", "symmetrization",
             "--sweep", "p=4,8", "--seed", "5"]
     assert main(argv) == 1
