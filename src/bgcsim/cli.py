@@ -21,6 +21,7 @@ import json
 import sys
 from dataclasses import dataclass, fields, replace
 from functools import cache, cached_property
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -88,7 +89,6 @@ class ExperimentConfig:
     d: int
     m: int = 1
     q: int = 65536
-    n: int = None  # type: ignore[assignment]
     seed: int = 0
     trials: int = 100
     adversary: str = "none"
@@ -102,10 +102,14 @@ class ExperimentConfig:
 _CONFIG_FIELDS = {f.name: f for f in fields(ExperimentConfig)}
 
 
+class ConfigError(ValueError):
+    """A bad configuration, reported by ``main`` as one ``bgcsim: error:`` line with exit 2."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        """Every usage error is one ``bgcsim: error:`` line with exit 2, without the usage text."""
-        self.exit(2, f"{self.prog}: error: {message}\n")
+        """argparse's usage errors raise ConfigError, so they leave ``main`` as every other one does."""
+        raise ConfigError(message)
 
 
 @cache  # argparse keeps no state between parses; building one costs ~0.8 ms
@@ -119,7 +123,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--config", type=Path, help="JSON config file; flags override it")
-    parser.add_argument("--n", type=int, help="worker count; must equal m*(s+u)")
     parser.add_argument("--s", type=int, help="maximum number of malicious workers")
     parser.add_argument("--u", type=int, help="guaranteed honest workers per group")
     parser.add_argument("--m", type=int, help="number of groups (default 1)")
@@ -141,20 +144,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def parse_config(argv) -> ExperimentConfig:
-    """Merge config file and flags (flags win); validate presence and values."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Merge config file and flags (flags win); validate presence and values.
+
+    Raises ConfigError on any bad input; only ``-h`` exits, as argparse does.
+    """
+    args = _build_parser().parse_args(argv)
     merged = {}
     if args.config is not None:
         try:
             loaded = json.loads(Path(args.config).read_text())
         except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad UTF-8 or JSON
-            parser.error(f"cannot read config file: {exc}")
+            raise ConfigError(f"cannot read config file: {exc}") from None
         if not isinstance(loaded, dict):
-            parser.error("config file must hold a JSON object")
+            raise ConfigError("config file must hold a JSON object")
         unknown = set(loaded) - set(_CONFIG_FIELDS)
         if unknown:
-            parser.error(f"unknown config keys: {sorted(unknown)}")
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         merged.update(loaded)
     for key in _CONFIG_FIELDS:
         flag = getattr(args, key.replace("-", "_"), None)
@@ -162,46 +167,42 @@ def parse_config(argv) -> ExperimentConfig:
             merged[key] = flag
     for key in ("s", "u", "p", "d"):
         if merged.get(key) is None:
-            parser.error(f"missing required parameter: --{key}")
+            raise ConfigError(f"missing required parameter: --{key}")
     for key, value in merged.items():  # flags are typed by argparse; this checks the file
         spec = _CONFIG_FIELDS[key]
         if value is None and spec.default is None:
             continue
         if spec.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
-            parser.error(f"config key {key!r} must be an integer: got {json.dumps(value)}")
+            raise ConfigError(f"config key {key!r} must be an integer: got {json.dumps(value)}")
         if spec.type == "str" and not isinstance(value, str):
-            parser.error(f"config key {key!r} must be a string: got {json.dumps(value)}")
+            raise ConfigError(f"config key {key!r} must be a string: got {json.dumps(value)}")
     config = ExperimentConfig(**merged)
     if config.figure is not None:
         given = [key for key in SIMULATION_ONLY if merged.get(key) is not None]
         if given:
             flags = ", ".join("--" + key.replace("_", "-") for key in given)
-            parser.error(f"--figure runs no simulation and takes no {flags}")
-        if config.figure == "fig1" and config.n is not None:
-            parser.error("--figure fig1 sweeps u, which changes n = m*(s+u), and takes no --n")
+            raise ConfigError(f"--figure runs no simulation and takes no {flags}")
     if config.trials < 1:
-        parser.error(f"--trials must be at least 1: got {config.trials}")
+        raise ConfigError(f"--trials must be at least 1: got {config.trials}")
     if config.seed < 0:
-        parser.error(f"--seed must be non-negative: got {config.seed}")
+        raise ConfigError(f"--seed must be non-negative: got {config.seed}")
     if config.adversary not in ADVERSARIES and not config.adversary.startswith("table:"):
-        parser.error(f"unknown adversary: {config.adversary!r}")
+        raise ConfigError(f"unknown adversary: {config.adversary!r}")
     if config.format not in ("csv", "json"):
-        parser.error(f"format must be csv or json: got {config.format!r}")
+        raise ConfigError(f"format must be csv or json: got {config.format!r}")
     if config.figure is not None and config.figure not in FIGURES:
-        parser.error(f"figure must be one of {FIGURES}: got {config.figure!r}")
-    if config.sweep is not None:
-        axis = config.sweep.split("=", 1)[0]
-        if axis not in SWEEP_AXES:
-            parser.error(f"sweep axis must be one of {SWEEP_AXES}: got {axis!r}")
+        raise ConfigError(f"figure must be one of {FIGURES}: got {config.figure!r}")
     try:
         expand_sweep(config)
     except ValueError as exc:
-        parser.error(str(exc))
+        raise ConfigError(str(exc)) from None
     return config
 
 
 def _sweep_values(spec: str):
     axis, _, rhs = spec.partition("=")
+    if axis not in SWEEP_AXES:
+        raise ValueError(f"sweep axis must be one of {SWEEP_AXES}: got {axis!r}")
     if not rhs:
         raise ValueError(f"sweep needs the form axis=values: got {spec!r}")
     if ".." in rhs:
@@ -217,26 +218,14 @@ def _sweep_values(spec: str):
 def expand_sweep(config: ExperimentConfig):
     """List of SchemeParams, one per sweep point (a single point without --sweep).
 
-    SchemeParams derives n = m*(s+u) at every point; this is the one place a
-    pinned --n is checked, and it must match everywhere.
+    Each point derives n = m*(s+u).  Raises ValueError on a malformed sweep
+    or invalid parameters at any point.
     """
-    base = {k: getattr(config, k) for k in ("s", "u", "m", "p", "d", "q")}
-    points = [dict(base)]
-    if config.sweep is not None:
-        axis, values = _sweep_values(config.sweep)
-        points = [{**base, axis: v} for v in values]
-    out = []
-    for point in points:
-        if config.n is not None and config.n != point["m"] * (point["s"] + point["u"]):
-            raise ValueError(
-                f"n={config.n} contradicts m*(s+u)={point['m'] * (point['s'] + point['u'])}"
-            )
-        out.append(SchemeParams(**point))
-    return out
-
-
-class ConfigError(ValueError):
-    """A configuration that parses but cannot run; reported as one line with exit 2."""
+    base = {k: getattr(config, k) for k in SWEEP_AXES}
+    if config.sweep is None:
+        return [SchemeParams(**base)]
+    axis, values = _sweep_values(config.sweep)
+    return [SchemeParams(**{**base, axis: v}) for v in values]
 
 
 def load_table_adversary(path, params: SchemeParams) -> "_TableFileAdversary":
@@ -416,25 +405,20 @@ class _Seeded(np.random.bit_generator.ISpawnableSeedSequence):
 def _trial_generators(prefix_words, trials: range):
     """(stream 0, stream 1) of each trial: ``default_rng([*prefix, trial, k])`` for k = 0, 1.
 
-    Trials are seeded _SEED_CHUNK at a time, so memory does not grow with
-    their number; rows of each width (a trial from 2**32 on takes two
-    words) are hashed together, and each stream's rows of a width are a batch.
+    Trials are seeded in batches that start at multiples of _SEED_CHUNK, so
+    memory does not grow with their number.  A trial's word count changes
+    only at powers of 2**32, all multiples of _SEED_CHUNK, so the rows of a
+    batch have one width; each stream's rows of a batch are hashed together.
     """
-    for start in range(0, len(trials), _SEED_CHUNK):
-        rows = [
-            [*prefix_words, *_uint32_words(trial), k]
-            for trial in trials[start : start + _SEED_CHUNK]
-            for k in (0, 1)
-        ]
-        seeds = [None] * len(rows)
-        for width in {len(row) for row in rows}:
-            at = [i for i, row in enumerate(rows) if len(row) == width]  # a trial's k = 0, 1 in turn
-            entropy = np.array([rows[i] for i in at], dtype=np.uint32)
-            states = _seed_states(entropy)
-            for k in (0, 1):
-                batch = entropy[k::2], {}
-                for j, (i, row, state) in enumerate(zip(at[k::2], batch[0], states[k::2])):
-                    seeds[i] = _Seeded(row, state, batch, j)
+    for _, batch_trials in groupby(trials, lambda trial: trial // _SEED_CHUNK):
+        rows = [[*prefix_words, *_uint32_words(trial), k] for trial in batch_trials for k in (0, 1)]
+        entropy = np.array(rows, dtype=np.uint32)  # a trial's k = 0, 1 in turn
+        states, seeds = _seed_states(entropy), [None] * len(rows)
+        for k in (0, 1):
+            batch = entropy[k::2], {}
+            seeds[k::2] = [
+                _Seeded(row, state, batch, j) for j, (row, state) in enumerate(zip(batch[0], states[k::2]))
+            ]
         streams = (np.random.Generator(np.random.PCG64(seed)) for seed in seeds)
         yield from zip(streams, streams)
 
@@ -592,8 +576,8 @@ def check_outputs(config: ExperimentConfig) -> None:
 
 
 def main(argv=None) -> int:
-    config = parse_config(sys.argv[1:] if argv is None else argv)
     try:
+        config = parse_config(sys.argv[1:] if argv is None else argv)
         check_outputs(config)
         if config.figure is not None:
             columns, rows = emit_figure_data(config.figure, config)
@@ -613,8 +597,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"bgcsim: error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"bgcsim: error: out of memory: {exc}", file=sys.stderr)
+        return 2
     return 0 if all_ok else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

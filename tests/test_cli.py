@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import bgcsim.bounds as bounds
 import bgcsim.cli as cli
 from bgcsim.cli import (
+    ConfigError,
     CorrectnessFailure,
     ExperimentConfig,
     emit_figure_data,
@@ -45,40 +46,6 @@ def test_parse_flagship_configuration():
     assert config.adversary == "none"
 
 
-def test_missing_required_flag_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as exit_info:
-        parse_config(["--u", "1", "--p", "8", "--d", "1"])
-    assert exit_info.value.code == 2
-    assert "--s" in capsys.readouterr().err
-
-
-def test_unknown_flag_rejected(capsys):
-    with pytest.raises(SystemExit):
-        parse_config(["--s", "1", "--u", "1", "--p", "8", "--d", "1", "--bogus", "3"])
-    assert "--bogus" in capsys.readouterr().err
-
-
-def test_invalid_params_reported_with_key(capsys):
-    with pytest.raises(SystemExit):
-        parse_config(["--s", "1", "--u", "1", "--m", "2", "--p", "7", "--d", "1"])
-    assert "divide p" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("trials", ["0", "-3"])
-def test_trials_below_one_is_usage_error(capsys, trials):
-    with pytest.raises(SystemExit) as exit_info:
-        main(["--s", "2", "--u", "1", "--p", "8", "--d", "2", "--trials", trials])
-    assert exit_info.value.code == 2
-    assert "--trials must be at least 1" in capsys.readouterr().err
-
-
-def test_negative_seed_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as exit_info:
-        main(["--s", "2", "--u", "1", "--p", "8", "--d", "2", "--seed", "-1"])
-    assert exit_info.value.code == 2
-    assert "--seed must be non-negative" in capsys.readouterr().err
-
-
 def test_sweep_expansion_recomputes_n():
     config = parse_config(
         ["--s", "10", "--u", "1", "--p", "16", "--d", "1", "--sweep", "u=1..11"]
@@ -92,25 +59,6 @@ def test_sweep_expansion_recomputes_n():
 def test_sweep_list_form():
     config = parse_config(["--s", "2", "--u", "1", "--p", "8", "--d", "1", "--sweep", "p=8,16,32"])
     assert [pt.p for pt in expand_sweep(config)] == [8, 16, 32]
-
-
-def test_explicit_n_must_match_every_point(capsys):
-    with pytest.raises(SystemExit):
-        parse_config(
-            ["--s", "2", "--u", "1", "--n", "3", "--p", "8", "--d", "1", "--sweep", "u=1..3"]
-        )
-    assert "contradicts" in capsys.readouterr().err
-
-
-def test_config_file_n_contradicting_m_s_u_is_one_line_error(tmp_path, capsys):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"s": 2, "u": 1, "m": 2, "p": 8, "d": 1, "n": 3}))
-    with pytest.raises(SystemExit) as exit_info:
-        main(["--config", str(config)])
-    assert exit_info.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.count("\n") == 1
-    assert captured.err.startswith("bgcsim: error: n=3 contradicts m*(s+u)=6")
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -140,14 +88,6 @@ def test_in_process_calls_print_the_bytes_of_fresh_ones(tmp_path, capsys):
         for argv in calls
     ]
     assert in_process == fresh and fresh[0] != fresh[1]
-
-
-def test_config_file_unknown_keys_rejected(tmp_path, capsys):
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({"s": 2, "u": 1, "p": 8, "d": 1, "bogus": 1}))
-    with pytest.raises(SystemExit):
-        parse_config(["--config", str(path)])
-    assert "bogus" in capsys.readouterr().err
 
 
 def test_run_experiments_zero_overhead_row():
@@ -384,7 +324,7 @@ def test_golden_figures(capsys, argv, digest):
     "argv, csv_digest, dump_digest", GOLDEN_FLIPFLOP_ALPHABETS, ids=["q3", "q65521", "q2^31+1", "q2^32"]
 )
 def test_golden_flipflop_alphabets(tmp_path, argv, csv_digest, dump_digest):
-    test_golden_wide_blocks(tmp_path, argv, csv_digest, dump_digest)
+    test_golden_runs(tmp_path, argv, csv_digest, dump_digest)
     if argv[argv.index("--q") + 1] == "3":
         kinds = b"".join(path.read_bytes() for path in (tmp_path / "dump").iterdir())
         assert b'"kind":"label"' in kinds and b'"kind":"commit"' in kinds
@@ -410,34 +350,20 @@ def test_golden_commit_rounds(tmp_path, argv, csv_digest, dump_digest):
 
 
 @pytest.mark.parametrize(
-    "argv, csv_digest, dump_digest", GOLDEN_WIDE, ids=["symmetrization-tail", "flipflop-m4"]
+    "argv, csv_digest, dump_digest",
+    GOLDEN_WIDE + GOLDEN_CHUNKED + GOLDEN_ACCUMULATORS + GOLDEN_NARROW,
+    ids=[
+        "wide-symmetrization-tail", "wide-flipflop-m4",
+        "chunked-symmetrization-d5", "chunked-collusive-d3-q2",
+        "accumulator-uint32", "accumulator-uint32-chunks", "accumulator-int64",
+        "narrow-q2^15", "narrow-q2^16", "narrow-q2^16+1", "narrow-q2^17",
+    ],
 )
-def test_golden_wide_blocks(tmp_path, argv, csv_digest, dump_digest):
+def test_golden_runs(tmp_path, argv, csv_digest, dump_digest):
     out, dump = tmp_path / "rows.csv", tmp_path / "dump"
     assert main(argv + ["--out", str(out), "--dump-transcripts", str(dump)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_digest
     assert _dump_digest(dump) == dump_digest
-
-
-@pytest.mark.parametrize(
-    "argv, csv_digest, dump_digest", GOLDEN_CHUNKED, ids=["symmetrization-d5", "collusive-d3-q2"]
-)
-def test_golden_chunked_blocks(tmp_path, argv, csv_digest, dump_digest):
-    test_golden_wide_blocks(tmp_path, argv, csv_digest, dump_digest)
-
-
-@pytest.mark.parametrize(
-    "argv, csv_digest, dump_digest", GOLDEN_ACCUMULATORS, ids=["uint32", "uint32-chunks", "int64"]
-)
-def test_golden_accumulator_edges(tmp_path, argv, csv_digest, dump_digest):
-    test_golden_wide_blocks(tmp_path, argv, csv_digest, dump_digest)
-
-
-@pytest.mark.parametrize(
-    "argv, csv_digest, dump_digest", GOLDEN_NARROW, ids=["q2^15", "q2^16", "q2^16+1", "q2^17"]
-)
-def test_golden_narrow_truth(tmp_path, argv, csv_digest, dump_digest):
-    test_golden_wide_blocks(tmp_path, argv, csv_digest, dump_digest)
 
 
 def test_golden_table_file(tmp_path, monkeypatch):
@@ -625,49 +551,89 @@ def test_unreadable_table_file_is_one_line_error(tmp_path, capsys, text):
     assert captured.err.startswith("bgcsim: error: cannot read table file")
 
 
-@pytest.mark.parametrize(
-    "entry, message",
-    [
-        ({"trials": "5"}, "'trials' must be an integer"),
-        ({"s": "2"}, "'s' must be an integer"),
-        ({"trials": 2.5}, "'trials' must be an integer"),
-        ({"s": True}, "'s' must be an integer"),
-        ({"adversary": 3}, "'adversary' must be a string"),
-    ],
-)
-def test_config_file_value_types_checked(tmp_path, capsys, entry, message):
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({"s": 2, "u": 1, "p": 8, "d": 2, "trials": 1, **entry}))
-    with pytest.raises(SystemExit) as exit_info:
-        main(["--config", str(path)])
-    assert exit_info.value.code == 2
-    assert f"bgcsim: error: config key {message}" in capsys.readouterr().err
-
-
 _SMALL = ["--s", "1", "--u", "1", "--p", "4", "--d", "1", "--trials", "1"]
+_SMALL_CONFIG = {"s": 1, "u": 1, "p": 4, "d": 1, "trials": 1}  # the same, as a config file
+_FIG1 = ["--s", "2", "--u", "1", "--p", "4", "--d", "1", "--figure", "fig1"]
+# --figure with each simulation-only key, as a flag and in the config file.
+_SIMULATION_ONLY = {
+    "sweep": ("--sweep", "u=1..3"),
+    "adversary": ("--adversary", "flipflop"),
+    "trials": ("--trials", 5),
+    "seed": ("--seed", 3),
+    "dump_transcripts": ("--dump-transcripts", "never"),
+}
+_TYPE_ERRORS = [  # config-file values of the wrong type: (key, value, what the key takes)
+    ("trials", "5", "an integer"),
+    ("s", "2", "an integer"),
+    ("trials", 2.5, "an integer"),
+    ("s", True, "an integer"),
+    ("adversary", 3, "a string"),
+]
 
 
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        (["--s", "x", "--u", "1", "--p", "4", "--d", "1"], "argument --s: invalid int value: 'x'"),
-        (["--s", "1", "--u", "1", "--d", "1"], "missing required parameter: --p"),
-        (_SMALL + ["--format", "xml"], "argument --format: invalid choice: 'xml'"),
-        (None, "unknown config keys: ['bogus']"),
-    ],
-    ids=["not-an-int", "missing-p", "bad-format", "unknown-config-key"],
-)
-def test_usage_errors_are_one_line(tmp_path, capsys, argv, message):
-    if argv is None:
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"s": 1, "u": 1, "p": 4, "d": 1, "bogus": 1}))
-        argv = ["--config", str(config)]
-    with pytest.raises(SystemExit) as exit_info:
-        main(argv)
-    assert exit_info.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(f"bgcsim: error: {message}") and captured.err.count("\n") == 1
+def _usage_error(case, message, argv, config=None):
+    return pytest.param(argv, config, message, id=case)
+
+
+# (argv, config file object or None, the start of the one error line).  A
+# config file is written to config.json and passed last, with --config.
+_USAGE_ERRORS = [
+    _usage_error("not-an-int", "argument --s: invalid int value: 'x'", ["--s", "x", *_SMALL[2:]]),
+    _usage_error("missing-s", "missing required parameter: --s", ["--u", "1", "--p", "8", "--d", "1"]),
+    _usage_error("missing-p", "missing required parameter: --p", ["--s", "1", "--u", "1", "--d", "1"]),
+    _usage_error("unknown-flag", "unrecognized arguments: --bogus 3", _SMALL + ["--bogus", "3"]),
+    _usage_error("n-flag", "unrecognized arguments: --n 3", _SMALL + ["--n", "3"]),
+    _usage_error("bad-format", "argument --format: invalid choice: 'xml'", _SMALL + ["--format", "xml"]),
+    _usage_error("invalid-params", "m must divide p: got p=7, m=2", _SMALL + ["--m", "2", "--p", "7"]),
+    _usage_error("trials-0", "--trials must be at least 1: got 0", _SMALL + ["--trials", "0"]),
+    _usage_error("trials-negative", "--trials must be at least 1: got -3", _SMALL + ["--trials", "-3"]),
+    _usage_error("seed-negative", "--seed must be non-negative: got -1", _SMALL + ["--seed", "-1"]),
+    _usage_error(
+        "sweep-axis", f"sweep axis must be one of {cli.SWEEP_AXES}: got 'x'", _SMALL + ["--sweep", "x=1..2"]
+    ),
+    _usage_error("unknown-config-key", "unknown config keys: ['bogus']", [], {**_SMALL_CONFIG, "bogus": 1}),
+    _usage_error("n-config-key", "unknown config keys: ['n']", [], {**_SMALL_CONFIG, "n": 3}),
+    *(
+        _usage_error(f"config-{key}-{type(value).__name__}", message, [], {**_SMALL_CONFIG, key: value})
+        for key, value, kind in _TYPE_ERRORS
+        for message in [f"config key {key!r} must be {kind}"]
+    ),
+    *(
+        _usage_error(f"figure-{key}-{source}", message, *argv_config)
+        for key, (flag, value) in sorted(_SIMULATION_ONLY.items())
+        for message in [f"--figure runs no simulation and takes no {flag}"]
+        for source, argv_config in [("flag", (_FIG1 + [flag, str(value)],)), ("config-file", (_FIG1, {key: value}))]
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, config, message", _USAGE_ERRORS)
+def test_usage_errors_are_one_line(tmp_path, capsys, monkeypatch, argv, config, message):
+    # Every usage error is main's return value 2 with one line on standard
+    # error and nothing on standard output, before any trial runs or any
+    # output path is made; parse_config raises it as a ConfigError.
+    _no_trials(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        Path("config.json").write_text(json.dumps(config))
+        argv = argv + ["--config", "config.json"]
+    with pytest.raises(ConfigError) as error:
+        parse_config(argv)
+    assert str(error.value).startswith(message)
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"bgcsim: error: {error.value}\n")
+    assert "\n" not in str(error.value)
+    assert [path.name for path in tmp_path.iterdir()] == (["config.json"] if config else [])
+
+
+def test_out_of_memory_is_one_line_error(capsys, monkeypatch):
+    def no_memory(*args):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(cli, "random_gradients", no_memory)  # never really allocates
+    assert main(_SMALL) == 2
+    expected = "bgcsim: error: out of memory: Unable to allocate 7.28 TiB for an array\n"
+    assert capsys.readouterr() == ("", expected)
 
 
 def test_help_still_prints_usage(capsys):
@@ -897,64 +863,6 @@ def test_infeasible_symmetrization_rejected_before_any_trial(capsys, monkeypatch
     assert err.count("\n") == 1 and "floor(6/1) = 6 > 4/1 = 4" in err
 
 
-_SIMULATION_ONLY = {
-    "sweep": ("--sweep", "u=1..3"),
-    "adversary": ("--adversary", "flipflop"),
-    "trials": ("--trials", "5"),
-    "seed": ("--seed", "3"),
-    "dump_transcripts": ("--dump-transcripts", None),
-}
-
-
-@pytest.mark.parametrize("source", ["flag", "config-file"])
-@pytest.mark.parametrize("key", sorted(_SIMULATION_ONLY))
-def test_figure_rejects_simulation_only_keys(tmp_path, capsys, monkeypatch, key, source):
-    _no_trials(monkeypatch)
-    flag, value = _SIMULATION_ONLY[key]
-    dump = tmp_path / "never"
-    value = str(dump) if value is None else value
-    argv = ["--s", "2", "--u", "1", "--p", "4", "--d", "1", "--figure", "fig1"]
-    if source == "flag":
-        argv += [flag, value]
-    else:
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({key: int(value) if key in ("trials", "seed") else value}))
-        argv += ["--config", str(config)]
-    with pytest.raises(SystemExit) as exit_info:
-        main(argv)
-    assert exit_info.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.count("\n") == 1
-    assert captured.err.startswith("bgcsim: error: --figure") and flag in captured.err
-    assert not dump.exists()
-
-
-@pytest.mark.parametrize("source", ["flag", "config-file"])
-def test_fig1_rejects_pinned_n(tmp_path, capsys, source):
-    # fig1 sweeps u = 1..s+1, so n = m*(s+u) cannot stay pinned at any value.
-    argv = ["--s", "2", "--u", "1", "--p", "4", "--d", "1", "--figure", "fig1"]
-    if source == "flag":
-        argv += ["--n", "3"]
-    else:
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"n": 3}))
-        argv += ["--config", str(config)]
-    with pytest.raises(SystemExit) as exit_info:
-        main(argv)
-    assert exit_info.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.count("\n") == 1
-    assert captured.err.startswith("bgcsim: error: --figure fig1") and "--n" in captured.err
-
-
-def test_pinned_n_still_allowed_where_the_figure_keeps_it(capsys):
-    argv = ["--s", "2", "--u", "1", "--p", "8", "--d", "1", "--figure", "appendixF-ratio"]
-    assert main(argv) == 0
-    derived = capsys.readouterr().out
-    assert main(argv + ["--n", "3"]) == 0
-    assert capsys.readouterr().out == derived
-
-
 def test_fig1_reduction_values():
     config = ExperimentConfig(s=10, u=1, p=10**4, d=10**6, q=65536)
     columns, rows = emit_figure_data("fig1", config)
@@ -1098,7 +1006,7 @@ _VALUES = {
     "p": st.integers(-1, 16),
     "d": st.integers(0, 3),
     "q": st.sampled_from([-1, 1, 2, 3, 65536, 2**32, 2**32 + 1, 2**62, 2**64]),
-    "n": st.integers(-1, 12),
+    "n": st.integers(-1, 12),  # n is derived: --n and "n" are an unknown flag and key
     "seed": st.sampled_from([-1, 0, 1, 2**64, 2**70]),
     "trials": st.integers(-1, 3),
     "adversary": st.one_of(
