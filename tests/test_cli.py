@@ -68,6 +68,15 @@ def test_config_file_with_flag_override(tmp_path):
     assert config.s == 2 and config.trials == 9
 
 
+def test_config_file_unknown_keys_rejected(tmp_path):
+    # A library caller gets one ConfigError naming every unknown key, sorted,
+    # even when the file also holds valid keys and flags would override them.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"s": 2, "u": 1, "p": 8, "d": 1, "zeta": 0, "bogus": 1}))
+    with pytest.raises(ConfigError, match=r"^unknown config keys: \['bogus', 'zeta'\]$"):
+        parse_config(["--config", str(path), "--trials", "9"])
+
+
 def test_in_process_calls_print_the_bytes_of_fresh_ones(tmp_path, capsys):
     # One argument parser serves every call in a process: a config file read
     # by one call must leave nothing behind for the next, flags-only, call.
