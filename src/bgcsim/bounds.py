@@ -16,7 +16,7 @@ import numpy as np
 
 from .adversary import TableAdversary, attacked_world, flip_world
 from .core import SchemeParams, full_gradient
-from .protocol import Metrics, ProtocolRun, Transcript
+from .protocol import EliminationEvent, Message, Metrics, OracleCall, ProtocolRun, Transcript
 
 
 def local_comp_lower(params: SchemeParams) -> int:
@@ -159,21 +159,24 @@ def verify_run(params: SchemeParams, truth, malicious, ghat, transcript: Transcr
 
     The contract: the decoded gradient is the exact full gradient, no honest
     worker is eliminated, and every oracle call eliminates at least u
-    workers for backing a wrong value at the computed index.
+    workers for backing a wrong value: the wrong_value records that
+    directly follow the call in the transcript's log.
     """
     problems = []
-    if ghat is None or ghat.tolist() != full_gradient(truth, params.q).tolist():
+    if ghat.tolist() != full_gradient(truth, params.q).tolist():
         problems.append("decode mismatch")
     framed = transcript.eliminated_workers() - set(malicious)
     if framed:
         problems.append(f"honest workers eliminated: {sorted(framed)}")
-    for call in transcript.oracle_calls:
-        wiped = sum(
-            len(event.workers)
-            for event in transcript.eliminations
-            if (event.t, event.group, event.index, event.reason)
-            == (call.t, call.group, call.index, "wrong_value")
-        )
+    events = transcript.events
+    for at, call in enumerate(events):
+        if type(call) is not OracleCall:
+            continue
+        wiped = 0
+        for event in events[at + 1 :]:
+            if type(event) is not EliminationEvent or event.reason != "wrong_value":
+                break
+            wiped += len(event.workers)
         if wiped < params.u:
             problems.append(f"oracle call at index {call.index} eliminated {wiped} < u workers")
     return problems
@@ -182,16 +185,14 @@ def verify_run(params: SchemeParams, truth, malicious, ghat, transcript: Transcr
 class Trial(NamedTuple):
     """One executed run and both checks of it."""
 
-    ghat: np.ndarray  # None when an oracle budget truncated the run before decoding
+    ghat: np.ndarray
     metrics: Metrics
     transcript: Transcript
     breaches: list  # verify_run: the per-run contract
     violations: list  # check_compliance: the T, c and kappa bounds
 
 
-def run_trial(
-    params: SchemeParams, truth, adversary, rng=None, *, oracle_budget: int = None
-) -> Trial:
+def run_trial(params: SchemeParams, truth, adversary, rng=None) -> Trial:
     """Instantiate ``adversary`` with ``rng``, execute one run and check it.
 
     The one per-run entry point: the CLI, the tests and the converse
@@ -199,7 +200,7 @@ def run_trial(
     caller decides what a breach or a violation means.
     """
     responder = adversary.instantiate(params, truth, rng)
-    run = ProtocolRun(params, truth, responder, oracle_budget=oracle_budget)
+    run = ProtocolRun(params, truth, responder)
     ghat, metrics, transcript = run.execute()
     breaches = verify_run(params, truth, responder.malicious, ghat, transcript)
     violations = check_compliance(params, metrics, transcript)
@@ -251,44 +252,48 @@ class Witness:
         return not np.array_equal(self.full_gradient_1, self.full_gradient_2)
 
 
-def decoder_input(table, transcript: Transcript) -> bytes:
-    """Everything the decoder sees: claimed values, messages, computed gradients."""
+def decoder_input(table, transcript: Transcript, budget: int) -> bytes:
+    """What the decoder sees of a run's log cut just before its (budget+1)-th oracle call.
+
+    That is the claimed values, the messages and the computed gradients."""
+    messages, computed = [], list(transcript.oracle_values)[:budget]
+    for event in transcript.events:
+        if type(event) is OracleCall and event.index not in computed:
+            break
+        if type(event) is Message:
+            messages.append(list(event))
     payload = {
-        "messages": [list(m) for m in transcript.messages],
-        "computed": transcript.computed_indices(),
-        "values": [v.tolist() for v in transcript.oracle_values.values()],
+        "messages": messages,
+        "computed": computed,
+        "values": [transcript.oracle_values[index].tolist() for index in computed],
     }
     return table.to_bytes() + json.dumps(payload, separators=(",", ":")).encode()
 
 
 def indistinguishability_check(params: SchemeParams, budget: int, seed=0) -> Witness:
-    """Run the scheme truncated at ``budget`` local computations in two worlds.
+    """Run the scheme in two worlds, each cut before its (budget+1)-th local computation.
 
-    The worlds share one symmetrization table.  Whatever indices the
-    truncated run computes, at least one planted index is left over (the
+    The worlds share one symmetrization table.  Whatever indices the run
+    computes within the budget, at least one planted index is left over (the
     budget is below floor(s/u)); flipping the truth there changes the full
-    gradient without changing anything the decoder can see.
+    gradient without changing anything the decoder sees before the cut.
     """
     n_dev = params.s // params.u
     if budget >= n_dev:
         raise ValueError(f"no witness guaranteed at budget {budget} >= floor(s/u)={n_dev}")
     world1, indices = attacked_world(params, np.random.default_rng(seed))
     table = world1.table
-    transcript1 = run_trial(
-        params, world1.truth, TableAdversary(table, world1.malicious), oracle_budget=budget
-    ).transcript
-    computed = set(transcript1.computed_indices())
+    transcript1 = run_trial(params, world1.truth, TableAdversary(table, world1.malicious)).transcript
+    computed = set(transcript1.computed_indices()[:budget])
     flip = min(i for i in indices if i not in computed)
 
     world2 = flip_world(params, world1.truth, table, flip)
-    transcript2 = run_trial(
-        params, world2.truth, TableAdversary(table, world2.malicious), oracle_budget=budget
-    ).transcript
+    transcript2 = run_trial(params, world2.truth, TableAdversary(table, world2.malicious)).transcript
 
     witness = Witness(
         flip_index=flip,
-        decoder_input_1=decoder_input(table, transcript1),
-        decoder_input_2=decoder_input(table, transcript2),
+        decoder_input_1=decoder_input(table, transcript1, budget),
+        decoder_input_2=decoder_input(table, transcript2, budget),
         full_gradient_1=full_gradient(world1.truth, params.q),
         full_gradient_2=full_gradient(world2.truth, params.q),
     )

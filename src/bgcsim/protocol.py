@@ -29,7 +29,7 @@ Accounting rules:
   - every worker, honest or malicious, is asked each query through one
     reply path, which charges the message (initial d symbols, label 1
     symbol, commit 1 bit) whatever comes back: it appends it to the
-    message log and adds its t >= 1 symbols and bits to exact counters,
+    event log and adds its t >= 1 symbols and bits to exact counters,
     which kappa is computed from.  An honest worker is a worker with no
     deviations: its answer comes from the honest table, which reduces
     every answer mod q, so it is not checked.  A malicious worker's answer
@@ -89,25 +89,24 @@ class ProtocolError(RuntimeError):
     """Internal invariant violated; indicates a bug, not adversary behaviour."""
 
 
-class _BudgetExhausted(Exception):
-    pass
-
-
 @dataclass
 class Transcript:
-    """Everything a run transmitted, computed and decided, in order."""
+    """Everything a run transmitted, computed and decided, logged in ``events`` in the order it happened.
 
-    messages: list = field(default_factory=list)
+    ``messages``, ``oracle_calls`` and ``eliminations`` are read-only views of that one log."""
+
+    events: list = field(default_factory=list)
     kappa_symbols: int = 0  # symbols and bits of the t >= 1 messages, counted as charged
     kappa_bits: int = 0
-    oracle_calls: list = field(default_factory=list)
     oracle_values: dict = field(default_factory=dict)  # gradient index -> full vector, in call order
-    eliminations: list = field(default_factory=list)
     group_rounds: dict = field(default_factory=dict)
-    truncated: bool = False
+
+    messages = property(lambda self: [event for event in self.events if type(event) is Message])
+    oracle_calls = property(lambda self: [event for event in self.events if type(event) is OracleCall])
+    eliminations = property(lambda self: [event for event in self.events if type(event) is EliminationEvent])
 
     def computed_indices(self) -> list:
-        return [call.index for call in self.oracle_calls]
+        return list(self.oracle_values)
 
     def eliminated_workers(self) -> set:
         out = set()
@@ -154,7 +153,7 @@ def metrics_from_transcript(params: SchemeParams, transcript: Transcript) -> Met
     kappa = transcript.kappa_symbols + transcript.kappa_bits / math.log2(params.q)  # bits at 1/log2(q) symbols
     T = max(transcript.group_rounds.values(), default=0)
     r = Fraction(params.group_size)
-    return _record(Metrics, (T, len(transcript.oracle_calls), r, kappa, params.n * params.d + kappa))
+    return _record(Metrics, (T, len(transcript.oracle_values), r, kappa, params.n * params.d + kappa))
 
 
 @dataclass
@@ -178,7 +177,6 @@ class ProtocolRun:
         truth: np.ndarray,
         responder,
         rng: np.random.Generator = None,  # unread; perfbench/child.py's replay still passes it
-        oracle_budget: int = None,
     ):
         if len(responder.malicious) > params.s:
             raise ValueError(
@@ -186,7 +184,6 @@ class ProtocolRun:
             )
         self.params = params
         self.responder = responder
-        self.oracle_budget = oracle_budget
         self.transcript = Transcript(group_rounds={g: 0 for g in range(1, params.m + 1)})
         self._resolved = {}  # group -> surviving value, shape (d,)
         self._eliminated = set()  # every worker eliminated so far, in any group
@@ -201,7 +198,7 @@ class ProtocolRun:
 
     def _eliminate(self, t, group, workers, reason, index=0):
         if workers:
-            self.transcript.eliminations.append(
+            self.transcript.events.append(
                 _record(EliminationEvent, (t, group, tuple(sorted(workers)), reason, index))
             )
             self._eliminated.update(workers)
@@ -221,7 +218,7 @@ class ProtocolRun:
         if symbols is None:
             symbols = self.params.d
         transcript = self.transcript
-        transcript.messages.append(_record(Message, (t, group, worker, kind, symbols, bits)))
+        transcript.events.append(_record(Message, (t, group, worker, kind, symbols, bits)))
         if t >= 1:
             transcript.kappa_symbols += symbols
             transcript.kappa_bits += bits
@@ -369,12 +366,9 @@ class ProtocolRun:
         """
         vec = self.transcript.oracle_values.get(index)
         if vec is None:
-            if self.oracle_budget is not None and len(self.transcript.oracle_calls) >= self.oracle_budget:
-                self.transcript.truncated = True
-                raise _BudgetExhausted
             t = self.transcript.group_rounds[group]
             vec = self.transcript.oracle_values[index] = self.truth[index - 1].copy()
-            self.transcript.oracle_calls.append(_record(OracleCall, (t, group, index, coord)))
+            self.transcript.events.append(_record(OracleCall, (t, group, index, coord)))
         return int(vec[coord - 1])
 
     def elimination_tournament(self, group: int, subsets: list) -> ConsistentSubset:
@@ -384,10 +378,14 @@ class ProtocolRun:
         both claims have at least u backers the leaf is settled locally and
         every backer of a wrong value is removed.  Eliminated workers leave
         their subsets at the end of each iteration, and subsets falling
-        below u members drop out.
+        below u members drop out.  Invariant: a group plays at most s+1-u
+        matches, as scheme_upper_bounds proves; more than one subset left
+        after them, or none, is a ProtocolError, never a hang.
         """
         u = self.params.u
-        while len(subsets) > 1:
+        for _ in range(self.params.s + 1 - u):
+            if len(subsets) < 2:
+                break
             subsets.sort(key=lambda sub: sub.workers[0])
             sub1, sub2 = subsets[0], subsets[1]
             outcome = self.match(group, sub1, sub2)
@@ -410,8 +408,8 @@ class ProtocolRun:
             for sub in subsets:
                 sub.workers = [j for j in sub.workers if j not in self._eliminated]
             subsets = [sub for sub in subsets if len(sub.workers) >= u]
-        if not subsets:
-            raise ProtocolError(f"group {group} lost every consistent subset")
+        if len(subsets) != 1:
+            raise ProtocolError(f"group {group} ends its at most s+1-u matches with {len(subsets)} consistent subsets")
         return subsets[0]
 
     def decode(self) -> np.ndarray:
@@ -426,11 +424,6 @@ class ProtocolRun:
 
     def execute(self):
         pending = self.build_subsets(self.initial_round())
-        ghat = None
-        try:
-            for g in sorted(pending):
-                self._resolved[g] = self.elimination_tournament(g, pending[g]).value
-            ghat = self.decode()
-        except _BudgetExhausted:
-            pass
-        return ghat, metrics_from_transcript(self.params, self.transcript), self.transcript
+        for g in sorted(pending):
+            self._resolved[g] = self.elimination_tournament(g, pending[g]).value
+        return self.decode(), metrics_from_transcript(self.params, self.transcript), self.transcript

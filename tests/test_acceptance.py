@@ -109,7 +109,7 @@ def test_criterion_1_exact_recovery(run_and_check):
 
 def test_criterion_2_computation_optimality():
     """Worst-case c equals floor(s/u) exactly on the u-sweep, and below that
-    budget a two-world witness defeats the truncated scheme every time."""
+    budget a two-world witness defeats the scheme cut at the budget every time."""
     with criterion(2, "computation optimality and converse witnesses"):
         config = ExperimentConfig(
             s=10, u=1, p=16, d=1, q=Q16, trials=200, seed=2024,

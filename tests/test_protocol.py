@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -20,8 +21,9 @@ from bgcsim.adversary import (
     symmetrization_attack,
 )
 from bgcsim.bounds import Trial, run_trial, scheme_upper_bounds, verify_run
+from bgcsim.cli import main
 from bgcsim.core import SchemeParams, full_gradient, random_gradients, wide_rows
-from bgcsim.protocol import EliminationEvent, Message, OracleCall, ProtocolRun, metrics_from_transcript
+from bgcsim.protocol import EliminationEvent, Message, OracleCall, ProtocolError, ProtocolRun, metrics_from_transcript
 from adversaries import RAISE, PlantedCoalitions, deviation_table, malformed_answers, scheme_params, spread_coalitions
 from test_acceptance import ADVERSARIES, GRID, _grid_params
 
@@ -293,17 +295,6 @@ def test_deterministic_transcripts(run_and_check):
     assert runs[0][1] == runs[1][1]
 
 
-def test_budget_truncation_skips_decode():
-    params = SchemeParams(s=1, u=1, m=1, p=4, d=1, q=Q16)
-    truth = random_gradients(params, 41)
-    ghat, metrics, transcript, _, _ = run_trial(
-        params, truth, SymmetrizationAdversary(), rng=np.random.default_rng(41), oracle_budget=0
-    )
-    assert ghat is None
-    assert transcript.truncated
-    assert metrics.c == 0
-
-
 def test_kappa_recomputed_from_jsonl_export(run_and_check):
     params = SchemeParams(s=2, u=1, m=1, p=8, d=1, q=Q16)
     truth = random_gradients(params, 43)
@@ -357,9 +348,10 @@ def test_records_are_exact_namedtuples_over_the_criterion_1_grid():
                 transcript = trial.transcript
                 assert (trial.breaches, trial.violations) == ([], [])
                 assert type(trial) is Trial and _exact_record(trial)
-                assert all(type(m) is Message and _exact_record(m) for m in transcript.messages)
-                assert all(type(c) is OracleCall and _exact_record(c) for c in transcript.oracle_calls)
-                assert all(type(e) is EliminationEvent and _exact_record(e) for e in transcript.eliminations)
+                assert all(
+                    type(event) in (Message, OracleCall, EliminationEvent) and _exact_record(event)
+                    for event in transcript.events
+                )
 
 
 def test_callback_adversary_receives_exact_query_types(run_and_check):
@@ -433,7 +425,7 @@ def test_match_rejects_identical_responses():
     truth = random_gradients(params, 53)
     run = ProtocolRun(params, truth, NoAdversary().instantiate(params, truth, None))
     z0 = run.initial_round()
-    from bgcsim.protocol import ConsistentSubset, ProtocolError
+    from bgcsim.protocol import ConsistentSubset
 
     twin1 = ConsistentSubset(workers=[1], value=z0[1])
     twin2 = ConsistentSubset(workers=[2], value=z0[2])
@@ -457,6 +449,76 @@ def test_hammer_arbitrary_tables(run_and_check):
         )
         truth = random_gradients(params, rng)
         run_and_check(params, truth, deviation_table(params, truth, rng))
+
+
+def _stuck_tournaments(monkeypatch):
+    """Make every match eliminate nobody; return the list of groups that played a match.
+
+    Each match played is counted, and a tournament running past its bound
+    fails at once, so a missing guard fails these tests instead of hanging.
+    """
+    played = []
+    real_match = ProtocolRun.match
+
+    def match(self, group, sub1, sub2):
+        played.append(group)
+        assert len(played) <= 50, "a tournament played on past its s+1-u match bound"
+        return real_match(self, group, sub1, sub2)
+
+    monkeypatch.setattr(ProtocolRun, "_eliminate", lambda self, *args, **kwargs: None)
+    monkeypatch.setattr(ProtocolRun, "match", match)
+    return played
+
+
+def test_tournament_stops_after_its_match_bound(monkeypatch):
+    # One liar among s+u=4 workers: with nobody ever eliminated, the dispute
+    # never resolves, so the group plays s+1-u=3 matches and the run raises.
+    params = SchemeParams(s=3, u=1, m=1, p=4, d=1, q=Q16)
+    truth = random_gradients(params, 61)
+    table = ClaimedGradientTable(params, truth)
+    table.set(1, 2, truth[1] + 1)
+    played = _stuck_tournaments(monkeypatch)
+    with pytest.raises(ProtocolError, match="group 1 ends its at most s\\+1-u matches with 2 consistent subsets"):
+        run_trial(params, truth, TableAdversary(table, frozenset({1})))
+    assert played == [1] * 3
+
+
+def test_stuck_tournament_is_one_failed_line_from_main(monkeypatch, capsys):
+    played = _stuck_tournaments(monkeypatch)
+    argv = ["--s", "1", "--u", "1", "--p", "4", "--d", "1", "--trials", "3", "--adversary", "symmetrization"]
+    assert main(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines() == [
+        "FAILED: protocol error: group 1 ends its at most s+1-u matches with 2 consistent subsets at point=0 trial=0 seed=0"
+    ]
+    assert played == [1]
+
+
+def test_oracle_call_must_be_directly_followed_by_u_wrong_value_eliminations():
+    # Three rival singletons settle two leaves, so label messages follow the
+    # first oracle call.  Dropping that call's wrong_value records, or moving
+    # them past the next message, leaves the call eliminating nobody.
+    params = SchemeParams(s=3, u=1, m=1, p=4, d=1, q=Q16)
+    truth = random_gradients(params, 19)
+    table = ClaimedGradientTable(params, truth)
+    table.set(1, 2, truth[1] + 1)
+    table.set(3, 2, truth[1] + 2)
+    table.set(2, 3, truth[2] + 3)
+    malicious = frozenset({1, 2, 3})
+    ghat, _, transcript, breaches, _ = run_trial(params, truth, TableAdversary(table, malicious))
+    assert breaches == []
+    events = transcript.events
+    call = next(at for at, event in enumerate(events) if type(event) is OracleCall)
+    stop = call + 1
+    while type(events[stop]) is EliminationEvent and events[stop].reason == "wrong_value":
+        stop += 1
+    assert stop > call + 1
+    wrong, rest = events[call + 1 : stop], events[stop:]
+    later = next(at for at, event in enumerate(rest) if type(event) is Message) + 1
+    expected = [f"oracle call at index {events[call].index} eliminated 0 < u workers"]
+    for edited in (events[: call + 1] + rest, events[: call + 1] + rest[:later] + wrong + rest[later:]):
+        assert verify_run(params, truth, malicious, ghat, dataclasses.replace(transcript, events=edited)) == expected
 
 
 def test_metrics_match_transcript_totals(run_and_check):
