@@ -253,7 +253,7 @@ def symmetrization_attack(
             wrong = _deviated(table.truth[index - 1], params.q, rng)
             table.set(range(chunk * params.u + 1, (chunk + 1) * params.u + 1), index, wrong)
     else:
-        index = int(rng.choice(np.asarray(indices)))
+        index = indices[int(rng.integers(len(indices)))]
         table.set(range(1, params.s + 1), index, _deviated(table.truth[index - 1], params.q, rng))
 
     return table, indices
@@ -310,7 +310,7 @@ def two_case_worlds(params: SchemeParams, rng):
         raise ValueError(f"requires floor(s/u) >= 1: s={params.s}, u={params.u}")
     rng = np.random.default_rng(rng)  # a Generator is used as it is
     world1, indices = attacked_world(params, rng)
-    flip_index = int(rng.choice(np.asarray(indices)))
+    flip_index = indices[int(rng.integers(len(indices)))]
     world2 = flip_world(params, world1.truth, world1.table, flip_index)
     if len(world2.malicious) > params.s:
         raise AssertionError("flipped world exceeds the malicious budget")

@@ -209,10 +209,10 @@ def random_gradients(params: SchemeParams, seed) -> np.ndarray:
     a power-of-two q and no buffered half word, they are read from the raw
     stream: numpy's bounded draw takes one 32-bit half word per value, low
     half first, and its multiply-shift bound keeps the top log2(q) bits
-    without ever rejecting at a power-of-two range.  They are read RAW_SLAB
-    words at a time, only the high 16 bits of each half word for a 16-bit
-    truth, so no 32-bit copy of it is ever held.  An odd count leaves the
-    last high half buffered in the bit generator, as numpy does.
+    without ever rejecting at a power-of-two range.  Each slab of RAW_SLAB
+    words has its half words shifted right by 32 - log2(q) straight into the
+    truth, which is written once, with no 32-bit copy of a 16-bit truth.  An
+    odd count leaves the last high half buffered, as numpy does.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     q, shape = params.q, (params.p, params.d)
@@ -227,15 +227,12 @@ def random_gradients(params: SchemeParams, seed) -> np.ndarray:
         return out.astype(np.uint16) if q <= 2**16 else out
     n = params.p * params.d
     out = np.empty(shape, dtype=np.uint16 if q <= 2**16 else np.uint32)
-    flat, k = out.reshape(-1), 4 // out.itemsize  # k values of out's dtype per half word
+    flat, shift = out.reshape(-1), 33 - q.bit_length()  # 32 - log2(q)
     for i in range(0, n, 2 * RAW_SLAB):
         raw = bits.random_raw(min(RAW_SLAB, (n - i + 1) // 2))
-        np.copyto(flat[i : i + 2 * RAW_SLAB], raw.view(out.dtype)[k - 1 : k * (n - i) : k])
+        np.right_shift(raw.view(np.uint32)[: n - i], shift, out=flat[i : i + 2 * RAW_SLAB], casting="unsafe")
     if n % 2:
         state = bits.state
         state["has_uint32"], state["uinteger"] = 1, int(raw[-1] >> np.uint64(32))
         bits.state = state
-    shift = 8 * out.itemsize + 1 - q.bit_length()  # bits kept - log2(q)
-    if shift:
-        out >>= shift
     return out

@@ -16,13 +16,18 @@ shape reaches which bound:
 ``spread_coalitions`` searches coalitions spread over groups,
 ``deviation_table`` draws random consistent tables, and
 ``malformed_answers`` any answer a malicious worker might send, over the
-configurations of ``scheme_params``.
+configurations of ``scheme_params``.  At tiny configurations ``ChoiceTape``
+and ``worst_runs`` go further: they play every adaptive strategy of every
+size-s coalition.
 """
+
+import itertools
 
 import numpy as np
 from hypothesis import strategies as st
 
 from bgcsim.adversary import ClaimedGradientTable, CommitQuery, InitialQuery, LabelQuery, Responder, TableAdversary
+from bgcsim.bounds import run_trial
 from bgcsim.core import SchemeParams, random_gradients
 
 
@@ -224,3 +229,80 @@ def deviation_table(params: SchemeParams, truth, rng) -> TableAdversary:
         for index, row in zip(block, rows):
             table.set(j, index, row)
     return TableAdversary(table, malicious)
+
+
+def tape_options(params: SchemeParams, query) -> list:
+    """What a choice tape may answer to ``query``: every well-formed answer,
+    then one malformed one.  Every malformed answer of a kind leaves the
+    engine's validation the same way, so None stands for all of them."""
+    if isinstance(query, InitialQuery):
+        return [np.array(v, dtype=np.int64) for v in itertools.product(range(params.q), repeat=params.d)] + [None]
+    if isinstance(query, LabelQuery):
+        return [*range(params.q), None]
+    return [False, True, None]
+
+
+class ChoiceTape:
+    """``malicious`` answer the i-th query any of them is asked with option
+    ``prefix[i]`` of ``tape_options``, and option 0 past the prefix.  The
+    engine is deterministic, so the run is a function of the tape, and
+    ``taken`` records each query's (choice, option count) for the walk."""
+
+    def __init__(self, malicious, prefix=()):
+        self.malicious = frozenset(malicious)
+        self.prefix = list(prefix)
+        self.taken = []
+
+    def instantiate(self, params, truth, rng):
+        def answer(worker, query):
+            at, options = len(self.taken), tape_options(params, query)
+            choice = self.prefix[at] if at < len(self.prefix) else 0
+            self.taken.append((choice, len(options)))
+            return options[choice]
+
+        return Responder(self.malicious, answer)
+
+
+def every_tape(params: SchemeParams, truth, malicious):
+    """(tape, Trial) for every adaptive strategy of ``malicious`` against
+    ``truth``: the choice tapes walked depth-first, the last choice with an
+    option left moving on by one at each step."""
+    prefix = []
+    while True:
+        tape = ChoiceTape(malicious, prefix)
+        yield tape, run_trial(params, truth, tape)
+        taken = tape.taken
+        while taken and taken[-1][0] + 1 == taken[-1][1]:
+            taken.pop()
+        if not taken:
+            return
+        prefix = [choice for choice, _ in taken]
+        prefix[-1] += 1
+
+
+def worst_runs(params: SchemeParams):
+    """(runs, worst T, c, kappa_symbols, kappa_bits) over every choice tape of
+    every size-s malicious set, each maximum taken on its own.  The truth is
+    every array in [0, q)^(p, d) when there are at most 16 of them, else the
+    one drawn from seed 0.  Every run must pass ``verify_run`` and
+    ``check_compliance``; the first that does not raises AssertionError
+    with its truth, malicious set and tape."""
+    if params.q ** (params.p * params.d) <= 16:
+        cells = itertools.product(range(params.q), repeat=params.p * params.d)
+        truths = [np.array(v, dtype=np.int64).reshape(params.p, params.d) for v in cells]
+    else:
+        truths = [random_gradients(params, 0)]
+    runs, worst = 0, (0, 0, 0, 0)
+    for truth in truths:
+        for malicious in itertools.combinations(range(1, params.n + 1), params.s):
+            for tape, trial in every_tape(params, truth, malicious):
+                runs += 1
+                if trial.breaches or trial.violations:
+                    raise AssertionError(
+                        f"{trial.breaches + trial.violations} on truth {truth.tolist()}, "
+                        f"malicious {list(malicious)}, tape {[choice for choice, _ in tape.taken]}"
+                    )
+                t = trial.transcript
+                run = (trial.metrics.T, trial.metrics.c, t.kappa_symbols, t.kappa_bits)
+                worst = tuple(map(max, worst, run))
+    return (runs, *worst)

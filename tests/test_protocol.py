@@ -24,7 +24,15 @@ from bgcsim.bounds import Trial, run_trial, scheme_upper_bounds, verify_run
 from bgcsim.cli import main
 from bgcsim.core import SchemeParams, full_gradient, random_gradients, wide_rows
 from bgcsim.protocol import EliminationEvent, Message, OracleCall, ProtocolError, ProtocolRun, metrics_from_transcript
-from adversaries import RAISE, PlantedCoalitions, deviation_table, malformed_answers, scheme_params, spread_coalitions
+from adversaries import (
+    RAISE,
+    PlantedCoalitions,
+    deviation_table,
+    malformed_answers,
+    scheme_params,
+    spread_coalitions,
+    worst_runs,
+)
 from test_acceptance import ADVERSARIES, GRID, _grid_params
 
 Q16 = 2**16
@@ -565,3 +573,25 @@ def test_spread_coalitions_stay_within_t_and_kappa_upper(case):
     target(kappa_ratio, label="kappa/kappa_upper")
     assert t_ratio <= 1, (trial.metrics.T, t_upper)
     assert trial.violations == [], trial.violations  # kappa is checked on exact counts
+
+
+# (s, u, m, p, d, q) -> (runs, worst T, c, kappa_symbols, kappa_bits) over every
+# adaptive strategy of every size-s coalition, malformed answers included.
+# T_upper and c_upper are reached at each; so is kappa_upper at u = 2, and
+# at u = 1 (no commits) the worst kappa is 2hs.  q = 2 runs every truth.
+EXHAUSTIVE = {
+    (1, 1, 1, 4, 1, 2): (288, 2, 1, 4, 0),
+    (2, 2, 1, 4, 1, 2): (4512, 2, 1, 4, 4),
+    (2, 1, 1, 4, 1, 3): (9984, 4, 2, 8, 0),
+    (2, 2, 1, 4, 1, 3): (1104, 2, 1, 4, 4),
+    (2, 1, 2, 4, 1, 3): (2004, 2, 2, 4, 0),
+}
+
+
+@pytest.mark.parametrize("config", EXHAUSTIVE, ids=lambda config: "-".join(map(str, config)))
+def test_every_adaptive_strategy_at_tiny_configurations(config):
+    """Every run of every choice tape decodes exactly, spares the honest
+    workers and stays within T, c and kappa; the worst case is pinned
+    exactly, so a change that lowers a cost fails too."""
+    s, u, m, p, d, q = config
+    assert worst_runs(SchemeParams(s=s, u=u, m=m, p=p, d=d, q=q)) == EXHAUSTIVE[config]
