@@ -7,8 +7,8 @@ Runs ``worst_runs`` from ``tests/adversaries.py``, the enumerator behind
 ``tests/test_protocol.py::test_every_adaptive_strategy_at_tiny_configurations``:
 choice tapes walked depth-first, malformed answers included, every truth
 where q^(p d) <= 16.  For each configuration it prints the number of runs,
-the worst (T, c, kappa_symbols, kappa_bits), the bounds (c_upper, T_upper,
-kappa_upper) and the wall time.  A run that breaches the per-run contract or
+the worst (T, c, kappa_symbols, kappa_bits), the bounds (T_upper, c_upper,
+kappa_upper) in the same order and the wall time.  A run that breaches the per-run contract or
 a bound stops it with an AssertionError naming the run.
 """
 
@@ -33,7 +33,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("configs", nargs="*", default=CONFIGS, metavar="'s u m p d q'")
     args = parser.parse_args(argv)
-    print("s u m p d q | runs | worst T, c, kappa_symbols, kappa_bits | c_upper, T_upper, kappa_upper | time")
+    print("s u m p d q | runs | worst T, c, kappa_symbols, kappa_bits | T_upper, c_upper, kappa_upper | time")
     for config in args.configs:
         s, u, m, p, d, q = map(int, config.split())
         params = SchemeParams(s=s, u=u, m=m, p=p, d=d, q=q)
@@ -43,7 +43,7 @@ def main(argv=None) -> int:
         c_upper, t_upper, kappa_upper = scheme_upper_bounds(params)
         print(
             f"{config} | {runs} | {', '.join(map(str, worst))} | "
-            f"{c_upper}, {t_upper}, {kappa_upper:.6g} | {elapsed:.1f} s",
+            f"{t_upper}, {c_upper}, {kappa_upper:.6g} | {elapsed:.1f} s",
             flush=True,
         )
     return 0

@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import SchemeParams, as_truth, chunk_sums, column_sums, random_gradients, sum_dtype, wide_rows
+from .core import SchemeParams, as_truth, block_sums, random_gradients, sum_dtype, wide_rows
 
 
 class InitialQuery(NamedTuple):
@@ -57,15 +57,14 @@ class ClaimedGradientTable:
     call ``np.add.reduce``, which skips the ``.sum`` wrapper on this hot path.
 
     Sums of the truth are memoized on first use.  Each block gets a chunk
-    table in one pass: the int64 prefix sums at every boundary of a chunk of
-    CHUNK wide rows (``core.wide_rows``), shape (n_chunks + 1, d), or None
-    in a block shorter than one chunk, and the block sum mod q.  Each label
-    slice sum is kept by (first, stop, coord) (global, half-open); a range of
-    at least one chunk is two prefix entries plus at most two partial
-    chunks, a shorter one is summed directly.
-    ``z0`` and ``label`` add a worker's own deviations on top of them.  A
-    table and its ``honest_twin`` share one memo, so the memo relies on the
-    truth array not changing while any table over it is alive.
+    table from one ``core.block_sums`` pass: the int64 prefix sums at every
+    boundary of a chunk of CHUNK wide rows (``core.wide_rows``), shape
+    (n_chunks + 1, d), or None in a block shorter than one chunk, and the
+    block sum mod q.  Each label slice sum is kept by (first, stop, coord)
+    (global, half-open); a range of at least one chunk is two prefix entries
+    plus at most two partial chunks, a shorter one is summed directly.
+    ``z0`` and ``label`` add a worker's own deviations on top of them, so
+    the memo relies on the truth array not changing while the table is alive.
     """
 
     CHUNK = 16  # wide rows per chunk
@@ -81,12 +80,6 @@ class ClaimedGradientTable:
         self._acc = sum_dtype(self.truth.dtype, self._chunk, params.q)
         self._blocks = [params.block_of_group(g) for g in range(1, params.m + 1)]
         self._group_size = params.group_size  # read on every answer: an attribute, not the property
-
-    def honest_twin(self) -> "ClaimedGradientTable":
-        """A table with no deviations over the same truth, sharing its block list and memo."""
-        twin = object.__new__(ClaimedGradientTable)
-        twin.__dict__.update(self.__dict__, deviations={})
-        return twin
 
     def _block(self, worker: int, index: int = None) -> range:
         """The global gradient indices of ``worker``'s block (checking ``index`` is one)."""
@@ -159,18 +152,11 @@ class ClaimedGradientTable:
         return total % self.params.q
 
     def _chunk_table(self, block: range):
-        """The block's (prefix sums at chunk boundaries, or None with no whole chunk; block sum mod q)."""
+        """The block's ``core.block_sums`` in chunks of CHUNK wide rows, its total reduced mod q."""
         entry = self._sums.get(block.start)
         if entry is None:
-            rows = self.truth[block.start - 1 : block.stop - 1]
-            head = len(rows) - len(rows) % self._chunk
-            prefix = None  # a block with no whole chunk keeps only its sum
-            total = column_sums(rows[head:], self.params.q) if head < len(rows) else 0
-            if head:
-                prefix = np.zeros((head // self._chunk + 1, self.params.d), dtype=np.int64)
-                np.cumsum(chunk_sums(rows, self._chunk, self.params.q), axis=0, out=prefix[1:])
-                total = total + prefix[-1]
-            total = total % self.params.q
+            prefix, total = block_sums(self.truth[block.start - 1 : block.stop - 1], self._chunk, self.params.q)
+            total %= self.params.q
             total.setflags(write=False)
             entry = self._sums[block.start] = (prefix, total)
         return entry
@@ -326,7 +312,11 @@ class Responder:
 
     ``answer(worker, query)`` is only ever called for a controlled worker.
     Responders that answer from a claimed-gradient table also expose it as
-    ``table``.
+    ``table``.  A run over the table's own params and truth array answers
+    its honest workers from that table when none of them has a
+    ``deviations`` entry, so every honest answer is the truth and the run
+    shares the table's memo of truth sums; otherwise it builds a fresh
+    table.
     """
 
     def __init__(self, malicious, answer: Callable):

@@ -150,7 +150,7 @@ def check_compliance(params: SchemeParams, metrics: Metrics, transcript: Transcr
         if _fits(params.q, transcript.kappa_symbols - shape_symbols, shape_bits - transcript.kappa_bits):
             break
     else:
-        problems.append(f"kappa={metrics.kappa} exceeds bound {scheme_upper_bounds(params)[2]}")
+        problems.append(f"kappa={metrics.kappa} exceeds bound {max(kappa for _, _, kappa in shapes)}")
     return problems
 
 
@@ -224,7 +224,7 @@ def disagreement_coverage_check(transcript: Transcript, indices, table) -> bool:
         }
         if len(seen) > 1:
             disputed.add(index)
-    settled = set(transcript.computed_indices())
+    settled = set(transcript.oracle_values)
     settled.update(
         event.index
         for event in transcript.eliminations
@@ -284,7 +284,7 @@ def indistinguishability_check(params: SchemeParams, budget: int, seed=0) -> Wit
     world1, indices = attacked_world(params, np.random.default_rng(seed))
     table = world1.table
     transcript1 = run_trial(params, world1.truth, TableAdversary(table, world1.malicious)).transcript
-    computed = set(transcript1.computed_indices()[:budget])
+    computed = set(list(transcript1.oracle_values)[:budget])
     flip = min(i for i in indices if i not in computed)
 
     world2 = flip_world(params, world1.truth, table, flip)

@@ -6,7 +6,9 @@ q <= 2**16 and uint32 otherwise, as ``as_truth`` checks; claimed values and
 sums are int64, and a sum of the truth accumulates in ``sum_dtype``: the
 truth's own dtype at a power-of-two q, whose wrap is exact mod q, else uint32
 wherever that is exact.  The full gradient is their coordinate-wise sum
-modulo q.  Workers are partitioned into m groups of s+u members each, so
+modulo q.  ``block_sums`` is the one walk that sums rows of the truth, for
+the full gradient and for every block's chunk table (``ClaimedGradientTable``).
+Workers are partitioned into m groups of s+u members each, so
 their number n = m(s+u) is derived, never set; all workers in a group are
 assigned the same block of p/m consecutive gradient indices.  Worker ids and
 gradient indices are 1-based throughout.
@@ -27,7 +29,7 @@ import numpy as np
 # int64, exact mod q, and reach block_size * (q - 1) unless q is a power of
 # two; SchemeParams rejects configurations where that is 2**63 or more.
 MAX_ALPHABET = 2**32
-COLUMN_CHUNK = 256  # wide rows per column_sums chunk: exact uint32 up to q = 2**24
+COLUMN_CHUNK = 256  # wide rows per full_gradient chunk: exact uint32 up to q = 2**24
 RAW_SLAB = 2**15  # 64-bit words per raw read of the truth (2**17 ran as fast, 2**13 slower)
 
 
@@ -160,22 +162,29 @@ def chunk_sums(rows: np.ndarray, chunk: int, q: int) -> np.ndarray:
     return part[:, 0].astype(np.int64)
 
 
-def column_sums(rows: np.ndarray, q: int) -> np.ndarray:
-    """int64 column sums of a (k, d) row slice of a truth (``as_truth``), so C-contiguous.
+def block_sums(rows: np.ndarray, chunk: int, q: int):
+    """(prefix, total): int64 column sums of a (k, d) row slice of a truth (``as_truth``), so C-contiguous.
 
-    Exact mod q, and exact outright unless q is a power of two.  Whole
-    groups of w = wide_rows(d) rows are summed by ``chunk_sums`` in chunks of
-    at most COLUMN_CHUNK of them (about 2**18 elements) and the leftover rows
-    are added.  Short blocks, which the wide view would not speed up, take
-    the plain int64 sum.
+    ``prefix`` is the cumulative sums at every boundary of a whole chunk of
+    ``chunk`` rows (a multiple of w = wide_rows(d)), shape (k // chunk + 1, d),
+    or None when k < chunk; ``total`` sums all k rows.  Both are exact mod q,
+    and exact outright unless q is a power of two.  ``chunk_sums`` sums the
+    whole chunks, then the leftover whole groups of w rows as one more chunk
+    when there are at least two; the last rows take the plain int64 sum.
     """
     k, d = rows.shape
     w = wide_rows(d)
-    if k < 2 * w:
-        return np.add.reduce(rows, axis=0, dtype=np.int64)
-    chunk = w * min(k // w, COLUMN_CHUNK)
     head = k - k % chunk
-    return chunk_sums(rows[:head], chunk, q).sum(axis=0) + column_sums(rows[head:], q)
+    extra = (k - head) // w * w if k - head >= 2 * w else 0
+    total = np.add.reduce(rows[head + extra :], axis=0, dtype=np.int64)
+    if extra:
+        total += chunk_sums(rows[head:], extra, q)[0]
+    prefix = None
+    if head:
+        prefix = np.zeros((head // chunk + 1, d), dtype=np.int64)
+        np.cumsum(chunk_sums(rows, chunk, q), axis=0, out=prefix[1:])
+        total += prefix[-1]
+    return prefix, total
 
 
 def as_truth(truth, q: int) -> np.ndarray:
@@ -197,7 +206,8 @@ def as_truth(truth, q: int) -> np.ndarray:
 
 def full_gradient(gradients, q: int) -> np.ndarray:
     """Coordinate-wise sum modulo q of a (p, d) truth (see ``as_truth``), as int64."""
-    return column_sums(as_truth(gradients, q), q) % q
+    truth = as_truth(gradients, q)
+    return block_sums(truth, COLUMN_CHUNK * wide_rows(truth.shape[1]), q)[1] % q
 
 
 def random_gradients(params: SchemeParams, seed) -> np.ndarray:

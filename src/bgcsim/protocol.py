@@ -105,9 +105,6 @@ class Transcript:
     oracle_calls = property(lambda self: [event for event in self.events if type(event) is OracleCall])
     eliminations = property(lambda self: [event for event in self.events if type(event) is EliminationEvent])
 
-    def computed_indices(self) -> list:
-        return list(self.oracle_values)
-
     def eliminated_workers(self) -> set:
         out = set()
         for event in self.eliminations:
@@ -188,8 +185,9 @@ class ProtocolRun:
         self._resolved = {}  # group -> surviving value, shape (d,)
         self._eliminated = set()  # every worker eliminated so far, in any group
         table = getattr(responder, "table", None)
-        if table is not None and table.params == params and table.truth is truth:
-            self._honest = table.honest_twin()  # one memo of truth sums for both tables
+        shared = table is not None and table.params == params and table.truth is truth
+        if shared and table.deviations.keys() <= responder.malicious:  # no honest worker has an entry
+            self._honest = table  # so every honest answer is the truth: one memo of truth sums
         else:
             self._honest = ClaimedGradientTable(params, truth)  # checks the truth (core.as_truth)
         self.truth = self._honest.truth

@@ -27,7 +27,7 @@ from bgcsim.bounds import (
     scheme_upper_bounds,
 )
 from bgcsim.core import SchemeParams, random_gradients
-from bgcsim.protocol import Transcript, metrics_from_transcript
+from bgcsim.protocol import EliminationEvent, Transcript, metrics_from_transcript
 
 from adversaries import balanced_sizes, deepest_leaf_coalitions
 
@@ -145,7 +145,7 @@ def test_coverage_per_index_attack(run_and_check):
         table, indices = symmetrization_attack(params, truth, rng)
         _, metrics, transcript = run_and_check(params, truth, TableAdversary(table, frozenset({1, 2, 3})))
         assert metrics.c == 3
-        assert set(transcript.computed_indices()) == set(indices)
+        assert set(transcript.oracle_values) == set(indices)
         assert disagreement_coverage_check(transcript, indices, table)
 
 
@@ -165,8 +165,21 @@ def test_coverage_collusive_single_call(run_and_check):
         table, indices = symmetrization_attack(params, truth, rng, mode="collusive")
         _, metrics, transcript = run_and_check(params, truth, TableAdversary(table, frozenset({1, 2, 3, 4})))
         assert metrics.c <= 1
-        assert set(transcript.computed_indices()) <= set(indices)
+        assert set(transcript.oracle_values) <= set(indices)
         assert disagreement_coverage_check(transcript, indices, table)
+
+
+def test_coverage_settled_by_an_undersupported_commit():
+    # A disputed index counts as settled when its backers were eliminated by an
+    # undersized commit, with no local computation at it.
+    params = SchemeParams(s=2, u=1, m=1, p=8, d=1, q=Q16)
+    truth = random_gradients(params, 0)
+    table, indices = symmetrization_attack(params, truth, np.random.default_rng(0))
+    wiped = [EliminationEvent(1, 1, (1,), "undersupported_commit", indices[0])]
+    transcript = Transcript(events=wiped, oracle_values={index: truth[index - 1] for index in indices[1:]})
+    assert disagreement_coverage_check(transcript, indices, table)
+    transcript.events[0] = wiped[0]._replace(reason="wrong_value")
+    assert not disagreement_coverage_check(transcript, indices, table)
 
 
 def test_witness_smallest_instance():
@@ -287,6 +300,22 @@ def test_kappa_at_the_worst_shape_is_decided_exactly(counts, complies):
     assert check_compliance(params, metrics, transcript) == expected
     if counts == (80, 65):
         assert metrics.kappa > kappa_upper  # so no float comparison without a tolerance passes it
+
+
+def test_compliance_names_every_bound_exceeded():
+    params = SchemeParams(s=2, u=1, m=1, p=8, d=1, q=Q16)
+    c_upper, t_upper, kappa_upper = scheme_upper_bounds(params)
+    transcript = Transcript(
+        kappa_symbols=10**6,
+        oracle_values={index: np.zeros(1, dtype=np.int64) for index in range(1, c_upper + 2)},
+        group_rounds={1: t_upper + 1},
+    )
+    metrics = metrics_from_transcript(params, transcript)
+    assert check_compliance(params, metrics, transcript) == [
+        f"c={c_upper + 1} exceeds bound {c_upper}",
+        f"T={t_upper + 1} exceeds bound {t_upper}",
+        f"kappa={metrics.kappa} exceeds bound {kappa_upper}",
+    ]
 
 
 ALPHABETS = [2, 3, 5, 65521, 2**16, 2**31 + 1, 2**32]

@@ -198,7 +198,7 @@ GOLDEN_COMMIT_RUNS = [
     ),
 ]
 
-# Runs whose blocks are long enough for core.column_sums to take its wide-row
+# Runs whose blocks are long enough for core.block_sums to take its wide-row
 # path: (argv, CSV digest, transcript dump digest), recorded before the kernel
 # replaced numpy's plain column sum.  Blocks of 8195 rows at d=3 leave a tail
 # of rows after the last whole group; blocks of 2048 rows at d=16 leave none.
@@ -580,12 +580,13 @@ _TYPE_ERRORS = [  # config-file values of the wrong type: (key, value, what the 
 ]
 
 
-def _usage_error(case, message, argv, config=None):
-    return pytest.param(argv, config, message, id=case)
+def _usage_error(case, message, argv, config=None, table=None):
+    return pytest.param(argv, config, table, message, id=case)
 
 
-# (argv, config file object or None, the start of the one error line).  A
-# config file is written to config.json and passed last, with --config.
+# (argv, config file object or None, table file object or None, the start of
+# the one error line).  A config file is written to config.json and passed
+# last, with --config; a table file is written to table.json.
 _USAGE_ERRORS = [
     _usage_error("not-an-int", "argument --s: invalid int value: 'x'", ["--s", "x", *_SMALL[2:]]),
     _usage_error("missing-s", "missing required parameter: --s", ["--u", "1", "--p", "8", "--d", "1"]),
@@ -599,6 +600,23 @@ _USAGE_ERRORS = [
     _usage_error("seed-negative", "--seed must be non-negative: got -1", _SMALL + ["--seed", "-1"]),
     _usage_error(
         "sweep-axis", f"sweep axis must be one of {cli.SWEEP_AXES}: got 'x'", _SMALL + ["--sweep", "x=1..2"]
+    ),
+    _usage_error("sweep-no-values", "sweep needs the form axis=values: got 'u='", _SMALL + ["--sweep", "u="]),
+    _usage_error("sweep-empty", "empty sweep: 'u=3..1'", _SMALL + ["--sweep", "u=3..1"]),
+    _usage_error("unknown-adversary", "unknown adversary: 'bogus'", _SMALL + ["--adversary", "bogus"]),
+    _usage_error(
+        "table-malicious-out-of-range",
+        "malicious worker ids must be in 1..2: got [9]",
+        _SMALL + ["--adversary", "table:table.json"],
+        table={"malicious": [9]},
+    ),
+    _usage_error("config-list", "config file must hold a JSON object", [], [_SMALL_CONFIG]),
+    _usage_error("config-format", "format must be csv or json: got 'xml'", [], {**_SMALL_CONFIG, "format": "xml"}),
+    _usage_error(  # no simulation-only key beside it: those are checked first
+        "config-figure",
+        f"figure must be one of {cli.FIGURES}: got 'fig2'",
+        [],
+        {"s": 2, "u": 1, "p": 4, "d": 1, "figure": "fig2"},
     ),
     _usage_error("unknown-config-key", "unknown config keys: ['bogus']", [], {**_SMALL_CONFIG, "bogus": 1}),
     _usage_error("n-config-key", "unknown config keys: ['n']", [], {**_SMALL_CONFIG, "n": 3}),
@@ -616,23 +634,28 @@ _USAGE_ERRORS = [
 ]
 
 
-@pytest.mark.parametrize("argv, config, message", _USAGE_ERRORS)
-def test_usage_errors_are_one_line(tmp_path, capsys, monkeypatch, argv, config, message):
+@pytest.mark.parametrize("argv, config, table, message", _USAGE_ERRORS)
+def test_usage_errors_are_one_line(tmp_path, capsys, monkeypatch, argv, config, table, message):
     # Every usage error is main's return value 2 with one line on standard
     # error and nothing on standard output, before any trial runs or any
-    # output path is made; parse_config raises it as a ConfigError.
+    # output path is made; parse_config raises it as a ConfigError, or
+    # make_adversary does when it reads a table file for a sweep point.
     _no_trials(monkeypatch)
     monkeypatch.chdir(tmp_path)
+    files = {name: obj for name, obj in (("config.json", config), ("table.json", table)) if obj is not None}
+    for name, obj in files.items():
+        Path(name).write_text(json.dumps(obj))
     if config is not None:
-        Path("config.json").write_text(json.dumps(config))
         argv = argv + ["--config", "config.json"]
     with pytest.raises(ConfigError) as error:
-        parse_config(argv)
+        parsed = parse_config(argv)
+        for params in expand_sweep(parsed):
+            cli.make_adversary(parsed.adversary, params)
     assert str(error.value).startswith(message)
     assert main(argv) == 2
     assert capsys.readouterr() == ("", f"bgcsim: error: {error.value}\n")
     assert "\n" not in str(error.value)
-    assert [path.name for path in tmp_path.iterdir()] == (["config.json"] if config else [])
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(files)
 
 
 def test_out_of_memory_is_one_line_error(capsys, monkeypatch):
@@ -745,6 +768,25 @@ def test_trial_generators_are_the_list_form(monkeypatch, seed, point, trials):
         for k, rng in enumerate(pair):
             twin, n = np.random.default_rng([seed, point, trial, k]), 2 if trial % 4 == 3 else 3
             assert _same_streams(rng, twin, n) and rng.bit_generator.seed_seq._spawned == n, (trial, k)
+
+
+@pytest.mark.parametrize("seed", [0, 2**32])
+def test_seeded_state_requests_are_the_seed_sequences(seed):
+    # PCG64's request, 4 uint64 words, is served from the batch's hash; any
+    # other goes to numpy's own SeedSequence, before and after a spawn.
+    # Trial 0 asks first, trial 1 spawns first from its batch.
+    point, trials = 3, range(2)
+    prefix = cli._uint32_words(seed) + cli._uint32_words(point)
+    for trial, pair in zip(trials, cli._trial_generators(prefix, trials)):
+        for k, rng in enumerate(pair):
+            seeded, real = rng.bit_generator.seed_seq, np.random.SeedSequence([seed, point, trial, k])
+            if trial:
+                seeded.spawn(2)
+            for _ in range(2):
+                for request in [(8,), (4, np.uint64)]:
+                    got, want = seeded.generate_state(*request), real.generate_state(*request)
+                    assert got.dtype == want.dtype and got.tolist() == want.tolist(), (trial, k, request)
+                seeded.spawn(2)
 
 
 @pytest.mark.parametrize("seed", [0, 2**32, 2**64 + 5])

@@ -15,9 +15,9 @@ from bgcsim.core import (
     RAW_SLAB,
     SchemeParams,
     as_truth,
+    block_sums,
     build_fractional_repetition,
     chunk_sums,
-    column_sums,
     full_gradient,
     random_gradients,
     replication_factor,
@@ -221,7 +221,7 @@ def test_random_gradients_equal_the_int64_draw(q, p, d):
             assert _state(mine) == _state(reference), kind
 
 
-def _reference_column_sums(rows):
+def _reference_sums(rows):
     """Exact column sums on Python ints, as int64."""
     return np.array([sum(col) for col in rows.T.tolist()], dtype=np.int64)
 
@@ -247,20 +247,48 @@ _ROW_SHAPES = st.sampled_from(["empty", "below", "at", "tail", "any"])
 _SUM_QS = [2, 3, 2**16 - 1, 2**16, 2**16 + 1, 2**24, 2**24 + 1, 2**32 - 1, 2**32]
 
 
+def _assert_block_sums(rows, q):
+    """block_sums at the full gradient's and the label table's chunk sizes against Python ints.
+
+    Exact outright unless q is a power of two, and exact mod q then.
+    """
+    k, d = rows.shape
+    w = wide_rows(d)
+
+    def same(got, want):
+        return np.array_equal(got, want) if q & (q - 1) else np.array_equal(got % q, want % q)
+
+    for chunk in (COLUMN_CHUNK * w, ClaimedGradientTable.CHUNK * w):
+        prefix, total = block_sums(rows, chunk, q)
+        assert total.dtype == np.int64 and total.shape == (d,)
+        assert same(total, _reference_sums(rows)), chunk
+        if k < chunk:
+            assert prefix is None, chunk
+            continue
+        starts = range(0, k - chunk + 1, chunk)
+        want = [np.zeros(d, dtype=np.int64), *accumulate(_reference_sums(rows[i : i + chunk]) for i in starts)]
+        assert prefix.dtype == np.int64 and prefix.shape == (k // chunk + 1, d)
+        assert same(prefix, np.array(want)), chunk
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     data=st.data(),
     d=st.integers(1, 40),
+    chunks=st.sampled_from([(0, 0), (1, 16), (2, 16), (1, COLUMN_CHUNK)]),
     shape=_ROW_SHAPES,
     layout=st.sampled_from(["C", "row-slice"]),
     q=st.sampled_from(_SUM_QS),
     values=st.sampled_from(["random", "top", "extremes"]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_column_sums_match_python_int_reference(data, d, shape, layout, q, values, seed):
-    # The kernel's input is a truth (core.as_truth) or a row slice of one, as a block is.
-    w = max(1, 1024 // d)
-    k = _row_count(data, w, shape)
+def test_column_sums_match_python_int_reference(data, d, chunks, shape, layout, q, values, seed):
+    # The kernel's input is a truth (core.as_truth) or a row slice of one, as a block is:
+    # 0, 1 or 2 whole chunks of 16 or COLUMN_CHUNK wide rows, then rows around the
+    # wide-row thresholds.
+    w = wide_rows(d)
+    count, wides = chunks
+    k = count * wides * w + _row_count(data, w, shape)
     rng = np.random.default_rng(seed)
     dtype = np.uint16 if q <= 2**16 else np.uint32
     size = (k + 2 if layout == "row-slice" else k, d)
@@ -272,13 +300,7 @@ def test_column_sums_match_python_int_reference(data, d, shape, layout, q, value
         base = rng.choice(np.array([0, 1, q - 1], dtype=dtype), size=size)
     rows = base[1 : k + 1] if layout == "row-slice" else base
     assert rows.shape == (k, d) and rows.flags.c_contiguous
-    got = column_sums(rows, q)
-    assert got.dtype == np.int64 and got.shape == (d,)
-    expected = _reference_column_sums(rows)
-    if q & (q - 1):  # exact outright
-        assert np.array_equal(got, expected)
-    else:  # exact mod q
-        assert np.array_equal(got % q, expected % q)
+    _assert_block_sums(rows, q)
 
 
 @pytest.mark.parametrize("d, wides, tail", [(3, 16, 7), (4, 1, 0), (1030, 2, 1)])
@@ -311,7 +333,7 @@ def test_chunk_sums_match_plain_sums_across_slabs(d, wides, tail):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_full_gradient_and_block_sums_match_reference(data, d, m, chunks, shape, q, seed):
-    # Blocks of 0, 2 or 3 whole label chunks plus a tail around column_sums' thresholds.
+    # Blocks of 0, 2 or 3 whole label chunks plus a tail around block_sums' thresholds.
     chunk = ClaimedGradientTable.CHUNK * wide_rows(d)
     block = max(2, chunks * chunk + _row_count(data, wide_rows(d), shape))
     params = SchemeParams(s=1, u=1, m=m, p=m * block, d=d, q=q)
@@ -320,13 +342,12 @@ def test_full_gradient_and_block_sums_match_reference(data, d, m, chunks, shape,
     # The drawn truth is uint16 up to q = 2**16 and uint32 above.
     dtype = data.draw(st.sampled_from([np.uint32, np.int64] + [np.uint16] * (q <= 2**16)))
     truth = rng.integers(low, q, size=(params.p, d), dtype=dtype)
-    assert np.array_equal(full_gradient(truth, q), _reference_column_sums(truth) % q)
+    assert np.array_equal(full_gradient(truth, q), _reference_sums(truth) % q)
     table = ClaimedGradientTable(params, truth)
     deviant = 1 + params.group_size * int(rng.integers(m))  # first worker of some group
     index = params.block_of_group(params.group_of_worker(deviant))[int(rng.integers(block))]
     claimed = (truth[index - 1].astype(np.int64) + 1) % q
-    table.set(deviant, index, claimed)
-    twin = table.honest_twin()
+    table.set(deviant, index, claimed)  # every other worker has no deviations
 
     # [lo, hi) ranges (local, 1-based): the whole block, ones that start or end
     # on a chunk boundary, ones inside a chunk, and random ones.
@@ -341,32 +362,32 @@ def test_full_gradient_and_block_sums_match_reference(data, d, m, chunks, shape,
         lo = int(rng.integers(1, block + 1))
         ranges.add((lo, int(rng.integers(lo + 1, block + 2))))
 
-    def check_labels(tab, g):
+    def check_labels(g):
         span = params.block_of_group(g)
         for coord in range(1, d + 1):
             prefix = [0, *accumulate(truth[span.start - 1 : span.stop - 1, coord - 1].tolist())]
             for j in params.workers_of_group(g):
                 for lo, hi in sorted(ranges):
                     expected = prefix[hi - 1] - prefix[lo - 1]
-                    if tab is table and j == deviant and lo <= index - span.start + 1 < hi:
+                    if j == deviant and lo <= index - span.start + 1 < hi:
                         expected += int(claimed[coord - 1]) - int(truth[index - 1, coord - 1])
-                    assert tab.label(j, lo, hi, coord) == expected % q
+                    assert table.label(j, lo, hi, coord) == expected % q
 
     for g in range(1, m + 1):
-        check_labels(twin, g)  # before any z0, so labels build the chunk tables
+        check_labels(g)  # before any z0, so labels build the chunk tables
         span = params.block_of_group(g)
         rows = truth[span.start - 1 : span.stop - 1]
         for j in params.workers_of_group(g):
-            expected = _reference_column_sums(rows)
+            expected = _reference_sums(rows)
             if j == deviant:
                 expected = expected - truth[index - 1] + claimed
             assert np.array_equal(table.z0(j), expected % q)
-        check_labels(table, g)
+        check_labels(g)  # again, from the memo
 
 
 # q at the top of the uint32 accumulator and one past it, where k * (q - 1) is
 # exactly 2**32, for k values per partial sum: 16 wide rows in a label chunk,
-# COLUMN_CHUNK (256) wide rows in a column_sums chunk, 4096 rows in a label chunk at d=4.
+# COLUMN_CHUNK (256) wide rows in a full-gradient chunk, 4096 rows in a label chunk at d=4.
 _CUTS = {16: (2**28, 2**28 + 1), COLUMN_CHUNK: (2**24, 2**24 + 1), 4096: (2**20, 2**20 + 1)}
 
 
@@ -402,11 +423,15 @@ def test_chunk_sums_exact_at_the_uint32_bound(q):
 @pytest.mark.parametrize("q", _CUTS[COLUMN_CHUNK])
 @pytest.mark.parametrize("d", [4, 128])
 def test_column_sums_exact_at_the_uint32_bound(d, q):
-    # Several COLUMN_CHUNK chunks, a partial one and a tail shorter than a wide row.
-    k = 3 * COLUMN_CHUNK * wide_rows(d) + 2 * wide_rows(d) + 3
+    # Several COLUMN_CHUNK chunks, a partial one and a tail shorter than a wide row,
+    # summed in chunks of COLUMN_CHUNK and of 16 wide rows.
+    w = wide_rows(d)
+    k = 3 * COLUMN_CHUNK * w + 2 * w + 3
     rows = np.full((k, d), q - 1, dtype=np.uint32)
-    got = column_sums(rows, q)
-    assert got.dtype == np.int64 and got.tolist() == [k * (q - 1)] * d
+    for chunk in (COLUMN_CHUNK * w, ClaimedGradientTable.CHUNK * w):
+        prefix, total = block_sums(rows, chunk, q)
+        assert total.dtype == np.int64 and total.tolist() == [k * (q - 1)] * d
+        assert prefix.tolist() == [[i * chunk * (q - 1)] * d for i in range(k // chunk + 1)]
     assert full_gradient(rows, q).tolist() == [k * (q - 1) % q] * d
 
 
@@ -437,7 +462,7 @@ def test_sums_of_a_uint16_truth_widen(d):
     rows = np.full((k, d), q - 1, dtype=np.uint16)
     chunk = ClaimedGradientTable.CHUNK * w
     assert chunk_sums(rows, chunk, q).tolist() == [[chunk * (q - 1)] * d] * (k // chunk)
-    assert column_sums(rows, q).tolist() == [k * (q - 1)] * d
+    _assert_block_sums(rows, q)
     assert full_gradient(rows, q).tolist() == [k * (q - 1) % q] * d
     table = ClaimedGradientTable(SchemeParams(s=1, u=1, m=1, p=k, d=d, q=q), rows)
     for lo, hi in [(1, k + 1), (2, chunk + 1), (chunk - 5, 3 * chunk + 7), (5, 7)]:

@@ -194,7 +194,7 @@ def test_repeated_leaf_dispute_served_from_cache(run_and_check):
         params, truth, TableAdversary(table, frozenset({1, 2, 3}))
     )
     assert metrics.c == 2
-    assert sorted(transcript.computed_indices()) == [2, 3]
+    assert sorted(transcript.oracle_values) == [2, 3]
     at_two = [e for e in transcript.eliminations if e.index == 2 and e.reason == "wrong_value"]
     assert len(at_two) == 2  # two separate decisions, one oracle fetch
 
@@ -400,8 +400,7 @@ def test_honest_answers_share_sums_only_over_the_runs_truth():
     truth = random_gradients(params, 3)
     table, indices = symmetrization_attack(params, truth, np.random.default_rng(4))
     responder = TableAdversary(table, frozenset({1, 2})).instantiate(params, truth, None)
-    twin = ProtocolRun(params, truth, responder)._honest
-    assert twin._sums is table._sums and not twin.deviations  # one memo over one truth
+    assert ProtocolRun(params, truth, responder)._honest is table  # one memo over one truth
 
     # World 2 runs over a flipped copy of the truth against the same table, whose
     # reference truth is world 1's: the run must answer honest workers from its
@@ -426,6 +425,24 @@ def test_honest_answers_share_sums_only_over_the_runs_truth():
         for lo, hi in ranges:
             for coord in (1, 2):
                 assert run._honest.label(j, lo, hi, coord) == table.label(j, lo, hi, coord)
+
+
+@pytest.mark.parametrize("entry", ["empty", "truthful"])
+def test_honest_deviations_entry_gets_a_fresh_honest_table(entry):
+    # An honest worker listed in the table's deviations, with nothing or only
+    # the truth under it, still claims the truth, but the run does not answer
+    # honest workers from that table: it builds its own over the same truth.
+    params = SchemeParams(s=1, u=1, m=1, p=8, d=2, q=Q16)
+    truth = random_gradients(params, 5)
+    table, _ = symmetrization_attack(params, truth, np.random.default_rng(6))
+    table.set(2, 3, truth[2])  # leaves worker 2 an empty deviations entry
+    if entry == "truthful":
+        table.deviations[2][3] = truth[2].astype(np.int64)
+    responder = TableAdversary(table, frozenset({1})).instantiate(params, truth, None)
+    run = ProtocolRun(params, truth, responder)
+    assert run._honest is not table and run._honest.truth is truth and not run._honest.deviations
+    ghat, _, transcript = run.execute()
+    assert verify_run(params, truth, responder.malicious, ghat, transcript) == []
 
 
 def test_match_rejects_identical_responses():
