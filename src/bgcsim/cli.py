@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import cache, cached_property
 from itertools import groupby
 from pathlib import Path
@@ -37,14 +37,20 @@ from .bounds import BoundsReport, run_trial
 from .core import SchemeParams, random_gradients
 from .protocol import ProtocolError
 
-ADVERSARIES = ("none", "symmetrization", "symmetrization-collusive", "flipflop")
+_STRATEGIES = {  # each strategy is immutable, so one instance serves every sweep point
+    "none": NoAdversary(),
+    "symmetrization": SymmetrizationAdversary(mode="per-index"),
+    "symmetrization-collusive": SymmetrizationAdversary(mode="collusive"),
+    "flipflop": FlipFlopAdversary(),
+}
+ADVERSARIES = tuple(_STRATEGIES)
 _FIGURE_COLUMNS = {
     "fig1": ("u", "c_max", "total_comm_symbols", "draco_total_comm", "reduction_fraction"),
     "appendixF-ratio": ("p", "kappa_upper", "kappa_lower"),
     "appendixF-convergence": ("p", "ratio", "ratio_limit"),
 }
 FIGURES = tuple(_FIGURE_COLUMNS)
-SWEEP_AXES = ("s", "u", "m", "p", "d", "q")
+SWEEP_AXES = tuple(f.name for f in fields(SchemeParams) if f.init)
 # Keys --figure rejects: a figure is analytic and runs no simulation.
 SIMULATION_ONLY = ("sweep", "adversary", "trials", "seed", "dump_transcripts")
 METRICS = ("T", "c", "kappa", "total_comm")  # each reported as its max and mean over the trials
@@ -81,25 +87,38 @@ RESULT_COLUMNS = [
 ]
 
 
+def _setting(text: str, default=MISSING, choices=None):
+    """An ExperimentConfig field: its flag's help text and, for a closed set of values, their choices."""
+    return field(default=default, metadata={"help": text, "choices": choices})
+
+
 @dataclass
 class ExperimentConfig:
-    s: int
-    u: int
-    p: int
-    d: int
-    m: int = 1
-    q: int = 65536
-    seed: int = 0
-    trials: int = 100
-    adversary: str = "none"
-    sweep: str = None  # type: ignore[assignment]
-    out: str = None  # type: ignore[assignment]
-    format: str = "csv"
-    dump_transcripts: str = None  # type: ignore[assignment]
-    figure: str = None  # type: ignore[assignment]
+    """Every setting of an experiment; each field is one flag and one config-file key."""
+
+    s: int = _setting("maximum number of malicious workers")
+    u: int = _setting("guaranteed honest workers per group")
+    p: int = _setting("number of partial gradients")
+    d: int = _setting("gradient dimension")
+    m: int = _setting("number of groups", 1)
+    q: int = _setting("alphabet size", 65536)
+    seed: int = _setting("master seed", 0)
+    trials: int = _setting("trials per sweep point", 100)
+    adversary: str = _setting("|".join(ADVERSARIES) + "|table:<file>", "none")
+    sweep: str = _setting("axis sweep, e.g. 'u=1..11' or 'p=100,1000'", None)
+    out: str = _setting("output file; None writes to standard output", None)
+    format: str = _setting("output format", "csv", ("csv", "json"))
+    dump_transcripts: str = _setting("directory for per-run JSONL transcripts", None)
+    figure: str = _setting("emit analytic figure data instead of simulating", None, FIGURES)
 
 
 _CONFIG_FIELDS = {f.name: f for f in fields(ExperimentConfig)}
+_REQUIRED = tuple(key for key, spec in _CONFIG_FIELDS.items() if spec.default is MISSING)
+_KINDS = {"int": (int, "an integer"), "str": (str, "a string")}  # annotation -> (type, its name)
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 class ConfigError(ValueError):
@@ -114,32 +133,16 @@ class _Parser(argparse.ArgumentParser):
 
 @cache  # argparse keeps no state between parses; building one costs ~0.8 ms
 def _build_parser() -> argparse.ArgumentParser:
+    """One flag per ExperimentConfig field, each defaulting to None so a flag not given is seen."""
     parser = _Parser(
         prog="bgcsim",
-        description=(
-            "Seeded experiment sweeps for the Byzantine-resilient gradient "
-            "coding simulator.  Defaults: q=65536, m=1, trials=100, "
-            "format=csv, seed=0, adversary=none."
-        ),
+        description="Seeded experiment sweeps for the Byzantine-resilient gradient coding simulator.",
     )
     parser.add_argument("--config", type=Path, help="JSON config file; flags override it")
-    parser.add_argument("--s", type=int, help="maximum number of malicious workers")
-    parser.add_argument("--u", type=int, help="guaranteed honest workers per group")
-    parser.add_argument("--m", type=int, help="number of groups (default 1)")
-    parser.add_argument("--p", type=int, help="number of partial gradients")
-    parser.add_argument("--d", type=int, help="gradient dimension")
-    parser.add_argument("--q", type=int, help="alphabet size (default 65536)")
-    parser.add_argument("--seed", type=int, help="master seed (default 0)")
-    parser.add_argument("--trials", type=int, help="trials per sweep point (default 100)")
-    parser.add_argument(
-        "--adversary",
-        help="none|symmetrization|symmetrization-collusive|flipflop|table:<file>",
-    )
-    parser.add_argument("--sweep", help="axis sweep, e.g. 'u=1..11' or 'p=100,1000'")
-    parser.add_argument("--out", help="output file (stdout when omitted)")
-    parser.add_argument("--format", choices=("csv", "json"), help="output format")
-    parser.add_argument("--dump-transcripts", help="directory for per-run JSONL transcripts")
-    parser.add_argument("--figure", choices=FIGURES, help="emit analytic figure data instead of simulating")
+    for key, spec in _CONFIG_FIELDS.items():
+        default = "required" if spec.default is MISSING else f"default {spec.default}"
+        help_line = f"{spec.metadata['help']} ({default})"
+        parser.add_argument(_flag(key), type=_KINDS[spec.type][0], choices=spec.metadata["choices"], help=help_line)
     return parser
 
 
@@ -161,26 +164,25 @@ def parse_config(argv) -> ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         merged.update(loaded)
-    for key in _CONFIG_FIELDS:
-        flag = getattr(args, key.replace("-", "_"), None)
-        if flag is not None:
-            merged[key] = flag
-    for key in ("s", "u", "p", "d"):
+    merged.update({key: getattr(args, key) for key in _CONFIG_FIELDS if getattr(args, key) is not None})
+    for key in _REQUIRED:
         if merged.get(key) is None:
-            raise ConfigError(f"missing required parameter: --{key}")
-    for key, value in merged.items():  # flags are typed by argparse; this checks the file
+            raise ConfigError(f"missing required parameter: {_flag(key)}")
+    for key, value in merged.items():  # argparse checked the flags already; this checks the file too
         spec = _CONFIG_FIELDS[key]
         if value is None and spec.default is None:
             continue
-        if spec.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
-            raise ConfigError(f"config key {key!r} must be an integer: got {json.dumps(value)}")
-        if spec.type == "str" and not isinstance(value, str):
-            raise ConfigError(f"config key {key!r} must be a string: got {json.dumps(value)}")
+        kind, kind_name = _KINDS[spec.type]
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ConfigError(f"config key {key!r} must be {kind_name}: got {json.dumps(value)}")
+        choices = spec.metadata["choices"]
+        if choices is not None and value not in choices:
+            raise ConfigError(f"{key} must be one of {choices}: got {value!r}")
     config = ExperimentConfig(**merged)
     if config.figure is not None:
         given = [key for key in SIMULATION_ONLY if merged.get(key) is not None]
         if given:
-            flags = ", ".join("--" + key.replace("_", "-") for key in given)
+            flags = ", ".join(_flag(key) for key in given)
             raise ConfigError(f"--figure runs no simulation and takes no {flags}")
     if config.trials < 1:
         raise ConfigError(f"--trials must be at least 1: got {config.trials}")
@@ -188,10 +190,6 @@ def parse_config(argv) -> ExperimentConfig:
         raise ConfigError(f"--seed must be non-negative: got {config.seed}")
     if config.adversary not in ADVERSARIES and not config.adversary.startswith("table:"):
         raise ConfigError(f"unknown adversary: {config.adversary!r}")
-    if config.format not in ("csv", "json"):
-        raise ConfigError(f"format must be csv or json: got {config.format!r}")
-    if config.figure is not None and config.figure not in FIGURES:
-        raise ConfigError(f"figure must be one of {FIGURES}: got {config.figure!r}")
     try:
         expand_sweep(config)
     except ValueError as exc:
@@ -205,11 +203,11 @@ def _sweep_values(spec: str):
         raise ValueError(f"sweep axis must be one of {SWEEP_AXES}: got {axis!r}")
     if not rhs:
         raise ValueError(f"sweep needs the form axis=values: got {spec!r}")
-    if ".." in rhs:
-        lo, _, hi = rhs.partition("..")
-        values = list(range(int(lo), int(hi) + 1))
-    else:
-        values = [int(x) for x in rhs.split(",")]
+    lo, dots, hi = rhs.partition("..")
+    try:
+        values = list(range(int(lo), int(hi) + 1)) if dots else [int(x) for x in rhs.split(",")]
+    except ValueError:
+        raise ValueError(f"sweep values must be integers: got {spec!r}") from None
     if not values:
         raise ValueError(f"empty sweep: {spec!r}")
     return axis, values
@@ -282,23 +280,17 @@ class _TableFileAdversary:
 
 
 def make_adversary(spec: str, params: SchemeParams):
+    if spec.startswith("table:"):
+        return load_table_adversary(spec[len("table:") :], params)
+    if spec not in _STRATEGIES:
+        raise ValueError(f"unknown adversary: {spec!r}")
     planted = params.s // params.u
-    if spec in ("symmetrization", "symmetrization-collusive") and planted > params.block_size:
+    if isinstance(_STRATEGIES[spec], SymmetrizationAdversary) and planted > params.block_size:
         raise ConfigError(
             f"{spec} needs floor(s/u) <= p/m: got floor({params.s}/{params.u}) = {planted} "
             f"> {params.p}/{params.m} = {params.block_size}"
         )
-    if spec == "none":
-        return NoAdversary()
-    if spec == "symmetrization":
-        return SymmetrizationAdversary(mode="per-index")
-    if spec == "symmetrization-collusive":
-        return SymmetrizationAdversary(mode="collusive")
-    if spec == "flipflop":
-        return FlipFlopAdversary()
-    if spec.startswith("table:"):
-        return load_table_adversary(spec[len("table:") :], params)
-    raise ValueError(f"unknown adversary: {spec!r}")
+    return _STRATEGIES[spec]
 
 
 class CorrectnessFailure(RuntimeError):
@@ -498,7 +490,7 @@ def emit_figure_data(which: str, config: ExperimentConfig):
     """
     if which not in FIGURES:
         raise ValueError(f"unknown figure: {which!r}")
-    base = SchemeParams(s=config.s, u=config.u, m=config.m, p=config.p, d=config.d, q=config.q)
+    base = SchemeParams(**{k: getattr(config, k) for k in SWEEP_AXES})
     if which == "fig1":
         points = [replace(base, u=u) for u in range(1, base.s + 2)]
     else:

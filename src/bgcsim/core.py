@@ -42,7 +42,7 @@ class SchemeParams:
     m: int
     p: int
     d: int
-    q: int = 65536
+    q: int
     n: int = field(init=False)  # an attribute, not a property: every claimed answer reads it
 
     def __post_init__(self):

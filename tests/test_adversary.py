@@ -1,6 +1,7 @@
 import hashlib
 import json
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -391,3 +392,41 @@ def test_differs_from_a_copy_compares_the_whole_block():
     moved = table.truth.copy()  # a changed copy, as flip_world passes
     moved[6, 1] += 1
     assert table.differs_from(2, moved)
+
+
+def test_claimed_table_rejects_a_vector_of_the_wrong_shape():
+    params = SchemeParams(s=1, u=1, m=1, p=4, d=2, q=2**16)
+    table = ClaimedGradientTable(params, random_gradients(params, 6))
+    with pytest.raises(ValueError, match=r"claimed vector must have shape \(2,\): got \(3,\)"):
+        table.set(1, 1, [0, 1, 2])
+    assert table.deviations == {}
+
+
+def test_attack_rejects_a_disagreement_set_wider_than_the_block():
+    # floor(s/u) = 3 > p/m = 2: make_adversary rejects this before a run; a direct call must too.
+    params = SchemeParams(s=3, u=1, m=1, p=2, d=1, q=2**16)
+    truth = random_gradients(params, 0)
+    with pytest.raises(ValueError, match="disagreement set of size 3 does not fit in a block of 2"):
+        symmetrization_attack(params, truth, np.random.default_rng(0))
+
+
+def test_table_adversary_rejects_other_params():
+    params = SchemeParams(s=1, u=1, m=1, p=4, d=1, q=2**16)
+    table = ClaimedGradientTable(params, random_gradients(params, 7))
+    other = SchemeParams(s=1, u=1, m=1, p=4, d=1, q=2**8)
+    with pytest.raises(ValueError, match="table was built for different parameters"):
+        TableAdversary(table, frozenset({1})).instantiate(other, random_gradients(other, 7), None)
+
+
+class _UnknownQuery(NamedTuple):
+    group: int
+
+
+@pytest.mark.parametrize("adversary", [SymmetrizationAdversary(), FlipFlopAdversary()], ids=["table", "flipflop"])
+def test_unknown_query_type_rejected(adversary):
+    params = SchemeParams(s=1, u=1, m=1, p=4, d=1, q=2**16)
+    truth = random_gradients(params, 8)
+    responder = adversary.instantiate(params, truth, np.random.default_rng(8))
+    worker = min(responder.malicious)
+    with pytest.raises(TypeError, match="unknown query type: _UnknownQuery"):
+        responder.respond(worker, _UnknownQuery(group=1))

@@ -1,10 +1,12 @@
 import contextlib
 import csv
+import dataclasses
 import errno
 import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -379,7 +381,7 @@ def test_golden_table_file(tmp_path, monkeypatch):
     from bgcsim.core import SchemeParams
 
     argv, csv_digest, dump_digest = GOLDEN_TABLE_FILE
-    params = SchemeParams(s=2, u=1, m=2, p=16, d=2)
+    params = SchemeParams(s=2, u=1, m=2, p=16, d=2, q=65536)
     block = random_gradients(params, np.random.default_rng([5, 0, 0, 0]))[: params.block_size]
     block[3, 1] = (int(block[3, 1]) + 1) % params.q
     monkeypatch.chdir(tmp_path)  # the CSV names the table file, so keep its path fixed
@@ -577,6 +579,8 @@ _TYPE_ERRORS = [  # config-file values of the wrong type: (key, value, what the 
     ("trials", 2.5, "an integer"),
     ("s", True, "an integer"),
     ("adversary", 3, "a string"),
+    ("format", None, "a string"),  # null is a value only for the keys whose default is None
+    ("trials", None, "an integer"),
 ]
 
 
@@ -603,6 +607,12 @@ _USAGE_ERRORS = [
     ),
     _usage_error("sweep-no-values", "sweep needs the form axis=values: got 'u='", _SMALL + ["--sweep", "u="]),
     _usage_error("sweep-empty", "empty sweep: 'u=3..1'", _SMALL + ["--sweep", "u=3..1"]),
+    _usage_error(
+        "sweep-range-list",
+        "sweep values must be integers: got 'u=1..2,3'",
+        _SMALL + ["--sweep", "u=1..2,3"],
+    ),
+    _usage_error("sweep-not-int", "sweep values must be integers: got 'u=a'", _SMALL + ["--sweep", "u=a"]),
     _usage_error("unknown-adversary", "unknown adversary: 'bogus'", _SMALL + ["--adversary", "bogus"]),
     _usage_error(
         "table-malicious-out-of-range",
@@ -611,8 +621,10 @@ _USAGE_ERRORS = [
         table={"malicious": [9]},
     ),
     _usage_error("config-list", "config file must hold a JSON object", [], [_SMALL_CONFIG]),
-    _usage_error("config-format", "format must be csv or json: got 'xml'", [], {**_SMALL_CONFIG, "format": "xml"}),
-    _usage_error(  # no simulation-only key beside it: those are checked first
+    _usage_error(
+        "config-format", "format must be one of ('csv', 'json'): got 'xml'", [], {**_SMALL_CONFIG, "format": "xml"}
+    ),
+    _usage_error(
         "config-figure",
         f"figure must be one of {cli.FIGURES}: got 'fig2'",
         [],
@@ -673,7 +685,60 @@ def test_help_still_prints_usage(capsys):
         main(["-h"])
     assert exit_info.value.code == 0
     out = capsys.readouterr().out
-    assert out.startswith("usage: bgcsim") and "--figure" in out
+    assert out.startswith("usage: bgcsim")
+    # Every setting's flag, ending in its default; argparse wraps lines at the terminal width.
+    options = " ".join(out.split()).partition(" options: ")[2]
+    entries = {entry.split()[0]: entry for entry in re.split(r" (?=--[a-z])", options)}
+    for spec in dataclasses.fields(ExperimentConfig):
+        default = "required" if spec.default is dataclasses.MISSING else f"default {spec.default}"
+        assert entries["--" + spec.name.replace("_", "-")].endswith(f"({default})")
+
+
+# A value for every setting, each other than its default.  Set alone on top of
+# the required four, each parses to the same config as a flag and as a key.
+_SETTINGS = {
+    "s": 3,
+    "u": 2,
+    "p": 12,
+    "d": 2,
+    "m": 2,
+    "q": 257,
+    "seed": 5,
+    "trials": 4,
+    "adversary": "flipflop",
+    "sweep": "u=1..2",
+    "out": "o.csv",
+    "format": "json",
+    "dump_transcripts": "dumps",
+    "figure": "fig1",
+}
+
+
+@pytest.mark.parametrize("key", sorted(_SETTINGS))
+def test_every_setting_parses_the_same_as_a_flag_and_as_a_config_key(tmp_path, key):
+    assert sorted(_SETTINGS) == sorted(spec.name for spec in dataclasses.fields(ExperimentConfig))
+    values = {"s": 1, "u": 1, "p": 4, "d": 1, key: _SETTINGS[key]}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(values))
+    flags = [token for name, value in values.items() for token in ("--" + name.replace("_", "-"), str(value))]
+    from_flags = parse_config(flags)
+    assert from_flags == parse_config(["--config", str(path)])
+    assert getattr(from_flags, key) == _SETTINGS[key] != getattr(parse_config(_SMALL[:8]), key)
+
+
+@pytest.mark.parametrize("key", ["sweep", "out", "dump_transcripts", "figure"])
+def test_null_config_keys_take_their_defaults(tmp_path, key):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**_SMALL_CONFIG, key: None}))
+    assert parse_config(["--config", str(path)]) == parse_config(_SMALL)
+
+
+def test_unknown_adversary_and_figure_rejected_by_library_calls():
+    config = parse_config(_SMALL)
+    with pytest.raises(ValueError, match=r"^unknown adversary: 'bogus'$"):
+        cli.make_adversary("bogus", expand_sweep(config)[0])
+    with pytest.raises(ValueError, match=r"^unknown figure: 'fig2'$"):
+        emit_figure_data("fig2", config)
 
 
 def test_truth_synthesized_through_cli_once_per_run(monkeypatch, capsys):

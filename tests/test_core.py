@@ -59,7 +59,7 @@ def test_params_take_no_n():
 
 def test_replaced_params_derive_n_again():
     # The figures sweep u by dataclasses.replace, which must recompute n.
-    params = SchemeParams(s=4, u=1, m=2, p=8, d=1)
+    params = SchemeParams(s=4, u=1, m=2, p=8, d=1, q=65536)
     assert dataclasses.replace(params, u=3).n == params.m * (params.s + 3) == 14
     with pytest.raises(ValueError):
         dataclasses.replace(params, n=14)
@@ -72,6 +72,24 @@ def test_worker_and_block_indexing():
     assert params.group_of_worker(3) == 1
     assert params.group_of_worker(4) == 2
     assert list(params.block_of_group(2)) == [5, 6, 7, 8]
+
+
+
+@pytest.mark.parametrize(
+    "lookup, bad, message",
+    [
+        (SchemeParams.group_of_worker, 0, "worker id out of range: 0"),
+        (SchemeParams.group_of_worker, 7, "worker id out of range: 7"),
+        (SchemeParams.workers_of_group, 0, "group id out of range: 0"),
+        (SchemeParams.workers_of_group, 3, "group id out of range: 3"),
+        (SchemeParams.block_of_group, 0, "group id out of range: 0"),
+        (SchemeParams.block_of_group, 3, "group id out of range: 3"),
+    ],
+)
+def test_worker_and_block_indexing_rejects_ids_out_of_range(lookup, bad, message):
+    params = SchemeParams(s=2, u=1, m=2, p=8, d=1, q=65536)  # n = 6 workers in 2 groups
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        lookup(params, bad)
 
 
 def test_assignment_single_group_all_ones():
@@ -131,6 +149,12 @@ def test_replication_factor_examples():
     assert replication_factor(fig) == 11
     draco = build_fractional_repetition(SchemeParams(s=10, u=11, m=1, p=16, d=1, q=65536))
     assert replication_factor(draco) == 21
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 3, 1)], ids=["1-D", "3-D"])
+def test_replication_factor_rejects_a_matrix_that_is_not_2d(shape):
+    with pytest.raises(ValueError, match="assignment must be a 2-D 0/1 matrix"):
+        replication_factor(np.ones(shape, dtype=np.int8))
 
 
 def test_full_gradient_examples():
