@@ -5,7 +5,8 @@ in its own directory (``git clone`` or ``git archive``, not a worktree):
 
     python3 scripts/bench_pairs.py --parent ../parent --pr 12 --first-seed 41
 
-Each side runs its own ``perfbench/run.py`` from its own directory, for the
+Both checkouts are byte-compiled first (``compile_checkout``).  Each side
+runs its own ``perfbench/run.py`` from its own directory, for the
 ``run_seconds`` of BENCHMARK.json, on every workload in PAIRS alternating
 pairs.  Pair i uses seed first_seed + i; the parent runs first in even pairs
 and second in odd ones.  For every end-to-end metric of BENCHMARK.json the
@@ -67,6 +68,18 @@ def compare(parent, change, better: str, bound: float = None) -> dict:
     return out
 
 
+def compile_checkout(checkout: Path) -> None:
+    """Write the byte-code cache of ``checkout``'s package and benchmark before its first run.
+
+    perfbench's warm-up probe writes the cache only where Python may write
+    byte code.  Under PYTHONDONTWRITEBYTECODE=1 a fresh copy of a checkout has
+    none, so every child compiles bgcsim again: 0.4-0.7 MB of peak RSS and
+    0.01-0.07 s of set-up on tiny-grid, enough to fake a regression.
+    """
+    argv = [sys.executable, "-m", "compileall", "-q", "src", "perfbench"]
+    subprocess.run(argv, cwd=checkout, check=True, capture_output=True, timeout=600)
+
+
 def run_side(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """One perfbench run in ``checkout``: its result object with the detail line folded in."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -121,6 +134,8 @@ def main(argv=None) -> int:
     for checkout in (parent, ROOT):
         if not (checkout / "perfbench" / "run.py").is_file():
             raise SystemExit(f"bench_pairs: {checkout} has no perfbench/run.py")
+    for checkout in (parent, ROOT):  # see compile_checkout
+        compile_checkout(checkout)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     seeds = range(args.first_seed, args.first_seed + PAIRS)

@@ -15,6 +15,7 @@ any per-run state.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -76,16 +77,13 @@ class ClaimedGradientTable:
             raise ValueError(f"truth must have shape (p, d)={(params.p, params.d)}, got {self.truth.shape}")
         self.deviations = {}
         self._sums = {}  # block start -> (prefix sums or None, block sum mod q); (first, stop, coord) -> int
-        self._chunk = self.CHUNK * wide_rows(params.d)  # rows per chunk
-        self._acc = sum_dtype(self.truth.dtype, self._chunk, params.q)
-        self._blocks = [params.block_of_group(g) for g in range(1, params.m + 1)]
-        self._group_size = params.group_size  # read on every answer: an attribute, not the property
+        self._chunk, self._acc, self._blocks = _layout(params, self.truth.dtype)
 
     def _block(self, worker: int, index: int = None) -> range:
         """The global gradient indices of ``worker``'s block (checking ``index`` is one)."""
         if not 1 <= worker <= self.params.n:
             raise ValueError(f"worker id out of range: {worker}")
-        block = self._blocks[(worker - 1) // self._group_size]
+        block = self._blocks[(worker - 1) // self.params.group_size]
         if index is not None and index not in block:
             raise ValueError(f"gradient {index} is not assigned to worker {worker}")
         return block
@@ -191,6 +189,13 @@ class ClaimedGradientTable:
             for index, vec in sorted(self.deviations[worker].items()):
                 parts.append(np.array([worker, index], dtype=np.int64).tobytes() + vec.tobytes())
         return b"".join(parts)
+
+
+@lru_cache(maxsize=1)  # one sweep point's, shared by the tables of all its runs
+def _layout(params: SchemeParams, dtype) -> tuple:
+    """A table's rows per chunk, their sums' accumulator (``core.sum_dtype``) and every group's block."""
+    chunk = ClaimedGradientTable.CHUNK * wide_rows(params.d)
+    return chunk, sum_dtype(dtype, chunk, params.q), tuple(params.block_of_group(g) for g in range(1, params.m + 1))
 
 
 def _deviated(vec: np.ndarray, q: int, rng: np.random.Generator) -> np.ndarray:

@@ -10,6 +10,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -40,6 +41,7 @@ def comm_lower(params: SchemeParams) -> float:
     return math.log2(math.comb(block, n_dev)) / math.log2(params.q)
 
 
+@lru_cache(maxsize=1)  # every run of a sweep point checks against that point's shapes
 def _upper_shapes(params: SchemeParams):
     """c_upper, T_upper and each worst split's (label symbols, commit bits, kappa): see scheme_upper_bounds."""
     s, u, two_log2q = params.s, params.u, 2 * math.log2(params.q)
@@ -54,7 +56,7 @@ def _upper_shapes(params: SchemeParams):
         a, r = divmod(s, g)
         (sym1, bits1, kappa1), (sym0, bits0, kappa0) = group(a + 1), group(a)
         shapes.append((r * sym1 + (g - r) * sym0, r * bits1 + (g - r) * bits0, r * kappa1 + (g - r) * kappa0))
-    return s // u, max(0, s + 1 - u) * height, shapes
+    return s // u, max(0, s + 1 - u) * height, tuple(shapes)  # shared by every caller of the cache
 
 
 def _fits(q: int, a: int, b: int) -> bool:
@@ -160,23 +162,26 @@ def verify_run(params: SchemeParams, truth, malicious, ghat, transcript: Transcr
     The contract: the decoded gradient is the exact full gradient, no honest
     worker is eliminated, and every oracle call eliminates at least u
     workers for backing a wrong value: the wrong_value records that
-    directly follow the call in the transcript's log.
+    directly follow the call in the transcript's log, read in one pass.
     """
     problems = []
     if ghat.tolist() != full_gradient(truth, params.q).tolist():
         problems.append("decode mismatch")
-    framed = transcript.eliminated_workers() - set(malicious)
+    eliminated, calls, after_call = set(), [], False  # calls: [oracle call, workers it wiped]
+    for event in transcript.events:
+        kind = type(event)
+        if kind is EliminationEvent:
+            eliminated.update(event.workers)
+            if after_call and event.reason == "wrong_value":
+                calls[-1][1] += len(event.workers)
+                continue
+        after_call = kind is OracleCall
+        if after_call:
+            calls.append([event, 0])
+    framed = eliminated - set(malicious)
     if framed:
         problems.append(f"honest workers eliminated: {sorted(framed)}")
-    events = transcript.events
-    for at, call in enumerate(events):
-        if type(call) is not OracleCall:
-            continue
-        wiped = 0
-        for event in events[at + 1 :]:
-            if type(event) is not EliminationEvent or event.reason != "wrong_value":
-                break
-            wiped += len(event.workers)
+    for call, wiped in calls:
         if wiped < params.u:
             problems.append(f"oracle call at index {call.index} eliminated {wiped} < u workers")
     return problems

@@ -43,12 +43,16 @@ class SchemeParams:
     p: int
     d: int
     q: int
-    n: int = field(init=False)  # an attribute, not a property: every claimed answer reads it
+    n: int = field(init=False)  # attributes, not properties: every claimed answer reads them
+    group_size: int = field(init=False, repr=False, compare=False)  # s + u = n / m
+    block_size: int = field(init=False, repr=False, compare=False)  # p / m
 
     def __post_init__(self):
-        object.__setattr__(self, "n", self.m * (self.s + self.u))
         if self.m < 1:
             raise ValueError(f"m must be >= 1: got m={self.m}")
+        object.__setattr__(self, "n", self.m * (self.s + self.u))
+        object.__setattr__(self, "group_size", self.s + self.u)
+        object.__setattr__(self, "block_size", self.p // self.m)
         if self.u < 1:
             raise ValueError(f"u must be >= 1: got u={self.u}")
         if self.s < 0:
@@ -65,14 +69,6 @@ class SchemeParams:
             raise ValueError(
                 f"p/m * (q-1) must be below 2**63 for int64 sums: got p/m={self.block_size}, q={self.q}"
             )
-
-    @property
-    def group_size(self) -> int:
-        return self.n // self.m
-
-    @property
-    def block_size(self) -> int:
-        return self.p // self.m
 
     def group_of_worker(self, j: int) -> int:
         if not 1 <= j <= self.n:

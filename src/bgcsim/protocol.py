@@ -32,12 +32,15 @@ Accounting rules:
     event log and adds its t >= 1 symbols and bits to exact counters,
     which kappa is computed from.  An honest worker is a worker with no
     deviations: its answer comes from the honest table, which reduces
-    every answer mod q, so it is not checked.  A malicious worker's answer
-    is validated: a response of the wrong shape or type, or outside the
-    alphabet, incriminates its sender, who is eliminated on the spot
-    (reasons malformed_initial, malformed_label and malformed_commit); so
-    is a malicious responder that raises instead of answering.  A commit
-    bit must be a bool; anything else is not counted as a vote.
+    every answer mod q, so it is not checked.  A group's honest workers
+    share one block, so a query's honest answer is computed once per run,
+    while every honest worker asked is still logged and charged.  A
+    malicious worker's answer is validated: a response of the wrong shape
+    or type, or outside the alphabet, incriminates its sender, who is
+    eliminated on the spot (reasons malformed_initial, malformed_label and
+    malformed_commit); so is a malicious responder that raises instead of
+    answering.  A commit bit must be a bool; anything else is not counted
+    as a vote.
   - eliminated workers, representatives included, leave their consistent
     subsets once per tournament iteration, after the match and its votes.
 """
@@ -48,6 +51,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -83,6 +87,7 @@ class EliminationEvent(NamedTuple):
 _record = tuple.__new__  # a NamedTuple from a tuple of its fields, as namedtuple._make builds it
 # query type -> (kind, symbols, bits) of the message answering it; None: d symbols
 _COST = {InitialQuery: ("initial", None, 0), LabelQuery: ("label", 1, 0), CommitQuery: ("commit", 0, 1)}
+_replication = lru_cache(maxsize=1)(Fraction)  # r = s + u: one Fraction per sweep point
 
 
 class ProtocolError(RuntimeError):
@@ -149,7 +154,7 @@ class Metrics(NamedTuple):
 def metrics_from_transcript(params: SchemeParams, transcript: Transcript) -> Metrics:
     kappa = transcript.kappa_symbols + transcript.kappa_bits / math.log2(params.q)  # bits at 1/log2(q) symbols
     T = max(transcript.group_rounds.values(), default=0)
-    r = Fraction(params.group_size)
+    r = _replication(params.group_size)
     return _record(Metrics, (T, len(transcript.oracle_values), r, kappa, params.n * params.d + kappa))
 
 
@@ -184,6 +189,7 @@ class ProtocolRun:
         self.transcript = Transcript(group_rounds={g: 0 for g in range(1, params.m + 1)})
         self._resolved = {}  # group -> surviving value, shape (d,)
         self._eliminated = set()  # every worker eliminated so far, in any group
+        self._answers = {}  # (kind, query) -> the one answer every honest worker it is sent to gets
         table = getattr(responder, "table", None)
         shared = table is not None and table.params == params and table.truth is truth
         if shared and table.deviations.keys() <= responder.malicious:  # no honest worker has an entry
@@ -206,11 +212,11 @@ class ProtocolRun:
 
         Every message goes through here: it is logged and its t >= 1 cost is
         added to the kappa counters whatever comes back.  An honest worker is
-        answered by the honest table.  A malicious worker's answer is
-        checked; it comes back in canonical form (an int64 vector, a symbol
-        or a bool), or as None after the sender is eliminated as
-        malformed_<kind>.  Anything the responder raises counts as a
-        malformed answer.
+        answered by the honest table, which is asked once per query and run.
+        A malicious worker's answer is checked; it comes back in canonical
+        form (an int64 vector, a symbol or a bool), or as None after the
+        sender is eliminated as malformed_<kind>.  Anything the responder
+        raises counts as a malformed answer.
         """
         kind, symbols, bits = _COST[type(query)]
         if symbols is None:
@@ -221,7 +227,11 @@ class ProtocolRun:
             transcript.kappa_symbols += symbols
             transcript.kappa_bits += bits
         if worker not in self.responder.malicious:
-            return self._honest.answer(worker, query)
+            key = (kind, query)  # a LabelQuery and a CommitQuery can be equal tuples
+            value = self._answers.get(key)
+            if value is None:
+                value = self._answers[key] = self._honest.answer(worker, query)
+            return value
         try:
             value = self._validate(kind, self.responder.respond(worker, query))
         except Exception:
@@ -415,10 +425,7 @@ class ProtocolRun:
         if len(self._resolved) != self.params.m:
             missing = [g for g in range(1, self.params.m + 1) if g not in self._resolved]
             raise ProtocolError(f"groups left unresolved: {missing}")
-        total = np.zeros(self.params.d, dtype=np.int64)
-        for g in range(1, self.params.m + 1):
-            total = (total + self._resolved[g]) % self.params.q
-        return total
+        return sum(self._resolved.values()) % self.params.q  # int64 vectors: exact in any order
 
     def execute(self):
         pending = self.build_subsets(self.initial_round())

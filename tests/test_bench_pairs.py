@@ -1,6 +1,7 @@
-"""The verdict arithmetic of scripts/bench_pairs.py, on fixed numbers."""
+"""The verdict arithmetic of scripts/bench_pairs.py, on fixed numbers, and its set-up order."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -65,3 +66,31 @@ def test_lower_is_better_and_the_bound_is_relative():
 def test_pairs_must_match():
     with pytest.raises(ValueError):
         bench_pairs.compare(PARENT, PARENT[:-1], "higher")
+
+
+def test_both_checkouts_are_compiled_before_any_run(tmp_path, monkeypatch):
+    # Under PYTHONDONTWRITEBYTECODE=1 perfbench cannot write its byte-code
+    # cache, so a checkout without one compiles bgcsim in every child.
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for checkout in (parent, change):
+        (checkout / "perfbench").mkdir(parents=True)
+        (checkout / "perfbench" / "run.py").write_text("")
+    (change / "BENCHMARK.json").write_text('{"run_seconds": 1, "end_to_end": []}')
+    calls = []
+
+    class FirstRun(Exception):
+        pass
+
+    def fake_run(argv, cwd, **kwargs):
+        calls.append((argv[1:], Path(cwd)))
+        if "perfbench/run.py" in argv:
+            raise FirstRun
+        return subprocess.CompletedProcess(argv, 0, "", "")
+
+    monkeypatch.setattr(bench_pairs, "ROOT", change)
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    with pytest.raises(FirstRun):
+        bench_pairs.main(["--parent", str(parent), "--pr", "0", "--first-seed", "1"])
+    compile_argv = ["-m", "compileall", "-q", "src", "perfbench"]
+    assert calls[:2] == [(compile_argv, parent), (compile_argv, change)]
+    assert calls[2][0][0] == "perfbench/run.py" and len(calls) == 3

@@ -18,8 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bgcsim.adversary as adversary
 import bgcsim.bounds as bounds
 import bgcsim.cli as cli
+import bgcsim.protocol as protocol
 from bgcsim.cli import (
     ConfigError,
     CorrectnessFailure,
@@ -56,6 +58,19 @@ def test_sweep_expansion_recomputes_n():
     assert len(points) == 11
     assert [pt.u for pt in points] == list(range(1, 12))
     assert [pt.n for pt in points] == [10 + u for u in range(1, 12)]
+
+
+def test_per_point_constants_hold_one_point_after_a_long_sweep(capsys):
+    # Each cache of a sweep point's constants is filled anew at every point
+    # of this sweep, yet holds one point: none grows with the sweep's length.
+    caches = (bounds._upper_shapes, adversary._layout, protocol._replication)
+    misses = [cache.cache_info().misses for cache in caches]
+    argv = ["--s", "1", "--u", "1", "--p", "4", "--d", "1", "--trials", "1", "--adversary", "symmetrization"]
+    assert main([*argv, "--sweep", "d=1..300"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 301
+    for cache, before in zip(caches, misses):
+        assert cache.cache_info().currsize <= 1
+    assert [cache.cache_info().misses - before for cache, before in zip(caches[:2], misses)] == [300, 300]
 
 
 def test_sweep_list_form():

@@ -546,6 +546,90 @@ def test_oracle_call_must_be_directly_followed_by_u_wrong_value_eliminations():
         assert verify_run(params, truth, malicious, ghat, dataclasses.replace(transcript, events=edited)) == expected
 
 
+@pytest.mark.parametrize("u", [2, 3])
+def test_oracle_call_with_fewer_than_u_wrong_value_eliminations_is_a_breach(u):
+    # Workers 1..u back one wrong leaf, so the oracle call's wrong_value
+    # record holds u workers.  A log keeping only 1 to u-1 of them eliminates
+    # someone, but fewer than u workers: that is a breach too.
+    params = SchemeParams(s=u, u=u, m=1, p=4, d=1, q=Q16)
+    truth = random_gradients(params, 23)
+    table = ClaimedGradientTable(params, truth)
+    table.set(range(1, u + 1), 2, truth[1] + 1)
+    malicious = frozenset(range(1, u + 1))
+    ghat, _, transcript, breaches, _ = run_trial(params, truth, TableAdversary(table, malicious))
+    assert breaches == []
+    events = transcript.events
+    call = next(at for at, event in enumerate(events) if type(event) is OracleCall)
+    wrong = events[call + 1]
+    assert wrong.reason == "wrong_value" and wrong.workers == tuple(range(1, u + 1))
+    for kept in range(1, u):
+        edited = events[: call + 1] + [wrong._replace(workers=wrong.workers[:kept])] + events[call + 2 :]
+        got = verify_run(params, truth, malicious, ghat, dataclasses.replace(transcript, events=edited))
+        assert got == [f"oracle call at index 2 eliminated {kept} < u workers"]
+    # Every breach at once comes in one order, which main's FAILED: line prints joined.
+    edited = dataclasses.replace(transcript, events=edited)
+    assert verify_run(params, truth, malicious - {1}, (ghat + 1) % params.q, edited) == [
+        "decode mismatch",
+        "honest workers eliminated: [1]",
+        f"oracle call at index 2 eliminated {u - 1} < u workers",
+    ]
+
+
+def test_honest_answers_are_memoized_by_kind_and_fields():
+    params = SchemeParams(s=1, u=1, m=2, p=8, d=3, q=Q16)
+    truth = np.arange(1, 25, dtype=np.uint16).reshape(8, 3)  # row i (from 0) is 3i+1, 3i+2, 3i+3
+    fresh = ClaimedGradientTable(params, truth)
+    run = ProtocolRun(params, truth, NoAdversary().instantiate(params, truth, None))
+    # Equal as tuples (and in hash), but a label is a symbol and a commit a bit.
+    label, commit = LabelQuery(1, 2, 3, 1), CommitQuery(1, 2, 3, 1)
+    assert label == commit and hash(label) == hash(commit)
+    for first, second in ((label, commit), (commit, label)):
+        run._answers.clear()
+        for worker, query in ((1, first), (2, second)):
+            got = run._reply(1, 1, worker, query)
+            assert type(got) is type(fresh.answer(worker, query)) and got == fresh.answer(worker, query)
+    assert run._reply(1, 1, 1, label) == 4 and run._reply(1, 1, 2, commit) is False  # truth[1] is 4, 5, 6
+    # One range and coordinate in two groups: each group's own block.
+    in_1, in_2 = (run._reply(1, g, worker, LabelQuery(g, 1, 3, 2)) for g, worker in ((1, 1), (2, 3)))
+    assert (in_1, in_2) == (fresh.label(1, 1, 3, 2), fresh.label(3, 1, 3, 2)) == (2 + 5, 14 + 17)
+    # Two subsets' commits that differ only in the claimed value.
+    true_value = int(truth[5, 1])
+    assert run._reply(1, 2, 3, CommitQuery(2, 6, 2, true_value)) is True
+    assert run._reply(1, 2, 4, CommitQuery(2, 6, 2, true_value + 1)) is False
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    m=st.integers(1, 3),
+    q=st.sampled_from([2, 5, 2**16]),
+    s=st.integers(0, 3),
+    u=st.integers(1, 3),
+    block=st.sampled_from([2, 3, 4, 8]),
+    d=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+)
+def test_every_honest_answer_is_a_fresh_tables(m, q, s, u, block, d, seed):
+    """Whatever the memo serves an honest worker is what a fresh table of the truth answers."""
+    params = SchemeParams(s=s, u=u, m=m, p=m * block, d=d, q=q)
+    rng = np.random.default_rng(seed)
+    truth = random_gradients(params, rng)
+    responder = deviation_table(params, truth, rng).instantiate(params, truth, None)
+    run = ProtocolRun(params, truth, responder)
+    fresh, reply, asked = ClaimedGradientTable(params, truth), run._reply, []
+
+    def checked(t, group, worker, query):
+        got = reply(t, group, worker, query)
+        if worker not in responder.malicious:
+            expected = fresh.answer(worker, query)
+            assert type(got) is type(expected) and np.array_equal(got, expected), (worker, query)
+            asked.append(query)
+        return got
+
+    run._reply = checked
+    run.execute()
+    assert len(asked) >= params.n - len(responder.malicious)  # every honest worker answers t=0
+
+
 def test_metrics_match_transcript_totals(run_and_check):
     params = SchemeParams(s=3, u=1, m=1, p=8, d=1, q=Q16)
     truth = random_gradients(params, 47)
