@@ -5,8 +5,9 @@
 
 Runs ``worst_runs`` from ``tests/adversaries.py``, the enumerator behind
 ``tests/test_protocol.py::test_every_adaptive_strategy_at_tiny_configurations``:
-choice tapes walked depth-first, malformed answers included, every truth
-where q^(p d) <= 16.  For each configuration it prints the number of runs,
+choice tapes walked depth-first, malformed answers included, against the
+truth drawn from seed 0, which stands for every truth (see ``worst_runs``).
+For each configuration it prints the number of runs,
 the worst (T, c, kappa_symbols, kappa_bits), the bounds (T_upper, c_upper,
 kappa_upper) in the same order and the wall time.  A run that breaches the per-run contract or
 a bound stops it with an AssertionError naming the run.

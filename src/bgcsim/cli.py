@@ -188,10 +188,9 @@ def parse_config(argv) -> ExperimentConfig:
         raise ConfigError(f"--trials must be at least 1: got {config.trials}")
     if config.seed < 0:
         raise ConfigError(f"--seed must be non-negative: got {config.seed}")
-    if config.adversary not in ADVERSARIES and not config.adversary.startswith("table:"):
-        raise ConfigError(f"unknown adversary: {config.adversary!r}")
-    try:
-        expand_sweep(config)
+    try:  # every point, and the adversary at each, is checked and dropped: the sweep is walked, not kept
+        for params in expand_sweep(config):
+            make_adversary(config.adversary, params)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return config
@@ -205,7 +204,7 @@ def _sweep_values(spec: str):
         raise ValueError(f"sweep needs the form axis=values: got {spec!r}")
     lo, dots, hi = rhs.partition("..")
     try:
-        values = list(range(int(lo), int(hi) + 1)) if dots else [int(x) for x in rhs.split(",")]
+        values = range(int(lo), int(hi) + 1) if dots else [int(x) for x in rhs.split(",")]
     except ValueError:
         raise ValueError(f"sweep values must be integers: got {spec!r}") from None
     if not values:
@@ -214,16 +213,14 @@ def _sweep_values(spec: str):
 
 
 def expand_sweep(config: ExperimentConfig):
-    """List of SchemeParams, one per sweep point (a single point without --sweep).
+    """The SchemeParams of each sweep point, made one at a time (a single point without --sweep).
 
     Each point derives n = m*(s+u).  Raises ValueError on a malformed sweep
-    or invalid parameters at any point.
+    at once, and on invalid parameters when their point is reached.
     """
     base = {k: getattr(config, k) for k in SWEEP_AXES}
-    if config.sweep is None:
-        return [SchemeParams(**base)]
-    axis, values = _sweep_values(config.sweep)
-    return [SchemeParams(**{**base, axis: v}) for v in values]
+    axis, values = ("s", [config.s]) if config.sweep is None else _sweep_values(config.sweep)
+    return (SchemeParams(**{**base, axis: v}) for v in values)
 
 
 def load_table_adversary(path, params: SchemeParams) -> "_TableFileAdversary":
@@ -430,15 +427,14 @@ def run_experiments(config: ExperimentConfig):
     Bound violations clear ``bounds_ok``, and the first violating run of a
     point prints one line with its handle and violations on standard error.
     """
-    points = expand_sweep(config)
-    adversaries = [make_adversary(config.adversary, params) for params in points]
     dump_dir = None
     if config.dump_transcripts is not None:
         dump_dir = Path(config.dump_transcripts)
         dump_dir.mkdir(parents=True, exist_ok=True)
     rows = []
-    for point_idx, (params, adversary) in enumerate(zip(points, adversaries)):
-        values = {metric: [] for metric in METRICS}
+    for point_idx, params in enumerate(expand_sweep(config)):
+        adversary = make_adversary(config.adversary, params)
+        maxima, sums = dict.fromkeys(METRICS, float("-inf")), dict.fromkeys(METRICS, 0)
         bounds_ok = True
         trials = range(config.trials)
         prefix = _uint32_words(config.seed) + _uint32_words(point_idx)
@@ -462,7 +458,10 @@ def run_experiments(config: ExperimentConfig):
                 print(f"bgcsim: bound violated at {handle}: {violations}", file=sys.stderr)
             bounds_ok = bounds_ok and not result.violations
             for metric in METRICS:
-                values[metric].append(getattr(result.metrics, metric))
+                value = getattr(result.metrics, metric)
+                maxima[metric] = max(maxima[metric], value)  # keeps the first of equal maxima, as max() of a list does
+                # Not sum() of a list: from Python 3.12 it compensates, so a mean's bytes would vary.
+                sums[metric] += value  # left to right from 0, as sum() adds up to 3.11
             del truth, result  # so the next trial's truth is drawn with this one freed
         cells = {
             "point": point_idx,
@@ -475,9 +474,9 @@ def run_experiments(config: ExperimentConfig):
             **{axis: getattr(params, axis) for axis in ("n", *SWEEP_AXES)},
             **vars(BoundsReport.from_params(params)),
         }
-        for metric, vals in values.items():
-            cells[f"{metric}_max"] = max(vals)
-            cells[f"{metric}_mean"] = sum(vals) / len(vals)
+        for metric in METRICS:
+            cells[f"{metric}_max"] = maxima[metric]
+            cells[f"{metric}_mean"] = sums[metric] / config.trials
         rows.append({column: cells[column] for column in RESULT_COLUMNS})
     return rows
 
@@ -490,7 +489,7 @@ def emit_figure_data(which: str, config: ExperimentConfig):
     """
     if which not in FIGURES:
         raise ValueError(f"unknown figure: {which!r}")
-    base = SchemeParams(**{k: getattr(config, k) for k in SWEEP_AXES})
+    base = next(expand_sweep(config))
     if which == "fig1":
         points = [replace(base, u=u) for u in range(1, base.s + 2)]
     else:

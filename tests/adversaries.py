@@ -280,29 +280,32 @@ def every_tape(params: SchemeParams, truth, malicious):
         prefix[-1] += 1
 
 
+def every_run(params: SchemeParams, truth):
+    """(malicious set, Trial) for every choice tape of every size-s
+    malicious set against ``truth``.  Every run must pass ``verify_run`` and
+    ``check_compliance``; the first that does not raises AssertionError with
+    its truth, malicious set and tape."""
+    for malicious in itertools.combinations(range(1, params.n + 1), params.s):
+        for tape, trial in every_tape(params, truth, malicious):
+            if trial.breaches or trial.violations:
+                raise AssertionError(
+                    f"{trial.breaches + trial.violations} on truth {truth.tolist()}, "
+                    f"malicious {list(malicious)}, tape {[choice for choice, _ in tape.taken]}"
+                )
+            yield malicious, trial
+
+
 def worst_runs(params: SchemeParams):
-    """(runs, worst T, c, kappa_symbols, kappa_bits) over every choice tape of
-    every size-s malicious set, each maximum taken on its own.  The truth is
-    every array in [0, q)^(p, d) when there are at most 16 of them, else the
-    one drawn from seed 0.  Every run must pass ``verify_run`` and
-    ``check_compliance``; the first that does not raises AssertionError
-    with its truth, malicious set and tape."""
-    if params.q ** (params.p * params.d) <= 16:
-        cells = itertools.product(range(params.q), repeat=params.p * params.d)
-        truths = [np.array(v, dtype=np.int64).reshape(params.p, params.d) for v in cells]
-    else:
-        truths = [random_gradients(params, 0)]
+    """(runs, worst T, c, kappa_symbols, kappa_bits) over ``every_run``
+    against the truth drawn from seed 0, each maximum taken on its own.
+
+    One truth stands for every truth.  Shift the truth by any delta and each
+    malicious answer by delta's sum over the same range and coordinate:
+    honest answers shift alike, so every equality the engine tests, and
+    every run, is unchanged (``test_every_truth_walks_the_same_runs``)."""
     runs, worst = 0, (0, 0, 0, 0)
-    for truth in truths:
-        for malicious in itertools.combinations(range(1, params.n + 1), params.s):
-            for tape, trial in every_tape(params, truth, malicious):
-                runs += 1
-                if trial.breaches or trial.violations:
-                    raise AssertionError(
-                        f"{trial.breaches + trial.violations} on truth {truth.tolist()}, "
-                        f"malicious {list(malicious)}, tape {[choice for choice, _ in tape.taken]}"
-                    )
-                t = trial.transcript
-                run = (trial.metrics.T, trial.metrics.c, t.kappa_symbols, t.kappa_bits)
-                worst = tuple(map(max, worst, run))
+    for _, trial in every_run(params, random_gradients(params, 0)):
+        runs += 1
+        t = trial.transcript
+        worst = tuple(map(max, worst, (trial.metrics.T, trial.metrics.c, t.kappa_symbols, t.kappa_bits)))
     return (runs, *worst)

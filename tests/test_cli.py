@@ -4,12 +4,15 @@ import dataclasses
 import errno
 import hashlib
 import io
+import itertools
 import json
 import os
 import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
+import types
 import weakref
 from pathlib import Path
 
@@ -54,7 +57,7 @@ def test_sweep_expansion_recomputes_n():
     config = parse_config(
         ["--s", "10", "--u", "1", "--p", "16", "--d", "1", "--sweep", "u=1..11"]
     )
-    points = expand_sweep(config)
+    points = list(expand_sweep(config))
     assert len(points) == 11
     assert [pt.u for pt in points] == list(range(1, 12))
     assert [pt.n for pt in points] == [10 + u for u in range(1, 12)]
@@ -635,6 +638,19 @@ _USAGE_ERRORS = [
         _SMALL + ["--adversary", "table:table.json"],
         table={"malicious": [9]},
     ),
+    # Each of the next three fails only at the sweep's last point.
+    _usage_error("sweep-last-point", "m must divide p: got p=5, m=2", _SMALL + ["--m", "2", "--sweep", "p=4,5"]),
+    _usage_error(
+        "sweep-last-point-symmetrization",
+        "symmetrization needs floor(s/u) <= p/m: got floor(3/1) = 3 > 4/2 = 2",
+        ["--s", "3", *_SMALL[2:], "--adversary", "symmetrization", "--sweep", "m=1,2"],
+    ),
+    _usage_error(
+        "sweep-last-point-table",
+        "2 malicious workers exceed the budget s=1",
+        ["--s", "2", *_SMALL[2:], "--adversary", "table:table.json", "--sweep", "s=2,1"],
+        table={"malicious": [1, 2]},
+    ),
     _usage_error("config-list", "config file must hold a JSON object", [], [_SMALL_CONFIG]),
     _usage_error(
         "config-format", "format must be one of ('csv', 'json'): got 'xml'", [], {**_SMALL_CONFIG, "format": "xml"}
@@ -683,6 +699,75 @@ def test_usage_errors_are_one_line(tmp_path, capsys, monkeypatch, argv, config, 
     assert capsys.readouterr() == ("", f"bgcsim: error: {error.value}\n")
     assert "\n" not in str(error.value)
     assert sorted(path.name for path in tmp_path.iterdir()) == sorted(files)
+
+
+@pytest.mark.parametrize("argv, config, table, message", _USAGE_ERRORS)
+def test_parse_config_alone_raises_every_usage_error(tmp_path, monkeypatch, argv, config, table, message):
+    # parse_config walks every sweep point and makes the adversary at each, so
+    # a library caller gets a bad table file or an infeasible symmetrization
+    # from it too, not only from run_experiments.
+    monkeypatch.chdir(tmp_path)
+    for name, obj in (("config.json", config), ("table.json", table)):
+        if obj is not None:
+            Path(name).write_text(json.dumps(obj))
+    with pytest.raises(ConfigError, match="^" + re.escape(message)):
+        parse_config(argv + ["--config", "config.json"] * (config is not None))
+
+
+def _traced_peak(call, *args):
+    """``call(*args)`` and the peak of the memory it allocated, in bytes, as tracemalloc counts it."""
+    tracemalloc.start()
+    try:
+        return call(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_parse_config_keeps_no_sweep_point():
+    # 50 000 points are each made and checked, then dropped: a kept list of
+    # them would take about 10 MB.
+    config, peak = _traced_peak(parse_config, _SMALL + ["--sweep", "d=1..50000"])
+    assert config.sweep == "d=1..50000" and peak < 1_000_000, peak
+
+
+def _stub_runs(monkeypatch, metrics):
+    """Runs that draw no truth and report the next of ``metrics`` (dicts of METRICS) each."""
+    metrics = iter(metrics)
+
+    def run(params, truth, adversary, rng):
+        return types.SimpleNamespace(breaches=[], violations=[], metrics=types.SimpleNamespace(**next(metrics)))
+
+    monkeypatch.setattr(cli, "random_gradients", lambda params, rng: None)
+    monkeypatch.setattr(cli, "run_trial", run)
+
+
+def test_trial_aggregates_keep_no_list_of_trials(monkeypatch):
+    # Every run reports fresh floats, as real runs do: metric k of trial t is
+    # 4t + k + 0.5.  Each metric is folded into a running max and sum, so
+    # 12 000 trials keep none of them (four per-trial lists would take about
+    # 1.9 MB; seeding a batch of trials takes about 0.4 MB).
+    trials, values = 12000, itertools.count(0.5)
+    _stub_runs(monkeypatch, ({metric: next(values) for metric in cli.METRICS} for _ in range(trials)))
+    [row], peak = _traced_peak(run_experiments, ExperimentConfig(s=1, u=1, p=4, d=1, trials=trials))
+    assert peak < 750_000, peak
+    assert [row[f"{metric}_max"] for metric in cli.METRICS] == [4 * (trials - 1) + k + 0.5 for k in range(4)]
+    assert [row[f"{metric}_mean"] for metric in cli.METRICS] == [2 * (trials - 1) + k + 0.5 for k in range(4)]
+
+
+def test_mean_is_a_left_to_right_sum(monkeypatch):
+    # 1 + 2**-53 rounds back to 1, so adding left to right gives 1/3 on every
+    # Python version; 3.12's compensated sum() would give 0.3333333333333334.
+    _stub_runs(monkeypatch, ({"T": 1, "c": 0, "kappa": kappa, "total_comm": 4.0} for kappa in [1.0, 2**-53, 2**-53]))
+    [row] = run_experiments(ExperimentConfig(s=1, u=1, p=4, d=1, trials=3))
+    assert (repr(row["kappa_mean"]), row["kappa_max"]) == ("0.3333333333333333", 1.0)
+
+
+def test_mean_bytes_at_a_prime_alphabet():
+    # 200 symmetrization runs whose kappas differ in their last bits: 3.13's
+    # sum() of the same kappas gives 36.75001548052974.
+    argv = ["--s", "6", "--u", "2", "--p", "64", "--d", "2", "--q", "65521", "--trials", "200"]
+    [row] = run_experiments(parse_config(argv + ["--adversary", "symmetrization"]))
+    assert (repr(row["kappa_mean"]), repr(row["total_comm_mean"])) == ("36.75001548052958", "52.7500154805295")
 
 
 def test_out_of_memory_is_one_line_error(capsys, monkeypatch):
@@ -751,7 +836,7 @@ def test_null_config_keys_take_their_defaults(tmp_path, key):
 def test_unknown_adversary_and_figure_rejected_by_library_calls():
     config = parse_config(_SMALL)
     with pytest.raises(ValueError, match=r"^unknown adversary: 'bogus'$"):
-        cli.make_adversary("bogus", expand_sweep(config)[0])
+        cli.make_adversary("bogus", next(expand_sweep(config)))
     with pytest.raises(ValueError, match=r"^unknown figure: 'fig2'$"):
         emit_figure_data("fig2", config)
 

@@ -1,4 +1,6 @@
+import collections
 import dataclasses
+import itertools
 import json
 import math
 
@@ -28,6 +30,7 @@ from adversaries import (
     RAISE,
     PlantedCoalitions,
     deviation_table,
+    every_run,
     malformed_answers,
     scheme_params,
     spread_coalitions,
@@ -679,10 +682,10 @@ def test_spread_coalitions_stay_within_t_and_kappa_upper(case):
 # (s, u, m, p, d, q) -> (runs, worst T, c, kappa_symbols, kappa_bits) over every
 # adaptive strategy of every size-s coalition, malformed answers included.
 # T_upper and c_upper are reached at each; so is kappa_upper at u = 2, and
-# at u = 1 (no commits) the worst kappa is 2hs.  q = 2 runs every truth.
+# at u = 1 (no commits) the worst kappa is 2hs.  One truth stands for all.
 EXHAUSTIVE = {
-    (1, 1, 1, 4, 1, 2): (288, 2, 1, 4, 0),
-    (2, 2, 1, 4, 1, 2): (4512, 2, 1, 4, 4),
+    (1, 1, 1, 4, 1, 2): (18, 2, 1, 4, 0),
+    (2, 2, 1, 4, 1, 2): (282, 2, 1, 4, 4),
     (2, 1, 1, 4, 1, 3): (9984, 4, 2, 8, 0),
     (2, 2, 1, 4, 1, 3): (1104, 2, 1, 4, 4),
     (2, 1, 2, 4, 1, 3): (2004, 2, 2, 4, 0),
@@ -696,3 +699,29 @@ def test_every_adaptive_strategy_at_tiny_configurations(config):
     exactly, so a change that lowers a cost fails too."""
     s, u, m, p, d, q = config
     assert worst_runs(SchemeParams(s=s, u=u, m=m, p=p, d=d, q=q)) == EXHAUSTIVE[config]
+
+
+@pytest.mark.parametrize(
+    "config, runs", [((2, 1, 1, 4, 1, 2), 669), ((2, 2, 1, 4, 1, 2), 282)], ids=["2-1-1-4-1-2", "2-2-1-4-1-2"]
+)
+def test_every_truth_walks_the_same_runs(config, runs):
+    """worst_runs walks one truth, since a shift of the truth maps the runs
+    of one truth onto another's.  Each of the 16 truths at these q = 2
+    configurations gives the same multiset of (coalition, T, c,
+    kappa_symbols, kappa_bits, elimination records)."""
+    s, u, m, p, d, q = config
+    params = SchemeParams(s=s, u=u, m=m, p=p, d=d, q=q)
+
+    def outcomes(truth):
+        return collections.Counter(
+            (malicious, trial.metrics.T, trial.metrics.c, t.kappa_symbols, t.kappa_bits, tuple(t.eliminations))
+            for malicious, trial in every_run(params, truth)
+            for t in [trial.transcript]
+        )
+
+    cells = itertools.product(range(q), repeat=p * d)
+    truths = [np.array(v, dtype=np.int64).reshape(p, d) for v in cells]
+    first = outcomes(truths[0])
+    assert len(truths) == 16 and sum(first.values()) == runs
+    for truth in truths[1:]:
+        assert outcomes(truth) == first, truth.tolist()
