@@ -5,8 +5,11 @@ in its own directory (``git clone`` or ``git archive``, not a worktree):
 
     python3 scripts/bench_pairs.py --parent ../parent --pr 12 --first-seed 41
 
-Both checkouts are byte-compiled first (``compile_checkout``).  Each side
-runs its own ``perfbench/run.py`` from its own directory, for the
+The change is timed from a fresh copy of the working tree beside the parent
+(``copy_worktree``), removed at the end, so like the parent it runs from a
+directory nothing else has used.  Both are byte-compiled first
+(``compile_checkout``).
+Each side runs its own ``perfbench/run.py`` from its own directory, for the
 ``run_seconds`` of BENCHMARK.json, on every workload in PAIRS alternating
 pairs.  Pair i uses seed first_seed + i; the parent runs first in even pairs
 and second in odd ones.  For every end-to-end metric of BENCHMARK.json the
@@ -20,8 +23,9 @@ two verdicts:
                 than the metric's bound, taken as a fraction of the parent's
                 median.
 
-One ``--trace 1`` pair per workload gives its per-layer metrics, and short
-runs at DIGEST_SEEDS give both sides' CSV digests, which must agree.
+TRACED_PAIRS alternating ``--trace 1`` pairs per workload, at the first
+seeds, give the same summary of every per-layer metric, and short runs at
+DIGEST_SEEDS give both sides' CSV digests, which must agree.
 """
 
 from __future__ import annotations
@@ -29,8 +33,10 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -40,6 +46,7 @@ from workloads import WORKLOADS  # noqa: E402
 
 ROOT = Path.cwd()
 PAIRS = 10
+TRACED_PAIRS = 4
 DIGEST_SEEDS = (1, 2, 3)
 DIGEST_SECONDS = 2.0
 
@@ -78,6 +85,23 @@ def compile_checkout(checkout: Path) -> None:
     """
     argv = [sys.executable, "-m", "compileall", "-q", "src", "perfbench"]
     subprocess.run(argv, cwd=checkout, check=True, capture_output=True, timeout=600)
+
+
+def copy_worktree(root: Path, dest: Path) -> None:
+    """Copy the working-tree bytes of every file git sees in ``root`` into ``dest``.
+
+    That is every tracked file and every untracked one that is not ignored
+    (``git ls-files --cached --others --exclude-standard``); a deleted
+    tracked file is skipped, and ignored output such as byte-code caches
+    stays behind.
+    """
+    argv = ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"]
+    names = subprocess.run(argv, cwd=root, check=True, capture_output=True, timeout=600).stdout
+    for name in filter(None, names.decode().split("\0")):
+        source = root / name
+        if source.is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copyfile(source, dest / name)
 
 
 def run_side(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -124,6 +148,42 @@ def summarize(runs: list, metrics: list) -> dict:
     return summary
 
 
+def bench(parent: Path, change: Path, spec: dict, first_seed: int) -> dict:
+    """The BENCH report of two compiled checkouts (see the module docstring)."""
+    seconds = spec["run_seconds"]
+    seeds = range(first_seed, first_seed + PAIRS)
+    report = {
+        "command": f"python3 perfbench/run.py --workload <workload> --seed <seed> --seconds {seconds:g} --trace 0",
+        "host": f"{platform.machine()}, Python {platform.python_version()}",
+        "pairs": PAIRS,
+        "order": "pair i runs the parent first when i is even and the change first when it is odd",
+        "verdicts": "claim_holds: >= 9/10 wins and a median gap above the parent IQR; "
+        "within_bound: the median worse by at most the BENCHMARK.json bound, relative to the parent's",
+        "traced_pairs": f"{TRACED_PAIRS} alternating --trace 1 pairs per workload at the first seeds",
+        "summary": {},
+        "runs": [],
+    }
+    for workload in WORKLOADS:
+        runs = pairs(parent, change, workload, seeds, seconds)
+        report["summary"][workload] = summarize(runs, spec["end_to_end"])
+        report["runs"] += [{"workload": workload, "parent": p, "change": c} for p, c in runs]
+    report["traced"] = {
+        workload: summarize(pairs(parent, change, workload, seeds[:TRACED_PAIRS], seconds, trace=1), spec["per_layer"])
+        for workload in WORKLOADS
+    }
+    report["csv_sha256"] = {
+        workload: {
+            str(p["detail"]["seed"]): {"parent": p["detail"]["csv_sha256"], "change": c["detail"]["csv_sha256"]}
+            for p, c in pairs(parent, change, workload, DIGEST_SEEDS, DIGEST_SECONDS)
+        }
+        for workload in WORKLOADS
+    }
+    first = report["runs"][0]
+    report["parent_commit"] = first["parent"]["detail"]["git_commit"]
+    report["change_src_sha256"] = first["change"]["detail"]["src_sha256"]
+    return report
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
@@ -134,43 +194,15 @@ def main(argv=None) -> int:
     for checkout in (parent, ROOT):
         if not (checkout / "perfbench" / "run.py").is_file():
             raise SystemExit(f"bench_pairs: {checkout} has no perfbench/run.py")
-    for checkout in (parent, ROOT):  # see compile_checkout
-        compile_checkout(checkout)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = spec["run_seconds"]
-    seeds = range(args.first_seed, args.first_seed + PAIRS)
-
-    report = {
-        "command": f"python3 perfbench/run.py --workload <workload> --seed <seed> --seconds {seconds:g} --trace 0",
-        "host": f"{platform.machine()}, Python {platform.python_version()}",
-        "pairs": PAIRS,
-        "order": "pair i runs the parent first when i is even and the change first when it is odd",
-        "verdicts": "claim_holds: >= 9/10 wins and a median gap above the parent IQR; "
-        "within_bound: the median worse by at most the BENCHMARK.json bound, relative to the parent's",
-        "summary": {},
-        "runs": [],
-    }
-    for workload in WORKLOADS:
-        runs = pairs(parent, ROOT, workload, seeds, seconds)
-        report["summary"][workload] = summarize(runs, spec["end_to_end"])
-        report["runs"] += [{"workload": workload, "parent": p, "change": c} for p, c in runs]
-    report["traced"] = {}
-    for workload in WORKLOADS:
-        [(p, c)] = pairs(parent, ROOT, workload, [args.first_seed], seconds, trace=1)
-        report["traced"][workload] = {
-            name: {"parent": p["metrics"][name]["value"], "change": c["metrics"][name]["value"]}
-            for name in p["metrics"]
-        }
-    report["csv_sha256"] = {
-        workload: {
-            str(p["detail"]["seed"]): {"parent": p["detail"]["csv_sha256"], "change": c["detail"]["csv_sha256"]}
-            for p, c in pairs(parent, ROOT, workload, DIGEST_SEEDS, DIGEST_SECONDS)
-        }
-        for workload in WORKLOADS
-    }
-    first = report["runs"][0]
-    report["parent_commit"] = first["parent"]["detail"]["git_commit"]
-    report["change_src_sha256"] = first["change"]["detail"]["src_sha256"]
+    change = Path(tempfile.mkdtemp(prefix="change-", dir=parent.parent))
+    try:
+        copy_worktree(ROOT, change)
+        for checkout in (parent, change):  # see compile_checkout
+            compile_checkout(checkout)
+        report = bench(parent, change, spec, args.first_seed)
+    finally:
+        shutil.rmtree(change)
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {out.name}", file=sys.stderr)

@@ -127,59 +127,39 @@ def sum_dtype(dtype, k: int, q: int):
     return np.uint32 if k * (q - 1) < 2**32 else np.int64
 
 
-def chunk_sums(rows: np.ndarray, chunk: int, q: int) -> np.ndarray:
-    """int64 column sums of each whole chunk of ``chunk`` rows of a (k, d) row slice of a truth.
-
-    Exact mod q, and exact outright unless q is a power of two.  Returns
-    shape (k // chunk, d); leftover rows are ignored.  ``chunk`` must be a
-    multiple of w = wide_rows(d).  numpy reduces a narrow array along axis 0
-    one short row at a time, so each chunk is summed as chunk // w rows of
-    w*d elements in ``acc = sum_dtype(rows.dtype, chunk // w, q)``, in slabs
-    of about 2**18 elements that keep any casting temporary small.  A uint16
-    ``acc`` comes only from the wrap branch, so its w partial rows fold in
-    place by halving at that width; any other ``acc`` folds by ``einsum``
-    into int64, so every output bit matches the plain int64 sum.
-    """
-    k, d = rows.shape
-    w = wide_rows(d)
-    n = k // chunk
-    acc = sum_dtype(rows.dtype, chunk // w, q)
-    part = np.empty((n, w * d), dtype=acc)
-    step = max(1, 2**18 // (chunk * d))  # chunks per slab
-    for i in range(0, n, step):
-        slab = rows[i * chunk : min(i + step, n) * chunk]
-        np.add.reduce(slab.reshape(-1, chunk // w, w * d), axis=1, dtype=acc, out=part[i : i + step])
-    part = part.reshape(n, w, d)
-    if acc is not np.uint16:
-        return np.einsum("ijk->ik", part, dtype=np.int64)
-    while w > 1:  # fold the top half of the w partial rows onto the bottom half
-        w, h = (w + 1) // 2, w // 2
-        part[:, :h] += part[:, w : w + h]
-    return part[:, 0].astype(np.int64)
-
-
 def block_sums(rows: np.ndarray, chunk: int, q: int):
     """(prefix, total): int64 column sums of a (k, d) row slice of a truth (``as_truth``), so C-contiguous.
 
     ``prefix`` is the cumulative sums at every boundary of a whole chunk of
     ``chunk`` rows (a multiple of w = wide_rows(d)), shape (k // chunk + 1, d),
     or None when k < chunk; ``total`` sums all k rows.  Both are exact mod q,
-    and exact outright unless q is a power of two.  ``chunk_sums`` sums the
-    whole chunks, then the leftover whole groups of w rows as one more chunk
-    when there are at least two; the last rows take the plain int64 sum.
+    and exact outright unless q is a power of two.  numpy reduces a narrow
+    array along axis 0 one short row at a time, so each whole chunk is summed
+    as chunk // w rows of w*d elements in ``acc = sum_dtype(rows.dtype,
+    chunk // w, q)``.  A uint16 ``acc`` comes only from the wrap branch, so
+    its w partial rows fold in place by halving at that width; any other
+    ``acc`` folds by ``einsum`` into int64, so every chunk sum matches the
+    plain int64 sum.  The rows after the last whole chunk take the plain
+    int64 sum.
     """
     k, d = rows.shape
     w = wide_rows(d)
-    head = k - k % chunk
-    extra = (k - head) // w * w if k - head >= 2 * w else 0
-    total = np.add.reduce(rows[head + extra :], axis=0, dtype=np.int64)
-    if extra:
-        total += chunk_sums(rows[head:], extra, q)[0]
-    prefix = None
-    if head:
-        prefix = np.zeros((head // chunk + 1, d), dtype=np.int64)
-        np.cumsum(chunk_sums(rows, chunk, q), axis=0, out=prefix[1:])
-        total += prefix[-1]
+    n = k // chunk
+    total = np.add.reduce(rows[n * chunk :], axis=0, dtype=np.int64)
+    if not n:
+        return None, total
+    acc = sum_dtype(rows.dtype, chunk // w, q)
+    part = np.add.reduce(rows[: n * chunk].reshape(n, chunk // w, w * d), axis=1, dtype=acc).reshape(n, w, d)
+    if acc is np.uint16:
+        while w > 1:  # fold the top half of the w partial rows onto the bottom half
+            w, h = (w + 1) // 2, w // 2
+            part[:, :h] += part[:, w : w + h]
+        sums = part[:, 0]
+    else:
+        sums = np.einsum("ijk->ik", part, dtype=np.int64)
+    prefix = np.zeros((n + 1, d), dtype=np.int64)
+    np.cumsum(sums, axis=0, dtype=np.int64, out=prefix[1:])
+    total += prefix[-1]
     return prefix, total
 
 

@@ -70,18 +70,23 @@ def test_pairs_must_match():
 
 def test_both_checkouts_are_compiled_before_any_run(tmp_path, monkeypatch):
     # Under PYTHONDONTWRITEBYTECODE=1 perfbench cannot write its byte-code
-    # cache, so a checkout without one compiles bgcsim in every child.
+    # cache, so a checkout without one compiles bgcsim in every child.  The
+    # change is compiled and run from its fresh copy beside the parent.
     parent, change = tmp_path / "parent", tmp_path / "change"
     for checkout in (parent, change):
         (checkout / "perfbench").mkdir(parents=True)
         (checkout / "perfbench" / "run.py").write_text("")
     (change / "BENCHMARK.json").write_text('{"run_seconds": 1, "end_to_end": []}')
+    subprocess.run(["git", "init", "-q"], cwd=change, check=True)
     calls = []
+    real_run = subprocess.run
 
     class FirstRun(Exception):
         pass
 
     def fake_run(argv, cwd, **kwargs):
+        if argv[0] == "git":
+            return real_run(argv, cwd=cwd, **kwargs)
         calls.append((argv[1:], Path(cwd)))
         if "perfbench/run.py" in argv:
             raise FirstRun
@@ -92,5 +97,76 @@ def test_both_checkouts_are_compiled_before_any_run(tmp_path, monkeypatch):
     with pytest.raises(FirstRun):
         bench_pairs.main(["--parent", str(parent), "--pr", "0", "--first-seed", "1"])
     compile_argv = ["-m", "compileall", "-q", "src", "perfbench"]
-    assert calls[:2] == [(compile_argv, parent), (compile_argv, change)]
-    assert calls[2][0][0] == "perfbench/run.py" and len(calls) == 3
+    copy = calls[1][1]
+    assert copy.parent == tmp_path and copy not in (parent, change)
+    assert calls[:2] == [(compile_argv, parent), (compile_argv, copy)]
+    assert calls[2] == (calls[2][0], parent) and calls[2][0][0] == "perfbench/run.py" and len(calls) == 3
+    assert not copy.exists()  # removed even when a run fails
+
+
+def _git(repo, *args):
+    subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false", *args],
+                   cwd=repo, check=True, capture_output=True)
+
+
+def test_the_change_is_copied_as_git_sees_its_working_tree(tmp_path):
+    repo, copy = tmp_path / "repo", tmp_path / "copy"
+    files = {
+        ".gitignore": "__pycache__/\n.perfbench_work/\n*.log\n",
+        "src/pkg/mod.py": "old\n",
+        "gone.txt": "deleted\n",
+    }
+    for name, text in files.items():
+        (repo / name).parent.mkdir(parents=True, exist_ok=True)
+        (repo / name).write_text(text)
+    _git(repo, "init", "-q")
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-qm", "base")
+    (repo / "src/pkg/mod.py").write_text("modified\n")  # tracked, changed and not staged
+    (repo / "src/pkg/new.py").write_text("new\n")  # untracked
+    (repo / "run.log").write_text("ignored\n")
+    (repo / "gone.txt").unlink()  # tracked, deleted
+    for junk in ("src/pkg/__pycache__/mod.cpython-311.pyc", ".perfbench_work/out.csv"):
+        (repo / junk).parent.mkdir(parents=True)
+        (repo / junk).write_text("junk\n")
+    copy.mkdir()
+    bench_pairs.copy_worktree(repo, copy)
+    got = {str(path.relative_to(copy)): path.read_text() for path in copy.rglob("*") if path.is_file()}
+    assert got == {".gitignore": files[".gitignore"], "src/pkg/mod.py": "modified\n", "src/pkg/new.py": "new\n"}
+
+
+def test_traced_pairs_summarize_every_per_layer_metric(monkeypatch):
+    # 4 alternating traced pairs at the first seeds, each per-layer metric
+    # summed up by compare; the change wins "a.s" in 3 pairs and "b" in none.
+    spec = {
+        "run_seconds": 7,
+        "end_to_end": [{"name": "runs_per_s", "better": "higher", "bound": 0.25}],
+        "per_layer": [{"name": "a.s", "better": "lower"}, {"name": "b", "better": "higher"}],
+    }
+    calls = []
+
+    def fake_side(checkout, workload, seed, seconds, trace):
+        calls.append((checkout, workload, seed, seconds, trace))
+        change = checkout == "change"
+        if trace:
+            a = 1.0 - 0.1 * change * (seed != 102)
+            metrics = {"a.s": a, "b": 5.0}
+        else:
+            metrics = {"runs_per_s": 1.0}
+        detail = {"seed": seed, "csv_sha256": "x", "git_commit": "c", "src_sha256": checkout}
+        return {"correct": True, "metrics": {k: {"value": v} for k, v in metrics.items()}, "detail": detail}
+
+    monkeypatch.setattr(bench_pairs, "run_side", fake_side)
+    monkeypatch.setattr(bench_pairs, "WORKLOADS", ["w"])
+    report = bench_pairs.bench("parent", "change", spec, 100)
+    traced = [c for c in calls if c[4]]
+    assert [c[2] for c in traced] == [100, 100, 101, 101, 102, 102, 103, 103]
+    assert [c[0] for c in traced[:4]] == ["parent", "change", "change", "parent"]
+    assert all(c[3] == 7 for c in traced)
+    got = report["traced"]["w"]
+    assert got["seeds"] == [100, 101, 102, 103] and got["all_correct"] and got["csv_sha256_equal"]
+    assert set(got) == {"seeds", "csv_sha256_equal", "all_correct", "a.s", "b"}
+    assert got["a.s"]["parent_median"] == 1.0 and got["a.s"]["change_median"] == pytest.approx(0.9)
+    assert got["a.s"]["change_wins"] == "3/4" and not got["a.s"]["claim_holds"]
+    assert got["b"]["change_wins"] == "0/4" and "within_bound" not in got["b"]
+    assert report["summary"]["w"]["runs_per_s"]["change_wins"] == "0/10"

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from bgcsim.core import (
     as_truth,
     block_sums,
     build_fractional_repetition,
-    chunk_sums,
     full_gradient,
     random_gradients,
     replication_factor,
@@ -329,8 +329,8 @@ def test_column_sums_match_python_int_reference(data, d, chunks, shape, layout, 
 
 @pytest.mark.parametrize("d, wides, tail", [(3, 16, 7), (4, 1, 0), (1030, 2, 1)])
 def test_chunk_sums_match_plain_sums_across_slabs(d, wides, tail):
-    # More than 2**20 elements, so the chunks are summed in several slabs, in
-    # each accumulator: the uint16 wrap, exact uint32, int64 and the uint32 wrap.
+    # More than 2**21 elements in one reduction, in each accumulator: the
+    # uint16 wrap, exact uint32, int64 and the uint32 wrap.
     chunk = wides * wide_rows(d)
     n = 2**21 // (chunk * d) + 3
     rng = np.random.default_rng(d)
@@ -338,12 +338,30 @@ def test_chunk_sums_match_plain_sums_across_slabs(d, wides, tail):
         values = np.array([0, 1, q - 1, 12345], dtype=np.uint16 if q <= 2**16 else np.uint32)
         rows = rng.choice(values, size=(n * chunk + tail, d))
         expected = rows[: n * chunk].reshape(n, chunk, d).sum(axis=1, dtype=np.int64)
-        got = chunk_sums(rows, chunk, q)
+        got = np.diff(block_sums(rows, chunk, q)[0], axis=0)
         assert got.dtype == np.int64
         if q & (q - 1):
             assert np.array_equal(got, expected)
         else:
             assert np.array_equal(got % q, expected % q)
+
+
+@pytest.mark.parametrize("chunk", [COLUMN_CHUNK, ClaimedGradientTable.CHUNK])
+@pytest.mark.parametrize("q", [2**16, 65521, 2**31 + 1])
+def test_block_sums_holds_only_the_partials(q, chunk):
+    # numpy buffers the reduction's casts, so the peak is the array of
+    # partial rows, whatever the accumulator.
+    k, d = 2**18, 4
+    chunk *= wide_rows(d)
+    rows = random_gradients(SchemeParams(s=1, u=1, m=1, p=k, d=d, q=q), 7)
+    acc = np.dtype(sum_dtype(rows.dtype, chunk // wide_rows(d), q))
+    tracemalloc.start()
+    try:
+        block_sums(rows, chunk, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (k // chunk) * wide_rows(d) * d * acc.itemsize + 256 * 1024
 
 
 @settings(max_examples=60, deadline=None)
@@ -439,7 +457,7 @@ def test_chunk_sums_exact_at_the_uint32_bound(q):
     d, w = 128, wide_rows(128)
     chunk = 16 * w
     rows = np.full((3 * chunk + 5, d), q - 1, dtype=np.uint32)
-    got = chunk_sums(rows, chunk, q)
+    got = np.diff(block_sums(rows, chunk, q)[0], axis=0)
     assert got.dtype == np.int64
     assert got.tolist() == [[chunk * (q - 1)] * d] * 3
 
@@ -485,7 +503,7 @@ def test_sums_of_a_uint16_truth_widen(d):
     k = 3 * COLUMN_CHUNK * w + 2 * w + 3
     rows = np.full((k, d), q - 1, dtype=np.uint16)
     chunk = ClaimedGradientTable.CHUNK * w
-    assert chunk_sums(rows, chunk, q).tolist() == [[chunk * (q - 1)] * d] * (k // chunk)
+    assert np.diff(block_sums(rows, chunk, q)[0], axis=0).tolist() == [[chunk * (q - 1)] * d] * (k // chunk)
     _assert_block_sums(rows, q)
     assert full_gradient(rows, q).tolist() == [k * (q - 1) % q] * d
     table = ClaimedGradientTable(SchemeParams(s=1, u=1, m=1, p=k, d=d, q=q), rows)

@@ -689,6 +689,11 @@ EXHAUSTIVE = {
     (2, 1, 1, 4, 1, 3): (9984, 4, 2, 8, 0),
     (2, 2, 1, 4, 1, 3): (1104, 2, 1, 4, 4),
     (2, 1, 2, 4, 1, 3): (2004, 2, 2, 4, 0),
+    (2, 1, 1, 3, 1, 2): (339, 4, 2, 8, 0),
+    (2, 1, 1, 5, 1, 2): (1323, 6, 2, 12, 0),
+    (2, 1, 1, 6, 1, 2): (2169, 6, 2, 12, 0),
+    (2, 2, 1, 8, 1, 2): (522, 3, 1, 6, 4),
+    (2, 2, 1, 5, 1, 3): (2016, 3, 1, 6, 4),
 }
 
 
